@@ -37,13 +37,26 @@ class Allocation(Mapping[str, float]):
         items = dict(values)
         if not items:
             raise ValueError("Allocation cannot be empty")
-        for name, cpu in items.items():
-            if not np.isfinite(cpu) or cpu < 0:
-                raise ValueError(f"invalid CPU value for {name!r}: {cpu}")
-        self._names: tuple[str, ...] = tuple(items.keys())
-        self._values: np.ndarray = np.asarray(
-            [float(items[n]) for n in self._names], dtype=np.float64
-        )
+        cpus = np.asarray(list(items.values()))
+        # One min and one max pass validate every value (NaN fails >= 0).
+        if not (
+            cpus.dtype.kind in "biuf"
+            and cpus.shape == (len(items),)
+            and cpus.min() >= 0
+            and cpus.max() < np.inf
+        ):
+            # Check value by value to name the first offending service
+            # (non-numeric values included); other scalars are converted.
+            for name, cpu in items.items():
+                try:
+                    valid = bool(np.isfinite(cpu)) and cpu >= 0
+                except (TypeError, ValueError):
+                    valid = False
+                if not valid:
+                    raise ValueError(f"invalid CPU value for {name!r}: {cpu}")
+            cpus = np.asarray([float(cpu) for cpu in items.values()])
+        self._names: tuple[str, ...] = tuple(items)
+        self._values: np.ndarray = cpus.astype(np.float64, copy=False)
         self._values.flags.writeable = False
 
     # -- Mapping protocol ---------------------------------------------------

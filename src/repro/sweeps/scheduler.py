@@ -299,10 +299,11 @@ def run_sweep_cached(
     remaining = list(unit_counts)
     cached = 0
     load_started = perf_counter()
+    # ``is not None``, never ``bool(store)``: truth-testing the store
+    # calls ``__len__``, which scans the whole directory.
+    probe = store is not None and reuse
     for spec_index, spec, repeat in tasks:
-        payload = (
-            store.get_result(spec, repeat) if store and reuse else None
-        )
+        payload = store.get_result(spec, repeat) if probe else None
         if payload is not None:
             results[(spec_index, repeat)] = payload
             remaining[spec_index] -= 1

@@ -119,30 +119,28 @@ class JsonDirectoryStore:
         self.root.mkdir(parents=True, exist_ok=True)
 
     def path_for(self, key_obj: Any) -> Path:
-        digest = canonical_key(key_obj)
+        return self._path(canonical_key(key_obj))
+
+    def _path(self, digest: str) -> Path:
         return self.root / digest[:2] / f"{digest}.json"
 
     # -- raw payload access ------------------------------------------------------
     def get_raw(self, key_obj: Any) -> Any | None:
         """The stored payload for ``key_obj``, or None on miss/corruption."""
-        path = self.path_for(key_obj)
+        digest = canonical_key(key_obj)
         try:
-            entry = json.loads(path.read_text())
+            entry = json.loads(self._path(digest).read_text())
         except FileNotFoundError:
             self.stats.misses += 1
             _STORE_MISSES.inc()
             return None
         except (OSError, UnicodeDecodeError, json.JSONDecodeError):
-            self.stats.corrupt += 1
-            self.stats.misses += 1
-            _STORE_CORRUPT.inc()
-            _STORE_MISSES.inc()
-            return None
+            entry = None
         # A foreign/garbled-but-valid-JSON file is also just a miss.
         if (
             not isinstance(entry, dict)
             or "payload" not in entry
-            or canonical_key(entry.get("key")) != canonical_key(key_obj)
+            or canonical_key(entry.get("key")) != digest
         ):
             self.stats.corrupt += 1
             self.stats.misses += 1
@@ -156,23 +154,9 @@ class JsonDirectoryStore:
     def put_raw(self, key_obj: Any, payload: Any) -> Path:
         """Atomically persist ``payload`` under ``key_obj``."""
         path = self.path_for(key_obj)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {"format": _FORMAT, "key": key_obj, "payload": payload}
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{path.stem[:16]}.", suffix=".tmp"
+        _write_json_replace(
+            path, {"format": _FORMAT, "key": key_obj, "payload": payload}
         )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(entry, fh, sort_keys=True, allow_nan=False)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
         self.stats.writes += 1
         _STORE_WRITES.inc()
         return path
@@ -205,20 +189,29 @@ class JsonDirectoryStore:
         return self.root / QUEUE_DIRNAME / plan_id
 
 
+def _encode(obj: Any) -> str:
+    """The on-disk JSON text of an entry or lease (C encoder, one string)."""
+    return json.dumps(obj, sort_keys=True, allow_nan=False)
+
+
 def _write_json_replace(path: Path, payload: Any) -> None:
     """Atomically (re)write ``path`` with a JSON payload.
 
-    Same temp-file-in-target-directory + ``os.replace`` discipline as
-    cache entries: a reader never observes a half-written file, and
-    concurrent writers leave exactly one winner's bytes.
+    The one writer of cache entries and lease takeovers/renewals: the
+    text goes to a temp file in the target directory, is fsynced and
+    ``os.replace``d into place, so a reader never observes a half-written
+    file and concurrent writers leave exactly one winner's bytes.  The
+    payload is encoded before the temp file exists, so an unencodable
+    payload (NaN) leaves nothing behind.
     """
+    text = _encode(payload)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(
         dir=path.parent, prefix=f".{path.stem[:16]}.", suffix=".tmp"
     )
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, allow_nan=False)
+            fh.write(text)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp_name, path)
@@ -362,7 +355,7 @@ class LeaseNamespace:
                 return lease
             return None  # lost the takeover race to another stealer
         with os.fdopen(fd, "w") as fh:
-            json.dump(lease.to_dict(), fh, sort_keys=True, allow_nan=False)
+            fh.write(_encode(lease.to_dict()))
             fh.flush()
             os.fsync(fh.fileno())
         return lease

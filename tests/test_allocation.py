@@ -1,5 +1,7 @@
 """Allocation value-type semantics."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -36,6 +38,18 @@ class TestConstruction:
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             Allocation({"a": float("nan")})
+
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), float("-inf"), -0.1, None, "0.5"]
+    )
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_invalid_value_names_first_bad_service(self, bad, position):
+        values = [1.0, 2.0, 3.0]
+        values[position] = bad
+        values[2] = -1.0  # a later offender must not be the one named
+        message = f"invalid CPU value for {NAMES[position]!r}: {bad}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            alloc(*values)
 
     def test_from_array_roundtrip(self):
         a = Allocation.from_array(NAMES, np.array([0.5, 1.5, 2.5]))

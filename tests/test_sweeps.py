@@ -1,5 +1,6 @@
 """Sweep orchestration: grids, content-addressed store, scheduler, aggregates."""
 
+import io
 import json
 import threading
 from pathlib import Path
@@ -19,6 +20,8 @@ from repro.experiments import (
 from repro.sweeps import (
     METRIC_NAMES,
     GridRun,
+    JsonDirectoryStore,
+    LeaseNamespace,
     SweepAxis,
     SweepGrid,
     SweepStore,
@@ -250,6 +253,53 @@ class TestSweepStore:
         assert store.clear() == 1
         assert len(store) == 0
 
+    def test_entry_and_lease_bytes_match_streaming_encoder(self, tmp_path):
+        """Entries and leases are encoded in one ``json.dumps`` call; the
+        bytes on disk must stay those of the streaming ``json.dump``."""
+
+        def streamed(obj):
+            buf = io.StringIO()
+            json.dump(obj, buf, sort_keys=True, allow_nan=False)
+            return buf.getvalue().encode()
+
+        def entry(key_obj, payload):
+            return streamed({"format": 1, "key": key_obj, "payload": payload})
+
+        store = SweepStore(tmp_path / "store")
+        spec = base_spec(
+            autoscaler={"kind": "workload_aware_pema", "params": {
+                "workload_low": 150.0, "workload_high": 900.0,
+                "start_rps": 900.0, "min_range_width": 81.25}},
+            capture=["manager_state", "decision_trace"],
+        )
+        run_sweep_cached([spec], store=store)
+        key = store.unit_key(spec, 0)
+        payload = store.get_result(spec, 0)
+        assert payload["manager_state"] and payload["decision_trace"]
+        assert store.path_for(key).read_bytes() == entry(key, payload)
+        # Non-ASCII text in both the key and the payload.
+        label = {"kind": "label", "name": "größe α→β"}
+        noted = {**payload, "note": "naïve ✓"}
+        assert store.put_raw(label, noted).read_bytes() == entry(label, noted)
+
+        leases = LeaseNamespace(tmp_path / "leases")
+        fresh = leases.acquire("t", "wörker-α", ttl=5.0, now=1000.0)
+        assert leases.path_for("t").read_bytes() == streamed(fresh.to_dict())
+        stolen = leases.acquire("t", "bob", ttl=5.0, now=2000.5)
+        assert stolen.stolen_from == "wörker-α"
+        assert leases.path_for("t").read_bytes() == streamed(stolen.to_dict())
+        renewed = leases.renew(stolen, ttl=5.0, now=2001.25)
+        assert leases.path_for("t").read_bytes() == streamed(renewed.to_dict())
+
+    def test_nan_payload_rejected_without_leftovers(self, tmp_path):
+        store = SweepStore(tmp_path)
+        key = store.unit_key(base_spec(), 0)
+        with pytest.raises(ValueError):
+            store.put_raw(key, {"records": [{"response": float("nan")}]})
+        assert not store.path_for(key).exists()
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+        assert store.stats.writes == 0
+
 
 class TestScheduler:
     def test_matches_run_sweep(self):
@@ -278,6 +328,30 @@ class TestScheduler:
         assert warm.report.cache_hits == warm.report.units == 8
         assert warm.report.computed == 0
         assert grid_summary_json(warm) == grid_summary_json(cold)
+
+    def test_cold_and_warm_runs_never_scan_the_store(
+        self, tmp_path, monkeypatch
+    ):
+        """A probe is one file open: no pass may list the store directory
+        (that made every sweep quadratic in the store's size)."""
+        scans = []
+        entry_paths = JsonDirectoryStore.entry_paths
+
+        def counting(self):
+            scans.append(self.root)
+            return entry_paths(self)
+
+        monkeypatch.setattr(JsonDirectoryStore, "entry_paths", counting)
+        store = SweepStore(tmp_path)
+        specs = small_grid().specs()
+        units = sum(spec.repeats for spec in specs)
+        _, cold = run_sweep_cached(specs, store=store)
+        # The empty store is probed too: one miss per unit.
+        assert store.stats.misses == units and store.stats.hits == 0
+        assert cold.cache_hits == 0
+        _, warm = run_sweep_cached(specs, store=store)
+        assert warm.cache_hits == units and store.stats.hits == units
+        assert scans == []
 
     def test_reuse_false_refreshes(self, tmp_path):
         store = SweepStore(tmp_path)
