@@ -65,9 +65,9 @@ class RuleBasedAutoscaler:
     def decide(self, metrics: IntervalMetrics) -> Allocation:
         """Apply the scaling rule to every service independently."""
         new_values: dict[str, float] = {}
-        for name in self._allocation:
+        allocation = self._allocation
+        for name, current in zip(allocation.names, allocation.as_array().tolist()):
             svc = metrics.services[name]
-            current = self._allocation[name]
             if self.mode == "utilization":
                 desired = (svc.usage_cores / self.target_utilization) * (
                     1.0 + self.overprovision

@@ -32,6 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.config import PEMAConfig
+from repro.core.reduction import _window_mean
 from repro.core.selection import select_targets
 from repro.sim.batched import BatchObservation
 
@@ -39,23 +40,6 @@ __all__ = ["PEMABatch"]
 
 #: Tolerance constants, matching :mod:`repro.core.selection`.
 _SEL_EPS = 1e-9
-
-
-def _window_mean(window: list) -> float:
-    """``float(np.mean(tuple(window)))`` bit-for-bit.
-
-    NumPy's pairwise reduction degenerates to a plain sequential sum
-    (starting from 0.0) below 8 elements, which covers the default
-    5-sample moving average without a NumPy call; longer windows take the
-    real ``np.mean``.
-    """
-    n = len(window)
-    if n < 8:
-        s = 0.0
-        for v in window:
-            s = s + v
-        return s / n
-    return np.mean(np.asarray(window, dtype=np.float64))
 
 
 class PEMABatch:
@@ -88,16 +72,19 @@ class PEMABatch:
         self.rngs = [np.random.default_rng(int(s)) for s in seeds]
 
         cfg = self.configs
+        # Arrays feed the whole-batch math; per-cell knobs stay plain
+        # Python values (float ops on them are the same IEEE ops, minus
+        # the NumPy-scalar overhead in the per-cell loop).
         self._alpha = np.asarray([c.alpha for c in cfg])
-        self._beta = np.asarray([c.beta for c in cfg])
         self._explore_a = np.asarray([c.explore_a for c in cfg])
         self._explore_b = np.asarray([c.explore_b for c in cfg])
-        self._buffer = np.asarray([c.response_buffer for c in cfg])
-        self._min_cpu = np.asarray([c.min_cpu for c in cfg])
-        self._gain = np.asarray([c.rollback_severity_gain for c in cfg])
-        self._window_len = [c.moving_average_window for c in cfg]
-        self._use_filter = np.asarray([c.use_bottleneck_filter for c in cfg])
         self._dynamic = np.asarray([c.use_dynamic_thresholds for c in cfg])
+        self._beta = [float(c.beta) for c in cfg]
+        self._buffer = [float(c.response_buffer) for c in cfg]
+        self._min_cpu = [float(c.min_cpu) for c in cfg]
+        self._gain = [float(c.rollback_severity_gain) for c in cfg]
+        self._window_len = [c.moving_average_window for c in cfg]
+        self._use_filter = [c.use_bottleneck_filter for c in cfg]
 
         shape = allocations.shape
         self.util_th = np.empty(shape)
@@ -193,30 +180,49 @@ class PEMABatch:
             * np.clip((self.slo - response) / (self._alpha * self.slo), 0.0, 1.0)
             + self._explore_b
         )
-        # Eqn. (5) inputs, vectorized; rows are consumed only by cells
-        # that reach the selection branch.
+        # Eqn. (5), vectorized over every row: a cell that reaches the
+        # selection branch reads its eligible columns, which hold exactly
+        # the values a per-row pass over those columns computes.  Rows
+        # with no eligible service (min over nothing: inf) or a zero
+        # utilization range produce NaN/inf here and are never read.
         u_star = np.minimum(
             util / np.maximum(self.util_th, _SEL_EPS), 1.0
         )
         eligible = thr_seconds <= self.thr_th + _SEL_EPS
-        # Trace records need plain Python floats; one bulk (and exact)
-        # tolist() beats a slow float(np.float64) per traced record.
-        p_explore_row = p_explore.tolist() if self._trace_cells else None
+        u_min = np.where(eligible, u_star, np.inf).min(axis=1)
+        denom = 1.0 - u_min
+        with np.errstate(invalid="ignore", divide="ignore"):
+            inclusion = np.clip(
+                1.0 - (u_star - u_min[:, None]) / denom[:, None], 0.0, 1.0
+            )
+        # tolist() is value-exact; plain floats keep the selection draws
+        # identical and make the traced record's JSON coercion cheap.
+        eligible_rows = eligible.tolist()
+        inclusion_rows = inclusion.tolist()
+        zero_range = (denom <= _SEL_EPS).tolist()
+        # The per-cell loop reads plain Python floats: one bulk (and
+        # exact) tolist() per signal beats NumPy-scalar arithmetic and a
+        # float(np.float64) per traced record.
+        response_row = response.tolist()
+        violated_row = violated.tolist()
+        slo_row = self.slo.tolist()
+        alpha_row = self._alpha.tolist()
+        p_explore_row = p_explore.tolist()
 
         for i in range(self.n_cells):
             window = self._windows[i]
-            window.append(response[i])
+            window.append(response_row[i])
             if len(window) > self._window_len[i]:
                 window.pop(0)
 
             alloc_row = self.allocation[i]
-            if violated[i]:
+            if violated_row[i]:
                 # Line 4: taint + rollback (no random draws on this path).
                 self._tainted[i].add(alloc_row.tobytes())
-                slo = self.slo[i]
+                slo = slo_row[i]
                 ceiling = slo
                 if self._gain[i] > 0:
-                    overshoot = max(response[i] / slo - 1.0, 0.0)
+                    overshoot = max(response_row[i] / slo - 1.0, 0.0)
                     ceiling = slo * (1.0 - min(0.5, self._gain[i] * overshoot))
                 k = self._best_rollback(i, ceiling)
                 if k is None and ceiling != slo:
@@ -249,7 +255,7 @@ class PEMABatch:
 
             rng = self.rngs[i]
             # Line 6: exploration gate (always one uniform draw).
-            if rng.random() < p_explore[i]:
+            if rng.random() < p_explore_row[i]:
                 safe = self._safe_records(i)
                 if safe:
                     k = safe[int(rng.integers(len(safe)))]
@@ -271,8 +277,8 @@ class PEMABatch:
 
             # Line 7: reduction sizing from the moving-average response.
             r_avg = _window_mean(window)
-            raw = (self._buffer[i] * self.slo[i] - r_avg) / (
-                self._alpha[i] * self.slo[i]
+            raw = (self._buffer[i] * slo_row[i] - r_avg) / (
+                alpha_row[i] * slo_row[i]
             )
             signal = min(max(raw, 0.0), 1.0)
             n_t = int(math.floor(n_services * signal))
@@ -296,26 +302,14 @@ class PEMABatch:
 
             # Lines 8-9: bottleneck filter + inclusion probabilities.
             if self._use_filter[i]:
-                idx = np.flatnonzero(eligible[i])
-                if idx.size:
-                    vals = u_star[i, idx]
-                    u_min = vals.min()
-                    denom = 1.0 - u_min
-                    if denom <= _SEL_EPS:
-                        probs = {self.services[j]: 1.0 for j in idx}
-                    else:
-                        # tolist() is value-exact; plain floats keep the
-                        # selection draws identical and make the traced
-                        # record's JSON coercion cheap.
-                        p = np.clip(
-                            1.0 - (vals - u_min) / denom, 0.0, 1.0
-                        ).tolist()
-                        probs = {
-                            self.services[j]: p[pos]
-                            for pos, j in enumerate(idx)
-                        }
-                else:
-                    probs = {}
+                row = inclusion_rows[i]
+                probs = {
+                    name: 1.0 if zero_range[i] else row[j]
+                    for j, (name, ok) in enumerate(
+                        zip(self.services, eligible_rows[i])
+                    )
+                    if ok
+                }
             else:
                 probs = {name: 1.0 for name in self.services}
 

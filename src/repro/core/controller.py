@@ -204,7 +204,7 @@ class PEMAController:
 
         # Line 7: size the reduction from the moving-average response.
         signal = reduction_signal(
-            tuple(self._responses),
+            self._responses,
             target,
             self.config.alpha,
             self.config.response_buffer,

@@ -9,8 +9,6 @@ response approaches the SLO.
 
 from __future__ import annotations
 
-import numpy as np
-
 __all__ = ["exploration_probability"]
 
 
@@ -32,5 +30,5 @@ def exploration_probability(
         )
     if response < 0:
         raise ValueError(f"response must be >= 0: {response}")
-    signal = float(np.clip((target - response) / (alpha * target), 0.0, 1.0))
+    signal = float(min(max((target - response) / (alpha * target), 0.0), 1.0))
     return explore_a * signal + explore_b

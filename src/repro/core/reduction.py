@@ -18,11 +18,29 @@ slows down and finally stops — the QoS-conservative behaviour of §3.1.
 
 from __future__ import annotations
 
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
 
 __all__ = ["reduction_signal", "num_targets", "reduction_fraction"]
+
+
+def _window_mean(window: Sequence[float]) -> float:
+    """``float(np.mean(window))`` bit-for-bit.
+
+    NumPy's pairwise reduction degenerates to a plain sequential sum
+    (starting from 0.0) below 8 elements, which covers the default
+    5-sample moving average without a NumPy call; longer (and empty)
+    windows take the real ``np.mean``.
+    """
+    n = len(window)
+    if 0 < n < 8:
+        s = 0.0
+        for v in window:
+            s = s + v
+        return float(s / n)
+    return float(np.mean(np.asarray(window, dtype=np.float64)))
 
 
 def reduction_signal(
@@ -42,11 +60,14 @@ def reduction_signal(
         raise ValueError(f"alpha must be in (0, 1]: {alpha}")
     if not 0 < response_buffer <= 1:
         raise ValueError(f"response_buffer must be in (0, 1]: {response_buffer}")
-    r_avg = float(np.mean(responses))
+    if isinstance(responses, Real):
+        r_avg = float(responses)
+    else:
+        r_avg = _window_mean(responses)
     if r_avg < 0:
         raise ValueError(f"responses must be non-negative: {r_avg}")
     raw = (response_buffer * target - r_avg) / (alpha * target)
-    return float(np.clip(raw, 0.0, 1.0))
+    return float(min(max(raw, 0.0), 1.0))
 
 
 def num_targets(n_services: int, signal: float) -> int:

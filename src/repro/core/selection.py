@@ -69,7 +69,7 @@ def inclusion_probabilities(
         # Zero range: everyone ties as the coolest service.
         return {name: 1.0 for name in eligible}
     return {
-        name: float(np.clip(1.0 - (u_star[name] - u_min) / denom, 0.0, 1.0))
+        name: min(max(1.0 - (u_star[name] - u_min) / denom, 0.0), 1.0)
         for name in eligible
     }
 

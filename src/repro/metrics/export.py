@@ -97,7 +97,10 @@ def loop_record_to_dict(rec: "LoopRecord") -> dict[str, Any]:
         "violated": bool(rec.violated),
         "slo": rec.slo,
         "allocation": [
-            [name, rec.allocation[name]] for name in rec.allocation.names
+            [name, cpu]
+            for name, cpu in zip(
+                rec.allocation.names, rec.allocation.as_array().tolist()
+            )
         ],
     }
 

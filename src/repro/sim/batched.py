@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.sim.cfs import CFSModel
-from repro.sim.concurrency import gamma_quantile
 from repro.sim.latency import LatencyParams, NoiselessLatencyKernel
 from repro.sim.noise import NoiseModel
 
@@ -92,11 +91,12 @@ class BatchedAnalyticalEngine:
         self._rngs = [np.random.default_rng(int(s)) for s in seeds]
         self._kernel = NoiselessLatencyKernel(app, params=self.latency_params)
         self.cpu_speed = np.ones(len(self._rngs), dtype=np.float64)
-        # Scalar-cache replica: ``AnalyticalEngine._concurrency`` memoizes
-        # its model per (round(workload, 9), cpu_speed), so two workloads
-        # equal to 9 decimals but one ulp apart observe the *first* one's
-        # model.  Each cell keeps the same canonical-workload mapping so
-        # those collisions resolve identically here (bit-exactness).
+        # Scalar-engine replica: ``AnalyticalEngine._model_workload`` maps
+        # each (round(workload, 9), cpu_speed) key to the first workload
+        # seen, so two workloads equal to 9 decimals but one ulp apart
+        # observe the *first* one's model.  Each cell keeps the same
+        # canonical-workload mapping so those collisions resolve
+        # identically here (bit-exactness).
         self._canonical_workloads: list[dict[tuple[float, float], float]] = [
             {} for _ in self._rngs
         ]
@@ -124,7 +124,7 @@ class BatchedAnalyticalEngine:
         if speed <= 0:
             raise ValueError(f"speed must be positive: {speed}")
         self.cpu_speed[cell] = float(speed)
-        # The scalar engine clears its concurrency-model cache here.
+        # The scalar engine clears its canonical-workload map here.
         self._canonical_workloads[cell].clear()
 
     # -- fault-injection channels (repro.faults) ---------------------------------
@@ -198,11 +198,10 @@ class BatchedAnalyticalEngine:
             # effective capacity.
             alloc = alloc * self._capacity_scale
 
-        # Deterministic closed forms: the shared noiseless kernel (same
-        # formula order as the scalar engine's ``_concurrency`` +
-        # ``ConcurrencyModel`` + ``_latency_from``).  The model workload is
-        # canonicalized through the scalar cache's round-to-9-decimals key
-        # first (the recorded/observed workload stays exact).
+        # Deterministic closed forms: the shared noiseless kernel, which
+        # the scalar engine evaluates on a 1-row batch.  The model workload
+        # is canonicalized through the scalar engine's round-to-9-decimals
+        # key first (the recorded/observed workload stays exact).
         model_workload = workload.copy()
         for i, seen in enumerate(self._canonical_workloads):
             key = (round(float(workload[i]), 9), float(self.cpu_speed[i]))
@@ -216,10 +215,12 @@ class BatchedAnalyticalEngine:
         if self._faulted:
             demand_scale = self._demand_scale * self._service_level[:, None]
             sig = self._kernel.evaluate(
-                alloc, model_workload, self.cpu_speed, demand_scale
+                alloc, model_workload, self.cpu_speed, demand_scale, p90=True
             )
         else:
-            sig = self._kernel.evaluate(alloc, model_workload, self.cpu_speed)
+            sig = self._kernel.evaluate(
+                alloc, model_workload, self.cpu_speed, p90=True
+            )
         excess_arr = sig.overload * np.maximum(alloc, 1e-12)
         frac = self.cfs.throttled_fraction(sig.exceed, excess_arr, alloc)
         thr_seconds = frac * interval[:, None]
@@ -240,7 +241,7 @@ class BatchedAnalyticalEngine:
         svc_noise = np.exp(normals)
         usage_noisy = usage * svc_noise
         util = np.clip(usage_noisy / np.maximum(alloc, 1e-12), 0.0, 1.0)
-        p90 = np.minimum(alloc, gamma_quantile(0.90, sig.shape, sig.scale))
+        p90 = np.minimum(alloc, sig.p90)
 
         return BatchObservation(
             latency_p95=latency,

@@ -36,6 +36,7 @@ __all__ = [
     "gamma_cdf",
     "gamma_quantile",
     "tail_expectation",
+    "nondegenerate_gamma",
     "ConcurrencyModel",
 ]
 
@@ -126,6 +127,31 @@ def tail_expectation(
     )
     out[valid] = np.maximum(upper - xv * lower, 0.0)
     return out
+
+
+def nondegenerate_gamma(
+    x: np.ndarray,
+    mean: np.ndarray,
+    shape: np.ndarray,
+    scale: np.ndarray,
+    quantile: float | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Mask-free ``(SF(x), E[(N - x)+], quantile)`` for non-degenerate services.
+
+    Valid only where every element has ``shape``, ``scale`` and ``mean``
+    above the degeneracy threshold: there the masks of :func:`gamma_sf`,
+    :func:`tail_expectation` and :func:`gamma_quantile` are all-true, and
+    masked assignment into zeros of an all-true mask is the same values,
+    so these are bitwise what the wrappers return — two incomplete-gamma
+    passes, with the SF reused by the tail expectation.  The quantile
+    (``None`` unless a level is given) costs one inverse pass.
+    """
+    xs = np.maximum(x, 0.0)
+    z = xs / scale
+    sf = _sc.gammaincc(shape, z)
+    excess = np.maximum(mean * _sc.gammaincc(shape + 1.0, z) - xs * sf, 0.0)
+    q = None if quantile is None else _sc.gammaincinv(shape, quantile) * scale
+    return sf, excess, q
 
 
 @dataclass(frozen=True)

@@ -17,14 +17,9 @@ import numpy as np
 
 from repro.sim.cfs import CFSModel
 from repro.sim.concurrency import ConcurrencyModel
-from repro.sim.latency import (
-    LatencyParams,
-    NoiselessLatencyKernel,
-    end_to_end_latency,
-    visit_latency,
-)
+from repro.sim.latency import LatencyParams, NoiselessLatencyKernel
 from repro.sim.noise import NoiseModel
-from repro.sim.types import Allocation, IntervalMetrics, ServiceMetrics
+from repro.sim.types import Allocation, IntervalMetrics
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a package import cycle
     from repro.apps.spec import AppSpec
@@ -69,12 +64,7 @@ class AnalyticalEngine:
         self.p_crit = p_crit
         self._rng = np.random.default_rng(seed)
         self._cpu_speed = 1.0
-        self._visits = app.visit_array()
-        self._demands = app.demand_array()
-        self._burst = app.burstiness_array()
-        self._floors = app.floor_array()
-        self._baselines = app.baseline_array()
-        self._cache: dict[tuple[float, float], ConcurrencyModel] = {}
+        self._canonical: dict[tuple[float, float], float] = {}
         self._kernel = NoiselessLatencyKernel(app, params=self.latency_params)
         # Fault-injection channels (repro.faults).  All-ones / 1.0 means
         # "no disturbance"; ``_faulted`` keeps clean runs on the exact
@@ -96,45 +86,49 @@ class AnalyticalEngine:
         workload_rps: float,
         interval: float = 120.0,
     ) -> IntervalMetrics:
-        """One monitoring interval's metrics, with measurement noise."""
-        alloc = allocation.as_array(self._app.service_names)
+        """One monitoring interval's metrics, with measurement noise.
+
+        The deterministic signals are the shared kernel's on a 1-row
+        batch, so this observation equals row ``i`` of a
+        :class:`~repro.sim.batched.BatchedAnalyticalEngine` seeded alike.
+        """
+        names = self._app.service_names
+        alloc = allocation.as_array(names)
         if self._faulted:
             # A crashed service *behaves* as a fraction of its nominal
             # capacity; the controller still accounts the CPU it asked for
             # (the recorded allocation is the controller's, not the
             # effective one).
             alloc = alloc * self._capacity_scale
-        model = self._concurrency(workload_rps)
-        exceed = model.exceed_probability(alloc)
-        excess_arr = model.overload(alloc) * np.maximum(alloc, 1e-12)
-        overload = model.overload(alloc)
+        sig = self._kernel.evaluate(
+            alloc[None, :],
+            np.array([self._model_workload(workload_rps)]),
+            self._cpu_speed,
+            self._model_demand_scale(),
+            p90=True,
+        )
+        exceed = sig.exceed[0]
+        excess_arr = sig.overload[0] * np.maximum(alloc, 1e-12)
         thr_seconds = self.cfs.throttle_seconds(exceed, excess_arr, alloc, interval)
 
         # p95 latency is driven by how often a request's CFS period freezes
         # (the exceed probability), not by the average frozen time.
-        latency = self._latency_from(model, alloc, overload, exceed)
-        latency *= self.noise.sample(self._rng)
+        latency = float(sig.latency[0]) * self.noise.sample(self._rng)
 
-        usage = np.minimum(model.mean, alloc)
+        usage = np.minimum(sig.mean[0], alloc)
         svc_noise = np.exp(self._rng.normal(0.0, 0.03, size=usage.shape))
         usage_noisy = usage * svc_noise
         util = np.clip(usage_noisy / np.maximum(alloc, 1e-12), 0.0, 1.0)
-        p90 = model.usage_p90(alloc)
-
-        services = {
-            name: ServiceMetrics(
-                utilization=float(util[i]),
-                throttle_seconds=float(thr_seconds[i]),
-                usage_cores=float(usage_noisy[i]),
-                usage_p90_cores=float(p90[i]),
-            )
-            for i, name in enumerate(self._app.service_names)
-        }
-        return IntervalMetrics(
-            latency_p95=float(latency),
-            workload_rps=float(workload_rps),
-            services=services,
-            latency_mean=float(latency / 1.6),
+        p90 = np.minimum(alloc, sig.p90[0])
+        return IntervalMetrics.from_arrays(
+            names,
+            latency,
+            workload_rps,
+            util,
+            thr_seconds,
+            usage_noisy,
+            p90,
+            latency_mean=latency / 1.6,
         )
 
     # -- noise-free evaluation (search / tests) ---------------------------------
@@ -182,7 +176,7 @@ class AnalyticalEngine:
         if speed <= 0:
             raise ValueError(f"speed must be positive: {speed}")
         self._cpu_speed = float(speed)
-        self._cache.clear()
+        self._canonical.clear()
 
     # -- fault-injection channels (repro.faults) ---------------------------------
     def _service_index(self, service: str) -> int:
@@ -198,8 +192,8 @@ class AnalyticalEngine:
 
         The allocation the controller chose is recorded unchanged; the
         engine behaves as if only ``scale`` of it were usable.  Capacity
-        does not enter the concurrency model, so the model cache stays
-        valid.
+        does not enter the concurrency model, so the canonical-workload
+        map stays valid.
         """
         if scale < 0:
             raise ValueError(f"capacity scale must be >= 0: {scale}")
@@ -212,8 +206,8 @@ class AnalyticalEngine:
     def set_demand_scale(self, scale: float, service: str | None = None) -> None:
         """Scale a service's calibrated CPU demand (``calibration_drift``).
 
-        Demands enter the concurrency model, so the model cache is
-        cleared — the same invalidation :meth:`set_cpu_speed` performs.
+        Demands enter the concurrency model, so the canonical-workload map
+        is cleared — the same invalidation :meth:`set_cpu_speed` performs.
         """
         if scale <= 0:
             raise ValueError(f"demand scale must be positive: {scale}")
@@ -222,50 +216,50 @@ class AnalyticalEngine:
         else:
             self._demand_scale[self._service_index(service)] = float(scale)
         self._faulted = True
-        self._cache.clear()
+        self._canonical.clear()
 
     def set_service_level(self, level: float) -> None:
         """Set the app-wide service-level dimmer (brownout actuation).
 
         ``level`` multiplies every service's CPU demand — serving a
-        degraded (cheaper) response.  Clears the model cache like
+        degraded (cheaper) response.  Clears the canonical-workload map like
         :meth:`set_demand_scale`.
         """
         if not 0 < level <= 1.0:
             raise ValueError(f"service level must be in (0, 1]: {level}")
         self._service_level = float(level)
         self._faulted = True
-        self._cache.clear()
+        self._canonical.clear()
 
     # -- internals ------------------------------------------------------------------
-    def _concurrency(self, workload_rps: float) -> ConcurrencyModel:
+    def _model_workload(self, workload_rps: float) -> float:
+        """The workload the concurrency model is evaluated at.
+
+        Workloads equal to 9 decimals share one model per CPU speed: the
+        first one seen, until a speed, demand or service-level change
+        clears the map (those change the model).
+        """
         if workload_rps < 0:
             raise ValueError(f"workload must be >= 0: {workload_rps}")
         key = (round(float(workload_rps), 9), self._cpu_speed)
-        model = self._cache.get(key)
-        if model is None:
-            if self._faulted:
-                demands = self._demands * (
-                    self._demand_scale * self._service_level
-                )
-            else:
-                demands = self._demands
-            mean = (
-                workload_rps * self._visits * demands + self._baselines
-            ) / self._cpu_speed
-            model = ConcurrencyModel(mean=mean, burstiness=self._burst)
-            if len(self._cache) > 4096:
-                self._cache.clear()
-            self._cache[key] = model
-        return model
+        canonical = self._canonical.get(key)
+        if canonical is None:
+            if len(self._canonical) > 4096:
+                self._canonical.clear()
+            canonical = self._canonical[key] = float(workload_rps)
+        return canonical
 
-    def _latency_from(
-        self,
-        model: ConcurrencyModel,
-        alloc: np.ndarray,
-        overload: np.ndarray,
-        exceed_frac: np.ndarray,
-    ) -> float:
-        floors = self._floors / self._cpu_speed
-        per_visit = visit_latency(floors, overload, exceed_frac, self.latency_params)
-        return end_to_end_latency(self._app, per_visit)
+    def _concurrency(self, workload_rps: float) -> ConcurrencyModel:
+        """The Gamma concurrency model :meth:`observe` evaluates at."""
+        mean = self._kernel.mean(
+            np.array([self._model_workload(workload_rps)]),
+            self._cpu_speed,
+            self._model_demand_scale(),
+        )[0]
+        return ConcurrencyModel(mean=mean, burstiness=self._app.burstiness_array())
+
+    def _model_demand_scale(self) -> np.ndarray | None:
+        """The demand multiplier the faults impose (``None`` when clean)."""
+        if not self._faulted:
+            return None
+        return self._demand_scale * self._service_level

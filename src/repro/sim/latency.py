@@ -27,7 +27,12 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from repro.sim.concurrency import gamma_sf, tail_expectation
+from repro.sim.concurrency import (
+    gamma_quantile,
+    gamma_sf,
+    nondegenerate_gamma,
+    tail_expectation,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.apps.spec import AppSpec
@@ -164,9 +169,9 @@ class _AggregationPlan:
 
     ``aggregate`` computes exactly what :func:`end_to_end_latency_batch`
     computes — per-entry terms, left-folded stage maxima, left-folded
-    stage sums per class, weighted class sum — via ``ufunc.reduceat``
-    (which applies the ufunc sequentially over each slice, preserving the
-    walk's operation order bit-for-bit) instead of ~4 NumPy calls per
+    stage sums per class, weighted class sum — via ``ufunc.reduceat`` and
+    ``ufunc.accumulate`` (which apply the ufunc sequentially, preserving
+    the walk's operation order bit-for-bit) instead of ~4 NumPy calls per
     plan entry.
     """
 
@@ -202,15 +207,17 @@ class _AggregationPlan:
             ],
             dtype=np.intp,
         )
-        self._weights = weights
+        self._weights = np.asarray(weights, dtype=np.float64)
         self._hop = app.hop_latency
 
     def aggregate(self, per_visit: np.ndarray) -> np.ndarray:
         """``(B, S)`` per-visit latencies → ``(B,)`` end-to-end p95s.
 
         ``maximum.reduceat`` is order-independent bit-for-bit (the max of
-        a set of non-NaN floats is one of them); the stage-sum fold and
-        the weighted class sum run in the walk's exact sequential order.
+        a set of non-NaN floats is one of them).  The stage-sum fold and
+        the weighted class sum are the last prefix of ``add.accumulate``,
+        which adds strictly left to right — the walk's exact sequential
+        order (its ``0.0 +`` start is bitwise the first positive term).
         """
         batch = per_visit.shape[0]
         terms = per_visit[:, self._svc] * self._visits
@@ -219,13 +226,8 @@ class _AggregationPlan:
         stage_latency[:, : self._n_stages] = stage_max + self._hop
         stage_latency[:, self._n_stages] = 0.0
         padded = stage_latency[:, self._stage_index]  # (B, C, M)
-        class_latency = padded[:, :, 0].copy()
-        for m in range(1, padded.shape[2]):
-            class_latency += padded[:, :, m]
-        total = np.zeros(batch, dtype=np.float64)
-        for c, weight in enumerate(self._weights):
-            total += weight * class_latency[:, c]
-        return total
+        class_latency = np.add.accumulate(padded, axis=2)[:, :, -1]
+        return np.add.accumulate(class_latency * self._weights, axis=1)[:, -1]
 
 
 @dataclass(frozen=True)
@@ -234,7 +236,8 @@ class KernelSignals:
 
     Everything downstream evaluators need beyond the latency itself:
     scalars are ``(B,)``, per-service signals ``(B, S)`` (``scale`` is the
-    workload-independent ``(S,)`` Gamma scale).
+    workload-independent ``(S,)`` Gamma scale).  ``p90`` is the Gamma
+    concurrency 90th percentile, present only when requested.
     """
 
     mean: np.ndarray
@@ -244,13 +247,15 @@ class KernelSignals:
     overload: np.ndarray
     per_visit: np.ndarray
     latency: np.ndarray
+    p90: np.ndarray | None = None
 
 
 class NoiselessLatencyKernel:
     """The one deterministic ``(B, S) → (B,)`` p95-latency implementation.
 
-    Scalar :meth:`repro.sim.engine.AnalyticalEngine.noiseless_latency`,
-    the :class:`~repro.sim.batched.BatchedAnalyticalEngine` observation
+    The scalar :class:`~repro.sim.engine.AnalyticalEngine` (``observe``
+    on a 1-row batch, and ``noiseless_latency``), the
+    :class:`~repro.sim.batched.BatchedAnalyticalEngine` observation
     path, and the OPTM frontier search all evaluate allocations through
     this kernel, so a latency computed anywhere in the codebase is the
     same IEEE float64 value: the Gamma concurrency closed forms, the
@@ -266,11 +271,33 @@ class NoiselessLatencyKernel:
         self._burst = app.burstiness_array()
         self._floors = app.floor_array()
         self._baselines = app.baseline_array()
+        self._scale_valid = bool((self._burst > _EPS).all())
         self._plan = _AggregationPlan(app)
 
     @property
     def app(self) -> "AppSpec":
         return self._app
+
+    def mean(
+        self,
+        workload_rps: np.ndarray,
+        cpu_speed: float | np.ndarray = 1.0,
+        demand_scale: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """``(B, S)`` mean CPU concurrency of ``(B,)`` workloads.
+
+        The Gamma mean :meth:`evaluate` uses, in its operation order (see
+        there for ``cpu_speed`` and ``demand_scale``).
+        """
+        speed = np.asarray(cpu_speed, dtype=np.float64)
+        col = speed if speed.ndim == 0 else speed[:, None]
+        if demand_scale is None:
+            demands = self._demands
+        else:
+            demands = self._demands * np.asarray(demand_scale, dtype=np.float64)
+        return (
+            workload_rps[:, None] * self._visits * demands + self._baselines
+        ) / col
 
     def evaluate(
         self,
@@ -278,6 +305,8 @@ class NoiselessLatencyKernel:
         workload_rps: np.ndarray,
         cpu_speed: float | np.ndarray = 1.0,
         demand_scale: np.ndarray | None = None,
+        *,
+        p90: bool = False,
     ) -> KernelSignals:
         """All deterministic signals for a ``(B, S)`` batch of allocations.
 
@@ -287,7 +316,8 @@ class NoiselessLatencyKernel:
         fault-injection drift channel): a ``(B, S)`` array applied as
         ``demands * demand_scale`` — the exact operation order the scalar
         engine uses, so a row with an all-ones scale stays bit-identical
-        to the unscaled evaluation.
+        to the unscaled evaluation.  ``p90=True`` adds the concurrency
+        90th percentile the engines report as usage p90.
         """
         alloc = np.asarray(alloc, dtype=np.float64)
         workload = np.asarray(workload_rps, dtype=np.float64)
@@ -304,18 +334,22 @@ class NoiselessLatencyKernel:
             raise ValueError("workload must be >= 0")
         speed = np.asarray(cpu_speed, dtype=np.float64)
         col = speed if speed.ndim == 0 else speed[:, None]
-
-        if demand_scale is None:
-            demands = self._demands
-        else:
-            demands = self._demands * np.asarray(demand_scale, dtype=np.float64)
-        mean = (
-            workload[:, None] * self._visits * demands + self._baselines
-        ) / col
+        mean = self.mean(workload, speed, demand_scale)
         shape = np.where(mean > _EPS, mean / self._burst, 0.0)
         scale = self._burst
-        exceed = gamma_sf(alloc, shape, scale)
-        excess = tail_expectation(alloc, mean, shape, scale, sf=exceed)
+        level = 0.90 if p90 else None
+        # ``shape > eps`` implies ``mean > eps`` (shape is 0 elsewhere),
+        # so this is the wrappers' every-mask-true condition.
+        if self._scale_valid and (shape > _EPS).all():
+            exceed, excess, quantile = nondegenerate_gamma(
+                alloc, mean, shape, scale, level
+            )
+        else:
+            exceed = gamma_sf(alloc, shape, scale)
+            excess = tail_expectation(alloc, mean, shape, scale, sf=exceed)
+            quantile = (
+                None if level is None else gamma_quantile(level, shape, scale)
+            )
         overload = excess / np.maximum(alloc, _EPS)
         floors = self._floors / col
         per_visit = visit_latency(floors, overload, exceed, self.params)
@@ -328,6 +362,7 @@ class NoiselessLatencyKernel:
             overload=overload,
             per_visit=per_visit,
             latency=latency,
+            p90=quantile,
         )
 
     def latency(
@@ -380,33 +415,25 @@ class CellKernel:
         self._scale = kernel._burst
         self._floors = kernel._floors / speed
         self._plan = kernel._plan
-        # Wrapper-free Gamma path: the degenerate-service masks of
-        # gamma_sf / tail_expectation depend only on (shape, scale, mean),
-        # fixed here, so they are precomputed once.  When every service is
-        # non-degenerate (the calibrated apps), the ufuncs apply directly —
-        # masked assignment into zeros with an all-true mask is the same
-        # values, so this is bitwise what the wrappers produce.
-        self._sf_valid = (self._shape > _EPS) & (self._scale > _EPS)
-        self._te_valid = self._sf_valid & (self._mean > _EPS)
-        self._all_valid = bool(self._te_valid.all())
+        # The degenerate-service masks of gamma_sf / tail_expectation
+        # depend only on (shape, scale, mean), fixed here: when every
+        # service is non-degenerate (the calibrated apps), cold pairs take
+        # the mask-free nondegenerate_gamma path.
+        valid = (self._shape > _EPS) & (self._scale > _EPS) & (self._mean > _EPS)
+        self._all_valid = bool(valid.all())
         self._memo: list[dict[float, float]] = [
             {} for _ in kernel._visits
         ]
 
     def _fill_memo(self, services: list[int], levels: list[float]) -> None:
         """Compute the missing (service, level) visit latencies, vectorized."""
-        from scipy import special as _sc
-
         jv = np.asarray(services, dtype=np.intp)
         xv = np.asarray(levels, dtype=np.float64)
         shape = self._shape[jv]
         scale = self._scale[jv]
         mean = self._mean[jv]
         if self._all_valid:
-            xs = np.maximum(xv, 0.0)
-            exceed = _sc.gammaincc(shape, xs / scale)
-            upper = mean * _sc.gammaincc(shape + 1.0, xs / scale)
-            excess = np.maximum(upper - xs * exceed, 0.0)
+            exceed, excess, _ = nondegenerate_gamma(xv, mean, shape, scale)
         else:
             exceed = gamma_sf(xv, shape, scale)
             excess = tail_expectation(xv, mean, shape, scale, sf=exceed)

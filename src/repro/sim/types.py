@@ -9,7 +9,7 @@ allocations; environments evaluate them into :class:`IntervalMetrics`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -95,8 +95,16 @@ class Allocation(Mapping[str, float]):
         return self._names
 
     def as_array(self, order: Iterable[str] | None = None) -> np.ndarray:
-        """Return CPU values as a float array, optionally reordered."""
-        if order is None:
+        """Return CPU values as a float array, optionally reordered.
+
+        ``order`` in the allocation's own name order (the common case:
+        engines and controllers share the app's service tuple) is a plain
+        copy; any other order looks each name up.
+        """
+        if order is None or order is self._names:
+            return self._values.copy()
+        order = tuple(order)
+        if order == self._names:
             return self._values.copy()
         return np.asarray([self[name] for name in order], dtype=np.float64)
 
@@ -208,6 +216,40 @@ class IntervalMetrics:
 
     completed_requests: int = 0
     """Requests completed in the interval (DES only; 0 for analytical)."""
+
+    @classmethod
+    def from_arrays(
+        cls,
+        names: Sequence[str],
+        latency_p95: float,
+        workload_rps: float,
+        utilization: np.ndarray,
+        throttle_seconds: np.ndarray,
+        usage_cores: np.ndarray,
+        usage_p90_cores: np.ndarray,
+        latency_mean: float = 0.0,
+    ) -> "IntervalMetrics":
+        """Metrics from per-service arrays in ``names`` order.
+
+        One ``tolist()`` per signal converts to exactly the Python floats
+        a ``float(array[j])`` per value would give.
+        """
+        services = {
+            name: ServiceMetrics(u, h, c, p)
+            for name, u, h, c, p in zip(
+                names,
+                utilization.tolist(),
+                throttle_seconds.tolist(),
+                usage_cores.tolist(),
+                usage_p90_cores.tolist(),
+            )
+        }
+        return cls(
+            latency_p95=float(latency_p95),
+            workload_rps=float(workload_rps),
+            services=services,
+            latency_mean=float(latency_mean),
+        )
 
     def utilization(self, name: str) -> float:
         return self.services[name].utilization

@@ -54,7 +54,7 @@ from repro.obs.decision import capture_decision_info
 from repro.sim.batched import BatchObservation, BatchedAnalyticalEngine
 from repro.sim.concurrency import gamma_quantile
 from repro.sim.noise import NoiseModel
-from repro.sim.types import Allocation, IntervalMetrics, ServiceMetrics
+from repro.sim.types import Allocation, IntervalMetrics
 from repro.workload.replay import rate_schedule
 
 __all__ = [
@@ -327,20 +327,18 @@ class _ManagerBank:
 
     def step(self, obs: BatchObservation) -> np.ndarray:
         rows = []
+        latency = obs.latency_p95.tolist()
+        workload = obs.workload_rps.tolist()
         for i, manager in enumerate(self._managers):
-            metrics = IntervalMetrics(
-                latency_p95=float(obs.latency_p95[i]),
-                workload_rps=float(obs.workload_rps[i]),
-                services={
-                    name: ServiceMetrics(
-                        utilization=float(obs.utilization[i, j]),
-                        throttle_seconds=float(obs.throttle_seconds[i, j]),
-                        usage_cores=float(obs.usage_cores[i, j]),
-                        usage_p90_cores=float(obs.usage_p90_cores[i, j]),
-                    )
-                    for j, name in enumerate(self._names)
-                },
-                latency_mean=float(obs.latency_p95[i] / 1.6),
+            metrics = IntervalMetrics.from_arrays(
+                self._names,
+                latency[i],
+                workload[i],
+                obs.utilization[i],
+                obs.throttle_seconds[i],
+                obs.usage_cores[i],
+                obs.usage_p90_cores[i],
+                latency_mean=latency[i] / 1.6,
             )
             rows.append(manager.decide(metrics).as_array(self._names))
             if i in self._trace_cells:
@@ -354,15 +352,18 @@ def _generous_batch(app, rates: np.ndarray, headrooms: np.ndarray) -> np.ndarray
 
     Same formula order as the scalar method (Gamma bottleneck at the 97th
     percentile, scaled by headroom, floored at 0.2 cores), elementwise
-    across the batch.
+    across the batch.  The quantile — an iterative inverse, the costly
+    part — runs once per distinct start rate (seed and repeat cells
+    share theirs).
     """
+    unique_rates, inverse = np.unique(rates, return_inverse=True)
     mean = (
-        rates[:, None] * app.visit_array() * app.demand_array()
+        unique_rates[:, None] * app.visit_array() * app.demand_array()
         + app.baseline_array()
     )
     burst = app.burstiness_array()
     shape = np.where(mean > 1e-12, mean / burst, 0.0)
-    base = gamma_quantile(0.97, shape, burst)
+    base = gamma_quantile(0.97, shape, burst)[inverse]
     return np.maximum(base * headrooms[:, None], 0.2)
 
 

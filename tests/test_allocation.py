@@ -125,6 +125,30 @@ class TestVectorOps:
         a = alloc(1.0, 2.0, 3.0)
         assert a.as_array(["c", "a"]).tolist() == [3.0, 1.0]
 
+    @pytest.mark.parametrize(
+        "order", [None, "names", ("a", "b", "c"), ["a", "b", "c"]]
+    )
+    def test_as_array_own_order_is_a_writable_copy(self, order):
+        a = alloc(1.0, 2.0, 3.0)
+        out = a.as_array(a.names if order == "names" else order)
+        assert out.dtype == np.float64
+        assert out.tolist() == [1.0, 2.0, 3.0]
+        out[0] = 99.0  # a copy: the allocation stays immutable
+        assert a["a"] == 1.0
+
+    def test_as_array_permuted_order(self):
+        a = alloc(1.0, 2.0, 3.0)
+        assert a.as_array(("c", "a", "b")).tolist() == [3.0, 1.0, 2.0]
+
+    def test_as_array_generator_order(self):
+        a = alloc(1.0, 2.0, 3.0)
+        assert a.as_array(n for n in ("b", "c")).tolist() == [2.0, 3.0]
+        assert a.as_array(n for n in NAMES).tolist() == [1.0, 2.0, 3.0]
+
+    def test_as_array_unknown_name(self):
+        with pytest.raises(KeyError, match="zz"):
+            alloc(1.0, 2.0, 3.0).as_array(("a", "zz"))
+
 
 class TestMonotoneOrder:
     def test_monotone_le(self):

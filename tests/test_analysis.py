@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis import (
     FEATURE_NAMES,
@@ -70,12 +70,17 @@ class TestDecisionTree:
         n=st.integers(min_value=12, max_value=60),
         shift=st.floats(min_value=3.0, max_value=10.0),
     )
+    @example(n=53, shift=3.0)  # overlapping clouds before they were clipped
     @settings(max_examples=20, deadline=None)
     def test_separable_always_learned(self, n, shift):
         rng = np.random.default_rng(n)
-        X = np.vstack(
-            [rng.normal(0, 0.5, (n, 1)), rng.normal(shift, 0.5, (n, 1))]
-        )
+        # Each cloud is clipped to within 1.25 of its centre, so for any
+        # shift >= 3.0 the classes sit at least 0.5 apart: separable by
+        # construction, never by luck of the draw.
+        X = np.vstack([
+            np.clip(rng.normal(0, 0.5, (n, 1)), -1.25, 1.25),
+            np.clip(rng.normal(shift, 0.5, (n, 1)), shift - 1.25, shift + 1.25),
+        ])
         y = np.concatenate([np.zeros(n, dtype=int), np.ones(n, dtype=int)])
         tree = DecisionTreeClassifier(max_depth=2, min_samples_leaf=1).fit(X, y)
         assert tree.score(X, y) == 1.0

@@ -1,5 +1,8 @@
 """Exploration probability: Eqn. (8)."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -63,3 +66,17 @@ class TestExplorationProbability:
         b = a * b_frac  # ensures B <= A and A + B <= 1 for a <= 0.5
         p = exploration_probability(response, 0.5, alpha, a, b)
         assert b - 1e-12 <= p <= a + b + 1e-12
+
+
+@given(
+    response=st.floats(min_value=0.0, max_value=2.0),
+    alpha=st.floats(min_value=0.01, max_value=1.0),
+)
+@settings(max_examples=100, deadline=None)
+def test_plain_float_clip_equals_numpy(response, alpha):
+    expected = 0.1 * float(np.clip((0.5 - response) / (alpha * 0.5), 0.0, 1.0)) + 0.01
+    assert exploration_probability(response, 0.5, alpha, 0.1, 0.01) == expected
+
+
+def test_nan_response_propagates():
+    assert math.isnan(exploration_probability(float("nan"), 0.5, 0.5, 0.1, 0.01))

@@ -4,7 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.latency import LatencyParams, end_to_end_latency, visit_latency
+from repro.apps import build_app
+from repro.sim.concurrency import (
+    gamma_quantile,
+    gamma_sf,
+    nondegenerate_gamma,
+    tail_expectation,
+)
+from repro.sim.latency import (
+    LatencyParams,
+    _AggregationPlan,
+    end_to_end_latency,
+    visit_latency,
+)
 
 
 class TestLatencyParams:
@@ -119,3 +131,36 @@ class TestEndToEnd:
         slowed = end_to_end_latency(tiny_app, slow_cache)
         assert slowed > base
         assert slowed == pytest.approx(base + 0.7 * (0.8 * 1.0 - 0.001), rel=1e-6)
+
+
+class TestKernelPaths:
+    """The kernel's fast paths equal the masked wrappers and the walk."""
+
+    @given(
+        x=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=12),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_nondegenerate_gamma_matches_wrappers(self, x, seed):
+        rng = np.random.default_rng(seed)
+        x = np.asarray(x)
+        mean = rng.uniform(1e-6, 30.0, x.shape)
+        scale = rng.uniform(0.5, 6.0, x.shape)
+        shape = mean / scale
+        sf, excess, p90 = nondegenerate_gamma(x, mean, shape, scale, 0.90)
+        ref_sf = gamma_sf(x, shape, scale)
+        assert sf.tobytes() == ref_sf.tobytes()
+        assert excess.tobytes() == tail_expectation(x, mean, shape, scale).tobytes()
+        assert p90.tobytes() == gamma_quantile(0.90, shape, scale).tobytes()
+        assert nondegenerate_gamma(x, mean, shape, scale)[2] is None
+
+    @pytest.mark.parametrize("name", ["sockshop", "hotelreservation", "trainticket"])
+    @pytest.mark.parametrize("batch", [1, 5])
+    def test_aggregation_plan_rows_match_walk(self, name, batch):
+        app = build_app(name)
+        plan = _AggregationPlan(app)
+        rng = np.random.default_rng(batch)
+        per_visit = rng.uniform(0.001, 0.5, (batch, app.n_services))
+        total = plan.aggregate(per_visit)
+        for i in range(batch):
+            assert total[i] == end_to_end_latency(app, per_visit[i])

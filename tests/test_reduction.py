@@ -1,5 +1,9 @@
 """Reduction sizing: Eqns. (3), (4), (10), (11)."""
 
+import math
+from collections import deque
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -71,6 +75,26 @@ class TestReductionSignal:
     def test_always_in_unit_interval(self, r, alpha, buffer):
         s = reduction_signal(r, target=1.0, alpha=alpha, response_buffer=buffer)
         assert 0.0 <= s <= 1.0
+
+    @given(
+        window=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=12),
+        alpha=st.floats(min_value=0.01, max_value=1.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_window_equals_numpy_mean_and_clip(self, window, alpha):
+        """Plain-float sizing is bitwise NumPy's mean + clip."""
+        raw = (0.9 * 0.25 - float(np.mean(tuple(window)))) / (alpha * 0.25)
+        expected = float(np.clip(raw, 0.0, 1.0))
+        for responses in (window, tuple(window), deque(window)):
+            got = reduction_signal(
+                responses, target=0.25, alpha=alpha, response_buffer=0.9
+            )
+            assert type(got) is float
+            assert got.hex() == expected.hex()
+
+    def test_nan_response_propagates(self):
+        assert math.isnan(reduction_signal(float("nan"), target=1.0, alpha=0.5))
+        assert math.isnan(reduction_signal([0.1, float("nan")], target=1.0, alpha=0.5))
 
 
 class TestNumTargets:
