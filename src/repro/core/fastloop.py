@@ -22,13 +22,12 @@ duration does).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from repro.core.controller import PEMAController, StepAction
-from repro.core.loop import LoopRecord, LoopResult
+from repro.core.loop import LoopHistory, LoopResult
 from repro.metrics.collector import MetricsCollector
 from repro.sim.environment import Environment
 from repro.sim.types import IntervalMetrics, ServiceMetrics
@@ -37,7 +36,6 @@ from repro.workload.trace import WorkloadTrace
 __all__ = ["FastReactionLoop", "FastLoopResult"]
 
 
-@dataclass
 class FastLoopResult(LoopResult):
     """Loop history plus sub-interval violation accounting."""
 
@@ -118,7 +116,8 @@ class FastReactionLoop:
     ) -> FastLoopResult:
         if n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        result = FastLoopResult()
+        history = LoopHistory()
+        sub_violations = sub_intervals = mitigations = 0
         allocation = self.controller.allocation
         sub_len = self.interval / self.monitor_splits
         for step in range(n_steps):
@@ -133,31 +132,33 @@ class FastReactionLoop:
             for k in range(self.monitor_splits):
                 sub = self.environment.observe(allocation, rps, sub_len)
                 subs.append(sub)
-                result.sub_intervals += 1
+                sub_intervals += 1
                 if sub.latency_p95 > slo:
-                    result.sub_violations += 1
+                    sub_violations += 1
                     if not mitigated:
                         # Early mitigation: run the violation path now.
                         outcome = self.controller.step(sub)
                         assert outcome.action is StepAction.ROLLBACK
                         allocation = outcome.allocation
-                        result.mitigations += 1
+                        mitigations += 1
                         mitigated = True
             aggregated = _aggregate(subs)
             if self.collector is not None:
                 self.collector.collect(t, interval_alloc, aggregated)
-            result.records.append(
-                LoopRecord(
-                    step=step,
-                    time=t,
-                    workload=rps,
-                    response=aggregated.latency_p95,
-                    total_cpu=interval_alloc.total(),
-                    violated=aggregated.latency_p95 > slo,
-                    slo=slo,
-                    allocation=interval_alloc,
-                )
+            history.append(
+                step,
+                t,
+                rps,
+                aggregated.latency_p95,
+                interval_alloc.total(),
+                aggregated.latency_p95 > slo,
+                slo,
+                interval_alloc,
             )
             if not mitigated:
                 allocation = self.controller.step(aggregated).allocation
+        result = history.build(FastLoopResult)
+        result.sub_violations = sub_violations
+        result.sub_intervals = sub_intervals
+        result.mitigations = mitigations
         return result

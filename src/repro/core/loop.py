@@ -9,8 +9,8 @@ for *t+1* (2-minute intervals in the paper's runs).
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field
-from typing import Callable, Protocol, runtime_checkable
+from dataclasses import dataclass
+from typing import Any, Callable, Protocol, Sequence, TypeVar, runtime_checkable
 
 import numpy as np
 
@@ -22,7 +22,13 @@ from repro.sim.environment import Environment
 from repro.sim.types import Allocation, IntervalMetrics
 from repro.workload.trace import WorkloadTrace
 
-__all__ = ["Autoscaler", "ControlLoop", "LoopRecord", "LoopResult"]
+__all__ = [
+    "Autoscaler",
+    "ControlLoop",
+    "LoopHistory",
+    "LoopRecord",
+    "LoopResult",
+]
 
 
 @runtime_checkable
@@ -49,63 +55,249 @@ class LoopRecord:
     allocation: Allocation
 
 
-@dataclass
-class LoopResult:
-    """Full run history plus the summary statistics the paper reports."""
+def _column(values: Any, dtype: type) -> np.ndarray:
+    """``values`` as a read-only array (series hand it out without a copy)."""
+    column = np.asarray(values, dtype=dtype)
+    column.flags.writeable = False
+    return column
 
-    records: list[LoopRecord] = field(default_factory=list)
+
+class LoopResult:
+    """Full run history plus the summary statistics the paper reports.
+
+    Stored column-wise: one array per scalar :class:`LoopRecord` field,
+    one ``(T, S)`` float64 allocation matrix, and the service names once.
+    Summaries and series read the columns; :attr:`records` builds the
+    per-interval :class:`LoopRecord` objects only when a reader asks.
+    """
+
+    def __init__(
+        self,
+        names: Sequence[str] = (),
+        *,
+        step: Any = (),
+        time: Any = (),
+        workload: Any = (),
+        response: Any = (),
+        total_cpu: Any = (),
+        violated: Any = (),
+        slo: Any = (),
+        allocations: Any = None,
+    ) -> None:
+        self._names: tuple[str, ...] = tuple(names)
+        self._step = _column(step, np.int64)
+        self._time = _column(time, np.float64)
+        self._workload = _column(workload, np.float64)
+        self._response = _column(response, np.float64)
+        self._total_cpu = _column(total_cpu, np.float64)
+        self._violated = _column(violated, np.bool_)
+        self._slo = _column(slo, np.float64)
+        self._allocations = _column(
+            np.empty((0, len(self._names))) if allocations is None else allocations,
+            np.float64,
+        )
+        n = len(self._step)
+        if any(len(c) != n for c in self._columns()) or (
+            self._allocations.shape != (n, len(self._names))
+        ):
+            raise ValueError("LoopResult columns must have one row per interval")
+        self._records: tuple[LoopRecord, ...] | None = None
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return (
+            self._step,
+            self._time,
+            self._workload,
+            self._response,
+            self._total_cpu,
+            self._violated,
+            self._slo,
+        )
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._step)
 
-    # -- series (aligned arrays for figures) ------------------------------------
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LoopResult):
+            return NotImplemented
+        return (
+            type(self) is type(other)
+            and self._names == other._names
+            and np.array_equal(self._allocations, other._allocations)
+            and all(
+                np.array_equal(a, b)
+                for a, b in zip(self._columns(), other._columns())
+            )
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"{type(self).__name__}({len(self)} intervals, "
+            f"{len(self._names)} services)"
+        )
+
+    @property
+    def records(self) -> tuple[LoopRecord, ...]:
+        """Per-interval records, built once on first access."""
+        if self._records is None:
+            names = self._names
+            self._records = tuple(
+                LoopRecord(
+                    step=step,
+                    time=time,
+                    workload=workload,
+                    response=response,
+                    total_cpu=total_cpu,
+                    violated=violated,
+                    slo=slo,
+                    allocation=Allocation(dict(zip(names, row))),
+                )
+                for step, time, workload, response, total_cpu, violated, slo, row
+                in zip(
+                    *(column.tolist() for column in self._columns()),
+                    self._allocations.tolist(),
+                )
+            )
+        return self._records
+
+    # -- columns (aligned read-only arrays for figures) -------------------------
+    @property
+    def service_names(self) -> tuple[str, ...]:
+        return self._names
+
+    @property
+    def allocations(self) -> np.ndarray:
+        """The ``(T, S)`` allocation matrix, columns in ``service_names`` order."""
+        return self._allocations
+
     @property
     def steps(self) -> np.ndarray:
-        return np.asarray([r.step for r in self.records])
+        return self._step
 
     @property
     def times(self) -> np.ndarray:
-        return np.asarray([r.time for r in self.records])
+        return self._time
 
     @property
     def workloads(self) -> np.ndarray:
-        return np.asarray([r.workload for r in self.records])
+        return self._workload
 
     @property
     def responses(self) -> np.ndarray:
-        return np.asarray([r.response for r in self.records])
+        return self._response
 
     @property
     def total_cpu(self) -> np.ndarray:
-        return np.asarray([r.total_cpu for r in self.records])
+        return self._total_cpu
+
+    @property
+    def violated(self) -> np.ndarray:
+        return self._violated
+
+    @property
+    def slos(self) -> np.ndarray:
+        return self._slo
 
     # -- summaries --------------------------------------------------------------
     def violation_count(self) -> int:
-        return sum(r.violated for r in self.records)
+        return int(np.count_nonzero(self._violated))
 
     def violation_rate(self) -> float:
-        if not self.records:
+        if not len(self):
             return 0.0
-        return self.violation_count() / len(self.records)
+        return self.violation_count() / len(self)
 
     def final_allocation(self) -> Allocation:
-        if not self.records:
+        if not len(self):
             raise LookupError("empty run")
-        return self.records[-1].allocation
+        return Allocation.from_array(self._names, self._allocations[-1])
+
+    def _satisfying_totals(self) -> np.ndarray:
+        totals = self._total_cpu[~self._violated]
+        if not totals.size:
+            raise LookupError("no SLO-satisfying interval in the run")
+        return totals
 
     def best_satisfying_total(self) -> float:
         """Minimum total CPU over intervals that satisfied the SLO."""
-        totals = [r.total_cpu for r in self.records if not r.violated]
-        if not totals:
-            raise LookupError("no SLO-satisfying interval in the run")
-        return min(totals)
+        return float(self._satisfying_totals().min())
 
     def settled_total(self, tail: int = 5) -> float:
         """Mean total CPU over the last ``tail`` SLO-satisfying intervals."""
-        totals = [r.total_cpu for r in self.records if not r.violated][-tail:]
-        if not totals:
-            raise LookupError("no SLO-satisfying interval in the run")
-        return float(np.mean(totals))
+        return float(np.mean(self._satisfying_totals()[-tail:].tolist()))
+
+
+R = TypeVar("R", bound=LoopResult)
+
+
+class LoopHistory:
+    """Append-only builder of a :class:`LoopResult`, one interval at a time.
+
+    The one way a run history is recorded: the offline loop, the
+    fast-reaction loop and the streaming guardian each append here.
+    Values accumulate in one list per column, so :meth:`build` converts
+    each list once and never touches a per-interval object.
+    """
+
+    __slots__ = (
+        "_step", "_time", "_workload", "_response", "_total_cpu",
+        "_violated", "_slo", "_allocations",
+    )
+
+    def __init__(self) -> None:
+        self._step: list[int] = []
+        self._time: list[float] = []
+        self._workload: list[float] = []
+        self._response: list[float] = []
+        self._total_cpu: list[float] = []
+        self._violated: list[bool] = []
+        self._slo: list[float] = []
+        self._allocations: list[Allocation] = []
+
+    def __len__(self) -> int:
+        return len(self._step)
+
+    def append(
+        self,
+        step: int,
+        time: float,
+        workload: float,
+        response: float,
+        total_cpu: float,
+        violated: bool,
+        slo: float,
+        allocation: Allocation,
+    ) -> None:
+        """Record one interval (arguments in :class:`LoopRecord` field order)."""
+        self._step.append(step)
+        self._time.append(time)
+        self._workload.append(workload)
+        self._response.append(response)
+        self._total_cpu.append(total_cpu)
+        self._violated.append(violated)
+        self._slo.append(slo)
+        self._allocations.append(allocation)
+
+    def build(self, cls: type[R] = LoopResult) -> R:  # type: ignore[assignment]
+        """The history so far as a ``cls`` (a :class:`LoopResult`)."""
+        if not self._step:
+            return cls()
+        names = self._allocations[0].names
+        if any(a.names != names for a in self._allocations):
+            raise ValueError("every interval must allocate the same services")
+        return cls(
+            names,
+            step=self._step,
+            time=self._time,
+            workload=self._workload,
+            response=self._response,
+            total_cpu=self._total_cpu,
+            violated=self._violated,
+            slo=self._slo,
+            allocations=np.stack([a.as_array() for a in self._allocations]),
+        )
 
 
 class ControlLoop:
@@ -173,7 +365,7 @@ class ControlLoop:
         """
         if n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        result = LoopResult()
+        history = LoopHistory()
         allocation = self.autoscaler.allocation
         span = (
             tracer.span("control_loop.run", steps=n_steps)
@@ -194,17 +386,15 @@ class ControlLoop:
                 slo_now = self.current_slo()
                 total_now = allocation.total()
                 violated = metrics.latency_p95 > slo_now
-                result.records.append(
-                    LoopRecord(
-                        step=step,
-                        time=t,
-                        workload=rps,
-                        response=metrics.latency_p95,
-                        total_cpu=total_now,
-                        violated=violated,
-                        slo=slo_now,
-                        allocation=allocation,
-                    )
+                history.append(
+                    step,
+                    t,
+                    rps,
+                    metrics.latency_p95,
+                    total_now,
+                    violated,
+                    slo_now,
+                    allocation,
                 )
                 allocation = self.autoscaler.decide(metrics)
                 if decision_log is not None or tracer is not None:
@@ -222,4 +412,4 @@ class ControlLoop:
                         decision_log.append(record)
                     if tracer is not None:
                         tracer.event("decision", **record)
-        return result
+        return history.build()

@@ -9,8 +9,11 @@ row, or plain-dict JSON.  The JSON form round-trips exactly (it is what
 from __future__ import annotations
 
 import csv
+from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable, Iterator
+
+import numpy as np
 
 from repro.metrics.store import MetricsStore
 
@@ -18,6 +21,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.loop import LoopRecord, LoopResult
 
 __all__ = [
+    "MalformedHistoryError",
     "store_to_csv",
     "loop_record_to_dict",
     "loop_result_to_csv",
@@ -48,13 +52,29 @@ def store_to_csv(store: MetricsStore, path: str | Path) -> int:
     return rows
 
 
+def _interval_rows(result: "LoopResult") -> Iterator[tuple]:
+    """Per interval: step, time, workload, response, total_cpu, violated,
+    slo and the allocation row, as Python scalars (one ``tolist()`` per
+    column)."""
+    return zip(
+        result.steps.tolist(),
+        result.times.tolist(),
+        result.workloads.tolist(),
+        result.responses.tolist(),
+        result.total_cpu.tolist(),
+        result.violated.tolist(),
+        result.slos.tolist(),
+        result.allocations.tolist(),
+    )
+
+
 def loop_result_to_csv(result: "LoopResult", path: str | Path) -> int:
     """Dump a run history: one row per control interval plus per-service
     allocations (wide format)."""
     path = Path(path)
-    if not result.records:
+    if not len(result):
         raise ValueError("empty run")
-    service_names = list(result.records[0].allocation.names)
+    service_names = list(result.service_names)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -62,20 +82,22 @@ def loop_result_to_csv(result: "LoopResult", path: str | Path) -> int:
              "violated", "slo_s"]
             + [f"cpu[{name}]" for name in service_names]
         )
-        for rec in result.records:
+        for step, time, workload, response, total_cpu, violated, slo, row in (
+            _interval_rows(result)
+        ):
             writer.writerow(
                 [
-                    rec.step,
-                    f"{rec.time:.6g}",
-                    f"{rec.workload:.6g}",
-                    f"{rec.response:.9g}",
-                    f"{rec.total_cpu:.6g}",
-                    int(rec.violated),
-                    f"{rec.slo:.6g}",
+                    step,
+                    f"{time:.6g}",
+                    f"{workload:.6g}",
+                    f"{response:.9g}",
+                    f"{total_cpu:.6g}",
+                    int(violated),
+                    f"{slo:.6g}",
                 ]
-                + [f"{rec.allocation[name]:.6g}" for name in service_names]
+                + [f"{cpu:.6g}" for cpu in row]
             )
-    return len(result.records)
+    return len(result)
 
 
 def loop_record_to_dict(rec: "LoopRecord") -> dict[str, Any]:
@@ -106,29 +128,113 @@ def loop_record_to_dict(rec: "LoopRecord") -> dict[str, Any]:
 
 
 def loop_result_to_dict(result: "LoopResult") -> dict[str, Any]:
-    """A JSON-serializable run history (lossless; see the inverse below)."""
-    return {"records": [loop_record_to_dict(rec) for rec in result.records]}
+    """A JSON-serializable run history (lossless; see the inverse below).
+
+    Record for record the :func:`loop_record_to_dict` encoding, built
+    from the columns without a per-record object.
+    """
+    names = result.service_names
+    return {
+        "records": [
+            {
+                "step": step,
+                "time": time,
+                "workload": workload,
+                "response": response,
+                "total_cpu": total_cpu,
+                "violated": violated,
+                "slo": slo,
+                "allocation": [[name, cpu] for name, cpu in zip(names, row)],
+            }
+            for step, time, workload, response, total_cpu, violated, slo, row
+            in _interval_rows(result)
+        ]
+    }
+
+
+class MalformedHistoryError(ValueError):
+    """A run-history dict that :func:`loop_result_from_dict` cannot decode."""
+
+
+_FLOAT_FIELDS = ("time", "workload", "response", "total_cpu", "slo")
+
+
+def _check_values(values: np.ndarray, field: Callable[[int], str]) -> None:
+    """Reject ``values`` unless every one is finite and >= 0.
+
+    The rule :class:`~repro.sim.types.Allocation` applies to CPU values
+    (one min and one max pass; NaN fails ``>= 0``).  ``field`` names the
+    field of a flat index, for the error message.
+    """
+    if values.size and not (values.min() >= 0 and values.max() < np.inf):
+        bad = int(np.flatnonzero(~(np.isfinite(values) & (values >= 0)))[0])
+        raise MalformedHistoryError(
+            f"invalid {field(bad)} value {values[bad].item()!r}"
+        )
 
 
 def loop_result_from_dict(data: dict[str, Any]) -> "LoopResult":
-    """Rebuild a :class:`LoopResult` from :func:`loop_result_to_dict` output."""
-    from repro.core.loop import LoopRecord, LoopResult
-    from repro.sim.types import Allocation
+    """Rebuild a :class:`LoopResult` from :func:`loop_result_to_dict` output.
 
-    result = LoopResult()
-    for rec in data["records"]:
-        result.records.append(
-            LoopRecord(
-                step=int(rec["step"]),
-                time=float(rec["time"]),
-                workload=float(rec["workload"]),
-                response=float(rec["response"]),
-                total_cpu=float(rec["total_cpu"]),
-                violated=bool(rec["violated"]),
-                slo=float(rec["slo"]),
-                allocation=Allocation(
-                    [(name, float(cpu)) for name, cpu in rec["allocation"]]
-                ),
+    One comprehension per field fills the columns without building a
+    per-record object.  Every float of the history, scalar fields and
+    allocation matrix alike, lands in one array and is validated in one
+    pass.  A missing key, a non-numeric, negative or non-finite value,
+    or service names that differ between records raise
+    :class:`MalformedHistoryError` (a ``ValueError``).
+    """
+    from repro.core.loop import LoopResult
+
+    try:
+        records = data["records"]
+        if not records:
+            return LoopResult()
+        n = len(records)
+        allocation = [rec["allocation"] for rec in records]
+        # ``[name, cpu]`` pairs flattened to name, cpu, name, cpu, ...:
+        # one slice each yields every name and every CPU value in order.
+        flat = list(chain.from_iterable(chain.from_iterable(allocation)))
+        width = len(allocation[0])
+        names = tuple(flat[0 : 2 * width : 2])
+        if (
+            not width
+            or len(flat) != 2 * sum(map(len, allocation))
+            or flat[0::2] != list(names) * n
+            or len(set(names)) != width
+        ):
+            raise MalformedHistoryError(
+                "every record must allocate the same distinct services, "
+                "in the same order, as [name, cpu] pairs"
             )
+        # One run of ``n`` values per scalar field, then the row-major
+        # allocation matrix.
+        values = np.array(
+            [rec[field] for field in _FLOAT_FIELDS for rec in records]
+            + flat[1::2],
+            dtype=np.float64,
         )
-    return result
+        scalars = len(_FLOAT_FIELDS) * n
+        _check_values(
+            values,
+            lambda i: _FLOAT_FIELDS[i // n] if i < scalars else "allocation",
+        )
+        step = np.array([rec["step"] for rec in records], dtype=np.int64)
+        _check_values(step, lambda i: "step")
+        time, workload, response, total_cpu, slo = (
+            values[start : start + n] for start in range(0, scalars, n)
+        )
+        return LoopResult(
+            names,
+            step=step,
+            time=time,
+            workload=workload,
+            response=response,
+            total_cpu=total_cpu,
+            violated=[bool(rec["violated"]) for rec in records],
+            slo=slo,
+            allocations=values[scalars:].reshape(n, width),
+        )
+    except MalformedHistoryError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise MalformedHistoryError(f"malformed run history: {exc!r}") from exc

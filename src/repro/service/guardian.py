@@ -22,7 +22,7 @@ import asyncio
 import time
 from typing import Any
 
-from repro.core.loop import LoopRecord, LoopResult
+from repro.core.loop import LoopHistory, LoopRecord
 from repro.experiments.runner import (
     build_unit,
     capture_manager_state,
@@ -66,7 +66,7 @@ class Guardian:
         self.unit = build_unit(spec, repeat)
         self.rescaler = rescaler or Rescaler()
         self.queue: asyncio.Queue = asyncio.Queue(maxsize=queue_size)
-        self.records: list[LoopRecord] = []
+        self.history = LoopHistory()
         self.decisions: list[Decision] = []
         self.trace_records: list[dict[str, Any]] = []
         """Deterministic per-step decision records, filled when the
@@ -91,9 +91,14 @@ class Guardian:
 
     # -- the tick protocol -------------------------------------------------------
     @property
+    def records(self) -> tuple[LoopRecord, ...]:
+        """The completed intervals as records (built on each access)."""
+        return self.history.build().records
+
+    @property
     def steps_done(self) -> int:
         """How many control intervals this guardian has completed."""
-        return len(self.records)
+        return len(self.history)
 
     @property
     def complete(self) -> bool:
@@ -152,7 +157,16 @@ class Guardian:
             slo=slo_now,
             allocation=allocation,
         )
-        self.records.append(record)
+        self.history.append(
+            step,
+            t,
+            rps,
+            record.response,
+            record.total_cpu,
+            record.violated,
+            slo_now,
+            allocation,
+        )
         self._allocation = self.unit.autoscaler.decide(metrics)
         if self._capture_trace:
             self.trace_records.append(
@@ -242,7 +256,7 @@ class Guardian:
         ``manager_state`` channel key exactly when the spec requested
         it.
         """
-        payload = loop_result_to_dict(LoopResult(records=list(self.records)))
+        payload = loop_result_to_dict(self.history.build())
         if "manager_state" in self.spec.capture:
             payload["manager_state"] = capture_manager_state(
                 self.unit.autoscaler
@@ -298,7 +312,7 @@ class Guardian:
             "queue_peak": int(queue_peak) if queue_peak is not None else 0,
             "tick_p50_ms": None if tick_p50 is None else tick_p50 * 1000.0,
             "tick_p95_ms": None if tick_p95 is None else tick_p95 * 1000.0,
-            "violations": sum(r.violated for r in self.records),
+            "violations": self.history.build().violation_count(),
             "error": self.error,
             "rescale": self.rescaler.stats(self.app_id).to_dict(),
         }

@@ -41,20 +41,21 @@ METRIC_NAMES = (
 )
 
 
-def _longest_violation_streak(violated: Iterable[bool]) -> int:
+def _longest_violation_streak(violated: np.ndarray) -> int:
     """Length of the longest run of consecutive SLO-violating intervals.
 
     The robustness report's recovery-time proxy: after a disturbance, a
     controller that re-establishes the SLO quickly has a short worst
     streak, one that never recovers has a streak the length of the
-    remaining horizon.
+    remaining horizon.  ``violated`` is a run's boolean column; runs are
+    delimited by the edges of the ``False``-padded flags.
     """
-    longest = current = 0
-    for flag in violated:
-        current = current + 1 if flag else 0
-        if current > longest:
-            longest = current
-    return longest
+    flags = np.concatenate(([False], np.asarray(violated, dtype=bool), [False]))
+    edges = np.flatnonzero(flags[1:] != flags[:-1])
+    if not edges.size:
+        return 0
+    return int((edges[1::2] - edges[::2]).max())
+
 
 _REDUCERS: dict[str, Callable[[Sequence[float]], float]] = {
     "mean": lambda v: float(np.mean(v)),
@@ -86,7 +87,7 @@ def artifact_metrics(
         for result in artifact.results
     ]
     streaks = [
-        _longest_violation_streak(r.violated for r in result.records)
+        _longest_violation_streak(result.violated)
         for result in artifact.results
     ]
     return {

@@ -29,7 +29,6 @@ silently degrading.
 
 from __future__ import annotations
 
-import gc
 from typing import Any, Hashable, Sequence
 
 import numpy as np
@@ -55,6 +54,7 @@ from repro.sim.batched import BatchObservation, BatchedAnalyticalEngine
 from repro.sim.concurrency import gamma_quantile
 from repro.sim.noise import NoiseModel
 from repro.sim.types import Allocation, IntervalMetrics
+from repro.sweeps.store import paused_gc
 from repro.workload.replay import rate_schedule
 
 __all__ = [
@@ -381,14 +381,8 @@ def run_units_batched(
     costs more than the whole decision-trace channel (it dominated the
     obs gate's measured tracing overhead before this pause).
     """
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
+    with paused_gc():
         return _run_units_batched(units)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
 
 
 def _run_units_batched(

@@ -39,6 +39,7 @@ from repro.experiments.runner import (
     optimum_store,
 )
 from repro.experiments.spec import ExperimentSpec
+from repro.metrics.export import MalformedHistoryError, loop_result_from_dict
 from repro.obs.metrics import Histogram, default_registry
 from repro.sweeps.grid import SweepCell, SweepGrid
 from repro.sweeps.store import SweepStore
@@ -192,6 +193,31 @@ def build_artifacts(
     ]
 
 
+def _repair_malformed(
+    specs: Sequence[ExperimentSpec],
+    cached_units: Sequence[tuple[int, int]],
+    results: dict[tuple[int, int], dict],
+    store: SweepStore,
+) -> int:
+    """Recompute every cached unit whose payload fails to decode.
+
+    Each one is counted on ``store`` as a corrupt miss, and its entry is
+    overwritten with the fresh payload.  Returns how many were replaced.
+    """
+    repaired = 0
+    for spec_index, repeat in cached_units:
+        try:
+            loop_result_from_dict(results[(spec_index, repeat)])
+        except MalformedHistoryError:
+            spec = specs[spec_index]
+            payload = _run_unit_worker(spec.to_dict(), repeat)
+            store.reclassify_hit_as_corrupt()
+            store.put_result(spec, repeat, payload)
+            results[(spec_index, repeat)] = payload
+            repaired += 1
+    return repaired
+
+
 def _partition_chunk(
     chunk: Sequence[tuple[int, ExperimentSpec, int]],
     batch: bool,
@@ -298,6 +324,7 @@ def run_sweep_cached(
     unit_counts = [spec.repeats for spec in specs]
     remaining = list(unit_counts)
     cached = 0
+    cached_units: list[tuple[int, int]] = []
     load_started = perf_counter()
     # ``is not None``, never ``bool(store)``: truth-testing the store
     # calls ``__len__``, which scans the whole directory.
@@ -306,6 +333,7 @@ def run_sweep_cached(
         payload = store.get_result(spec, repeat) if probe else None
         if payload is not None:
             results[(spec_index, repeat)] = payload
+            cached_units.append((spec_index, repeat))
             remaining[spec_index] -= 1
             cached += 1
         else:
@@ -418,7 +446,22 @@ def run_sweep_cached(
     phases["run"] -= phases["persist"]
 
     aggregate_started = perf_counter()
-    artifacts = build_artifacts(specs, results)
+    try:
+        artifacts = build_artifacts(specs, results)
+    except MalformedHistoryError:
+        # A cached entry whose records do not decode is a corrupt miss:
+        # find it (only this repair path decodes twice), recompute it on
+        # the scalar path (byte-identical to batched), overwrite it, and
+        # aggregate again.
+        if store is None:
+            raise
+        repaired = _repair_malformed(specs, cached_units, results, store)
+        if not repaired:
+            raise
+        cached -= repaired
+        computed += repaired
+        scalar_units += repaired
+        artifacts = build_artifacts(specs, results)
     phases["aggregate"] = perf_counter() - aggregate_started
     optimum_after = optimum_cache_info()
     report = SweepReport(

@@ -22,15 +22,17 @@ Robustness properties the scheduler relies on:
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
 import tempfile
 import time
 import uuid
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, TYPE_CHECKING
+from typing import Any, Iterator, TYPE_CHECKING
 
 from repro.obs.metrics import default_registry
 
@@ -44,6 +46,7 @@ __all__ = [
     "SweepStore",
     "StoreStats",
     "canonical_key",
+    "paused_gc",
 ]
 
 _FORMAT = 1
@@ -71,6 +74,26 @@ _STORE_CORRUPT = _REG.counter(
     "repro_store_corrupt_total",
     "Corrupt/foreign result-store entries treated as misses.",
 )
+
+
+@contextmanager
+def paused_gc() -> Iterator[None]:
+    """Pause the cyclic garbage collector for the body, then restore it.
+
+    For code that builds large acyclic trees (decoded store entries,
+    batched run payloads): refcounting frees them, and letting
+    generational GC rescan their tens of thousands of containers while
+    they are built costs more than building them.  Restores the state
+    found on entry, also when the body raises, so a caller that had GC
+    disabled keeps it disabled and nested pauses compose.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def canonical_key(key_obj: Any) -> str:
@@ -129,7 +152,9 @@ class JsonDirectoryStore:
         """The stored payload for ``key_obj``, or None on miss/corruption."""
         digest = canonical_key(key_obj)
         try:
-            entry = json.loads(self._path(digest).read_text())
+            text = self._path(digest).read_text()
+            with paused_gc():
+                entry = json.loads(text)
         except FileNotFoundError:
             self.stats.misses += 1
             _STORE_MISSES.inc()
@@ -439,15 +464,21 @@ class SweepStore(JsonDirectoryStore):
             isinstance(payload, dict) and isinstance(payload.get("records"), list)
         ):
             # Structurally wrong payload: treat as corruption, recompute.
-            # (The global counters are monotonic, so only the per-handle
-            # hit tally is rolled back.)
-            self.stats.hits -= 1
-            self.stats.misses += 1
-            self.stats.corrupt += 1
-            _STORE_CORRUPT.inc()
-            _STORE_MISSES.inc()
+            self.reclassify_hit_as_corrupt()
             return None
         return payload
+
+    def reclassify_hit_as_corrupt(self) -> None:
+        """Count a hit whose payload proved unusable as a corrupt miss.
+
+        The global counters are monotonic, so only the per-handle hit
+        tally is rolled back.
+        """
+        self.stats.hits -= 1
+        self.stats.misses += 1
+        self.stats.corrupt += 1
+        _STORE_CORRUPT.inc()
+        _STORE_MISSES.inc()
 
     def put_result(
         self, spec: "ExperimentSpec", repeat: int, result: dict[str, Any]

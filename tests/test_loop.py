@@ -1,13 +1,25 @@
-"""Control loop: execution semantics, hooks, summaries."""
+"""Control loop: execution semantics, hooks, summaries, history codec."""
+
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.baselines import StaticAllocator
 from repro.cluster import Cluster
 from repro.core import ControlLoop, PEMAConfig, PEMAController
+from repro.core.loop import LoopHistory, LoopRecord, LoopResult
 from repro.metrics import MetricsCollector
+from repro.metrics.export import (
+    loop_record_to_dict,
+    loop_result_from_dict,
+    loop_result_to_csv,
+    loop_result_to_dict,
+)
 from repro.sim import AnalyticalEngine, NoiseModel
+from repro.sim.types import Allocation
+from repro.sweeps.aggregate import _longest_violation_streak
 from repro.workload import ConstantWorkload, StepWorkload
 
 
@@ -90,8 +102,6 @@ class TestViolations:
         assert result.best_satisfying_total() == pytest.approx(min(ok_totals))
 
     def test_settled_total_empty_raises(self):
-        from repro.core.loop import LoopResult
-
         with pytest.raises(LookupError):
             LoopResult().final_allocation()
 
@@ -116,3 +126,164 @@ class TestIntegrationPieces:
         loop = make_loop(tiny_app)
         loop.run(3, on_step=lambda step, lp: seen.append((step, lp is loop)))
         assert seen == [(0, True), (1, True), (2, True)]
+
+
+# -- columnar history: codec and summary properties ---------------------------
+_values = st.floats(
+    min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False
+)
+
+
+@st.composite
+def histories(draw, min_size=0):
+    """A ``loop_result_to_dict``-shaped payload of random intervals."""
+    names = draw(
+        st.lists(
+            st.text(min_size=1, max_size=6), min_size=1, max_size=4, unique=True
+        )
+    )
+    n = draw(st.integers(min_value=min_size, max_value=25))
+    records = []
+    for step in range(n):
+        records.append({
+            "step": step,
+            "time": draw(_values),
+            "workload": draw(_values),
+            "response": draw(_values),
+            "total_cpu": draw(_values),
+            "violated": draw(st.booleans()),
+            "slo": draw(_values),
+            "allocation": [[name, draw(_values)] for name in names],
+        })
+    return {"records": records}
+
+
+def _reference_decode(data):
+    """The per-record decoder the columnar codec replaced."""
+    return [
+        LoopRecord(
+            step=int(rec["step"]),
+            time=float(rec["time"]),
+            workload=float(rec["workload"]),
+            response=float(rec["response"]),
+            total_cpu=float(rec["total_cpu"]),
+            violated=bool(rec["violated"]),
+            slo=float(rec["slo"]),
+            allocation=Allocation(
+                [(name, float(cpu)) for name, cpu in rec["allocation"]]
+            ),
+        )
+        for rec in data["records"]
+    ]
+
+
+def _reference_streak(records):
+    longest = current = 0
+    for rec in records:
+        current = current + 1 if rec.violated else 0
+        longest = max(longest, current)
+    return longest
+
+
+def _dumps(payload):
+    return json.dumps(payload, sort_keys=True)
+
+
+class TestColumnarHistory:
+    @settings(max_examples=60, deadline=None)
+    @given(histories())
+    def test_codec_round_trips_byte_identically(self, payload):
+        result = loop_result_from_dict(payload)
+        once = loop_result_to_dict(result)
+        assert _dumps(once) == _dumps(payload)
+        assert once == {
+            "records": [loop_record_to_dict(rec) for rec in result.records]
+        }
+        twice = loop_result_to_dict(loop_result_from_dict(once))
+        assert _dumps(twice) == _dumps(payload)
+
+    @settings(max_examples=60, deadline=None)
+    @given(histories())
+    def test_lazy_records_equal_reference_decoder(self, payload):
+        result = loop_result_from_dict(payload)
+        assert list(result.records) == _reference_decode(payload)
+        assert result.records is result.records  # built once
+
+    @settings(max_examples=60, deadline=None)
+    @given(histories(min_size=1), st.integers(min_value=1, max_value=8))
+    def test_summaries_equal_record_fold(self, payload, tail):
+        result = loop_result_from_dict(payload)
+        records = _reference_decode(payload)
+        assert result.violation_count() == sum(r.violated for r in records)
+        assert result.violation_rate() == (
+            sum(r.violated for r in records) / len(records)
+        )
+        assert result.final_allocation() == records[-1].allocation
+        assert (
+            result.final_allocation().total()
+            == records[-1].allocation.total()
+        )
+        assert _longest_violation_streak(result.violated) == (
+            _reference_streak(records)
+        )
+        totals = [r.total_cpu for r in records if not r.violated]
+        if totals:
+            assert result.best_satisfying_total() == min(totals)
+            assert result.settled_total(tail) == float(np.mean(totals[-tail:]))
+        else:
+            with pytest.raises(LookupError):
+                result.best_satisfying_total()
+            with pytest.raises(LookupError):
+                result.settled_total(tail)
+
+    @settings(max_examples=40, deadline=None)
+    @given(histories())
+    def test_builder_matches_decoded_history(self, payload):
+        history = LoopHistory()
+        for rec in _reference_decode(payload):
+            history.append(
+                rec.step, rec.time, rec.workload, rec.response,
+                rec.total_cpu, rec.violated, rec.slo, rec.allocation,
+            )
+        assert len(history) == len(payload["records"])
+        assert history.build() == loop_result_from_dict(payload)
+
+    def test_builder_rejects_mixed_services(self):
+        history = LoopHistory()
+        history.append(0, 0.0, 1.0, 0.1, 1.0, False, 0.2, Allocation({"a": 1.0}))
+        history.append(1, 1.0, 1.0, 0.1, 1.0, False, 0.2, Allocation({"b": 1.0}))
+        with pytest.raises(ValueError, match="same services"):
+            history.build()
+
+    def test_empty_history(self, tmp_path):
+        for empty in (
+            LoopResult(),
+            LoopHistory().build(),
+            loop_result_from_dict({"records": []}),
+        ):
+            assert len(empty) == 0 and empty.records == ()
+            assert empty.violation_count() == 0
+            assert empty.violation_rate() == 0.0
+            assert loop_result_to_dict(empty) == {"records": []}
+            with pytest.raises(LookupError, match="empty run"):
+                empty.final_allocation()
+            with pytest.raises(LookupError):
+                empty.best_satisfying_total()
+            with pytest.raises(LookupError):
+                empty.settled_total()
+            with pytest.raises(ValueError, match="empty run"):
+                loop_result_to_csv(empty, tmp_path / "x.csv")
+
+    def test_columns_are_read_only(self, tiny_app):
+        result = make_loop(tiny_app).run(3)
+        for column in (result.total_cpu, result.violated, result.allocations):
+            with pytest.raises(ValueError):
+                column[0] = column[0]
+
+    def test_control_loop_history_round_trips(self, tiny_app):
+        result = make_loop(tiny_app).run(6)
+        assert result.allocations.shape == (6, len(tiny_app.service_names))
+        assert result.service_names == tuple(tiny_app.service_names)
+        assert loop_result_from_dict(loop_result_to_dict(result)) == result
+        for rec, total in zip(result.records, result.total_cpu.tolist()):
+            assert rec.allocation.total() == total

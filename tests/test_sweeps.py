@@ -1,5 +1,6 @@
 """Sweep orchestration: grids, content-addressed store, scheduler, aggregates."""
 
+import gc
 import io
 import json
 import threading
@@ -17,6 +18,7 @@ from repro.experiments import (
     optimum_total,
     run_sweep,
 )
+from repro.metrics.export import MalformedHistoryError, loop_result_from_dict
 from repro.sweeps import (
     METRIC_NAMES,
     GridRun,
@@ -34,8 +36,10 @@ from repro.sweeps import (
     group_reduce,
     run_grid,
     run_sweep_cached,
+    run_units_batched,
     set_path,
 )
+from repro.sweeps.store import paused_gc
 from tests.conftest import make_small_grid as small_grid
 from tests.conftest import make_sweep_spec as base_spec
 
@@ -299,6 +303,158 @@ class TestSweepStore:
         assert not store.path_for(key).exists()
         assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
         assert store.stats.writes == 0
+
+
+def _drop_time(payload):
+    del payload["records"][1]["time"]
+
+
+def _set_cpu(value):
+    def mutate(payload):
+        payload["records"][1]["allocation"][0][1] = value
+    return mutate
+
+
+def _set_field(field, value):
+    def mutate(payload):
+        payload["records"][1][field] = value
+    return mutate
+
+
+def _rename_service(payload):
+    payload["records"][2]["allocation"][0][0] = "not-a-service"
+
+
+def _drop_service(payload):
+    del payload["records"][2]["allocation"][-1]
+
+
+def _swap_services(payload):
+    pairs = payload["records"][2]["allocation"]
+    pairs[0], pairs[1] = pairs[1], pairs[0]
+
+
+MALFORMED_RECORDS = {
+    "missing_key": _drop_time,
+    "negative_cpu": _set_cpu(-1.0),
+    "non_numeric_cpu": _set_cpu("lots"),
+    "null_cpu": _set_cpu(None),
+    "nan_cpu": _set_cpu(float("nan")),
+    "inf_workload": _set_field("workload", float("inf")),
+    "non_numeric_response": _set_field("response", "fast"),
+    "negative_step": _set_field("step", -1),
+    "ragged_renamed": _rename_service,
+    "ragged_missing": _drop_service,
+    "ragged_reordered": _swap_services,
+}
+
+
+class TestMalformedEntries:
+    """A well-formed store entry whose records do not decode is a counted
+    miss: the unit is recomputed and its entry overwritten."""
+
+    @pytest.fixture(scope="class")
+    def clean(self):
+        spec = base_spec()
+        artifacts, _ = run_sweep_cached([spec])
+        return spec, artifacts[0].to_json()
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_RECORDS))
+    def test_decoder_raises_typed_value_error(self, clean, case, tmp_path):
+        spec, _ = clean
+        store = SweepStore(tmp_path)
+        run_sweep_cached([spec], store=store)
+        payload = store.get_result(spec, 0)
+        MALFORMED_RECORDS[case](payload)
+        with pytest.raises(ValueError) as raised:
+            loop_result_from_dict(payload)
+        assert raised.type is MalformedHistoryError
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_RECORDS))
+    def test_sweep_recomputes_malformed_entry(self, clean, case, tmp_path):
+        spec, expected = clean
+        specs = [spec, base_spec(seed=3)]
+        store = SweepStore(tmp_path)
+        run_sweep_cached(specs, store=store)
+        key = store.unit_key(spec, 0)
+        path = store.path_for(key)
+        good_bytes = path.read_bytes()
+        payload = store.get_result(spec, 0)
+        MALFORMED_RECORDS[case](payload)
+        # Written as-is (NaN/inf literals included), the way a foreign
+        # or hand-edited file would look.
+        path.write_text(
+            json.dumps({"format": 1, "key": key, "payload": payload},
+                       sort_keys=True)
+        )
+        fresh = SweepStore(tmp_path)
+        artifacts, report = run_sweep_cached(specs, store=fresh)
+        assert artifacts[0].to_json() == expected
+        assert fresh.stats.corrupt == 1
+        assert fresh.stats.hits == 1 and fresh.stats.misses == 1
+        assert report.cache_hits == 1 and report.computed == 1
+        assert path.read_bytes() == good_bytes
+
+    def test_malformed_fresh_payload_still_raises(self, monkeypatch):
+        """Only cached entries are repaired; a worker producing an
+        undecodable payload is a bug and surfaces as the typed error."""
+
+        def broken_worker(spec_data, repeat):
+            return {"records": [{"step": 0}]}
+
+        monkeypatch.setattr(
+            "repro.sweeps.scheduler._run_unit_worker", broken_worker
+        )
+        with pytest.raises(MalformedHistoryError):
+            run_sweep_cached([base_spec()])
+
+
+class TestPausedGc:
+    def test_garbage_entry_restores_gc(self, tmp_path):
+        store = SweepStore(tmp_path)
+        key = store.unit_key(base_spec(), 0)
+        path = store.path_for(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text('{"format": 1, "key": [')  # json.loads raises
+        assert gc.isenabled()
+        assert store.get_raw(key) is None
+        assert store.stats.corrupt == 1
+        assert gc.isenabled()
+
+    def test_restores_gc_when_body_raises(self):
+        with pytest.raises(RuntimeError):
+            with paused_gc():
+                assert not gc.isenabled()
+                raise RuntimeError("boom")
+        assert gc.isenabled()
+
+    def test_caller_disabled_gc_stays_disabled(self, tmp_path):
+        store = SweepStore(tmp_path)
+        key = store.unit_key(base_spec(), 0)
+        store.put_raw(key, {"records": []})
+        gc.disable()
+        try:
+            with paused_gc():
+                pass
+            assert not gc.isenabled()
+            assert store.get_raw(key) == {"records": []}
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_nested(self):
+        with paused_gc():
+            with paused_gc():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_batched_run_restores_gc_on_error(self):
+        with pytest.raises(ValueError, match="compatible"):
+            run_units_batched(
+                [(base_spec(), 0), (base_spec(app="hotelreservation"), 0)]
+            )
+        assert gc.isenabled()
 
 
 class TestScheduler:
