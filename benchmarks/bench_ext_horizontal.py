@@ -19,7 +19,10 @@ import numpy as np
 from benchmarks._report import emit
 from repro.apps import build_app
 from repro.bench import format_table, optimum_total, pema_run, rule_total
-from repro.cluster import HorizontalRuleAutoscaler, ReplicaAllocator
+from repro.baselines.horizontal import (
+    HorizontalRuleAutoscaler,
+    ReplicaAllocator,
+)
 from repro.core import ControlLoop
 from repro.sim import AnalyticalEngine
 from repro.workload import ConstantWorkload

@@ -10,7 +10,6 @@ Run:  python examples/workload_aware_scaling.py
 """
 
 from repro import AnalyticalEngine, ControlLoop, WorkloadAwarePEMA, build_app
-from repro.metrics import MetricsCollector
 from repro.workload import NoisyTrace, SinusoidalWorkload
 
 HOURS = 8
@@ -39,8 +38,7 @@ def main() -> None:
         seed=1,
     )
     engine = AnalyticalEngine(app, seed=2)
-    collector = MetricsCollector()
-    loop = ControlLoop(engine, manager, trace, slo=app.slo, collector=collector)
+    loop = ControlLoop(engine, manager, trace, slo=app.slo)
     result = loop.run(STEPS)
 
     print(f"learned latency slope m = {manager.slope * 1000:.3f} ms/rps\n")
@@ -60,8 +58,6 @@ def main() -> None:
               f"{s.upper[0]:g}~{s.upper[1]:g} (PEMA #{s.upper_pema_id})")
     print(f"\nfinal leaf ranges: {', '.join(manager.range_labels())}")
     print(f"SLO violations: {result.violation_count()}/{len(result)} intervals")
-    print(f"metrics recorded: {len(collector.store.metrics())} streams, e.g. "
-          f"{collector.store.metrics()[:4]}")
 
 
 if __name__ == "__main__":

@@ -3,9 +3,9 @@
 *Practical Efficient Microservice Autoscaling with QoS Assurance*,
 Hossen, Islam, Ahmed — a lightweight feedback-driven microservice resource
 manager, reproduced end to end: the controller (Algorithm 1), workload-aware
-dynamic ranging, the three prototype applications, a simulated
-Kubernetes/Prometheus substrate, the OPTM/RULE baselines, and the full
-evaluation harness.
+dynamic ranging, the three prototype applications, simulated performance
+engines (closed-form and discrete-event), the OPTM/RULE baselines, and the
+full evaluation harness.
 
 The declarative experiment API (:mod:`repro.experiments`) is the main
 entry point: one JSON-round-tripping :class:`ExperimentSpec` describes a
@@ -43,7 +43,6 @@ from repro.experiments import (
     run_experiment,
     run_sweep,
 )
-from repro.metrics import MetricsCollector, MetricsStore
 from repro.sim import Allocation, AnalyticalEngine, IntervalMetrics
 from repro.sweeps import SweepGrid, SweepStore, run_grid
 
@@ -69,8 +68,6 @@ __all__ = [
     "SweepGrid",
     "SweepStore",
     "run_grid",
-    "MetricsStore",
-    "MetricsCollector",
     "OptimumSearch",
     "RuleBasedAutoscaler",
     "StaticAllocator",

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import networkx as nx
 import numpy as np
 
 from repro.sim.types import Allocation
@@ -223,27 +222,6 @@ class AppSpec:
 
     def floor_array(self) -> np.ndarray:
         return np.asarray([s.latency_floor for s in self.services], dtype=np.float64)
-
-    # -- topology --------------------------------------------------------------
-    def graph(self) -> nx.DiGraph:
-        """Call graph implied by the execution plans.
-
-        Edges go from the service that initiated the previous stage to every
-        service in the next stage (the first stage is rooted at a synthetic
-        ``__ingress__`` node, matching the gateway in Figs. 2-4).
-        """
-        g = nx.DiGraph()
-        g.add_nodes_from(self.service_names)
-        for rc in self.request_classes:
-            prev: tuple[str, ...] = ("__ingress__",)
-            for stage in rc.stages:
-                current = tuple(svc for svc, _ in stage.parallel)
-                for p in prev:
-                    for c in current:
-                        if p != "__ingress__":
-                            g.add_edge(p, c)
-                prev = (current[0],)  # the coordinating caller of the stage
-        return g
 
     # -- allocations -------------------------------------------------------------
     def uniform_allocation(self, cpu_per_service: float) -> Allocation:

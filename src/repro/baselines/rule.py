@@ -19,8 +19,11 @@ window) to avoid flapping.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
+from repro.sim.batched import BatchObservation, DecisionBank
 from repro.sim.types import Allocation, IntervalMetrics
 
 __all__ = ["RuleBasedAutoscaler", "RuleBatch"]
@@ -82,24 +85,31 @@ class RuleBasedAutoscaler:
         return self._allocation
 
 
-class RuleBatch:
+class RuleBatch(DecisionBank):
     """A vectorized bank of :class:`RuleBasedAutoscaler` cells.
 
     Holds ``B`` independent rule-based autoscalers (same service set, per-
     cell parameters) as stacked arrays and applies the scaling rule to all
     of them in one call.  Every operation is the same IEEE float op, in
     the same order, as the scalar ``decide`` — cell ``i`` of a batch is
-    byte-identical to a scalar autoscaler fed the same metrics.
+    byte-identical to a scalar autoscaler fed the same metrics.  The rule
+    ignores the SLO; ``slos`` is the fixed row the records carry.
     """
 
     def __init__(
         self,
         allocations: np.ndarray,
         scalers: "list[RuleBasedAutoscaler]",
+        slos: Sequence[float],
     ) -> None:
         self.allocation = np.array(allocations, dtype=np.float64)
-        if self.allocation.ndim != 2 or len(scalers) != self.allocation.shape[0]:
-            raise ValueError("allocations must be (B, S) with one scaler per row")
+        if self.allocation.ndim != 2 or not (
+            len(scalers) == len(slos) == self.allocation.shape[0]
+        ):
+            raise ValueError(
+                "allocations must be (B, S) with one scaler and SLO per row"
+            )
+        self.slo = np.asarray(slos, dtype=np.float64)
         # The scalar constructor already validated every parameter.
         self._vpa = np.asarray([s.mode == "vpa" for s in scalers])
         self._target = np.asarray([s.target_utilization for s in scalers])
@@ -108,15 +118,13 @@ class RuleBatch:
         self._min_cpu = np.asarray([s.min_cpu for s in scalers])
         self._max_cpu = np.asarray([s.max_cpu for s in scalers])
 
-    def step(
-        self, usage_cores: np.ndarray, usage_p90_cores: np.ndarray
-    ) -> np.ndarray:
+    def step(self, obs: BatchObservation, totals: np.ndarray) -> np.ndarray:
         """Apply the rule to every cell; returns the ``(B, S)`` allocations."""
         current = self.allocation
-        by_util = (usage_cores / self._target[:, None]) * (
+        by_util = (obs.usage_cores / self._target[:, None]) * (
             1.0 + self._overprovision[:, None]
         )
-        by_p90 = usage_p90_cores * (1.0 + self._overprovision[:, None])
+        by_p90 = obs.usage_p90_cores * (1.0 + self._overprovision[:, None])
         desired = np.where(self._vpa[:, None], by_p90, by_util)
         stabilized = np.maximum(
             desired, current * (1.0 - self._down_limit[:, None])

@@ -34,7 +34,7 @@ import numpy as np
 from repro.core.config import PEMAConfig
 from repro.core.reduction import _window_mean
 from repro.core.selection import select_targets
-from repro.sim.batched import BatchObservation
+from repro.sim.batched import BatchObservation, DecisionBank
 
 __all__ = ["PEMABatch"]
 
@@ -42,8 +42,11 @@ __all__ = ["PEMABatch"]
 _SEL_EPS = 1e-9
 
 
-class PEMABatch:
-    """A bank of ``B`` PEMA controllers over one shared service set."""
+class PEMABatch(DecisionBank):
+    """A bank of ``B`` PEMA controllers over one shared service set.
+
+    ``slo`` is live: :meth:`set_slo` changes the row the records carry.
+    """
 
     def __init__(
         self,
@@ -117,6 +120,9 @@ class PEMABatch:
         for cell in cells:
             self._trace_cells.add(int(cell))
             self.decision_info.setdefault(int(cell), [])
+
+    def decision_trace(self, cell: int) -> list[dict] | None:
+        return self.decision_info.get(cell)
 
     # -- dynamic SLO (the Fig. 20 hook) -----------------------------------------
     def set_slo(self, cell: int, slo: float) -> None:

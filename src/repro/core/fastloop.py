@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.core.controller import PEMAController, StepAction
 from repro.core.loop import LoopHistory, LoopResult
-from repro.metrics.collector import MetricsCollector
 from repro.sim.environment import Environment
 from repro.sim.types import IntervalMetrics, ServiceMetrics
 from repro.workload.trace import WorkloadTrace
@@ -96,7 +95,6 @@ class FastReactionLoop:
         *,
         interval: float = 120.0,
         monitor_splits: int = 12,
-        collector: MetricsCollector | None = None,
     ) -> None:
         if interval <= 0:
             raise ValueError("interval must be positive")
@@ -107,7 +105,6 @@ class FastReactionLoop:
         self.workload = workload
         self.interval = interval
         self.monitor_splits = monitor_splits
-        self.collector = collector
 
     def run(
         self,
@@ -143,8 +140,6 @@ class FastReactionLoop:
                         mitigations += 1
                         mitigated = True
             aggregated = _aggregate(subs)
-            if self.collector is not None:
-                self.collector.collect(t, interval_alloc, aggregated)
             history.append(
                 step,
                 t,

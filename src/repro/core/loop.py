@@ -14,8 +14,6 @@ from typing import Any, Callable, Protocol, Sequence, TypeVar, runtime_checkable
 
 import numpy as np
 
-from repro.cluster.cluster import Cluster
-from repro.metrics.collector import MetricsCollector
 from repro.obs.decision import capture_decision_info, decision_record
 from repro.obs.trace import Tracer
 from repro.sim.environment import Environment
@@ -235,8 +233,9 @@ R = TypeVar("R", bound=LoopResult)
 class LoopHistory:
     """Append-only builder of a :class:`LoopResult`, one interval at a time.
 
-    The one way a run history is recorded: the offline loop, the
-    fast-reaction loop and the streaming guardian each append here.
+    The one way a run history is recorded: :meth:`ControlLoop.step`
+    (offline runs and streaming guardians alike) and the fast-reaction
+    loop each append here.
     Values accumulate in one list per column, so :meth:`build` converts
     each list once and never touches a per-interval object.
     """
@@ -280,6 +279,21 @@ class LoopHistory:
         self._slo.append(slo)
         self._allocations.append(allocation)
 
+    def last(self) -> LoopRecord:
+        """The most recently appended interval, as a :class:`LoopRecord`."""
+        if not self._step:
+            raise LookupError("empty history")
+        return LoopRecord(
+            step=self._step[-1],
+            time=self._time[-1],
+            workload=self._workload[-1],
+            response=self._response[-1],
+            total_cpu=self._total_cpu[-1],
+            violated=self._violated[-1],
+            slo=self._slo[-1],
+            allocation=self._allocations[-1],
+        )
+
     def build(self, cls: type[R] = LoopResult) -> R:  # type: ignore[assignment]
         """The history so far as a ``cls`` (a :class:`LoopResult`)."""
         if not self._step:
@@ -301,7 +315,13 @@ class LoopHistory:
 
 
 class ControlLoop:
-    """Drives one autoscaler against one environment and workload trace."""
+    """Drives one autoscaler against one environment and workload trace.
+
+    :meth:`step` is one control interval of Algorithm 1 — the
+    Monitor/Analyze/Plan half of the feedback loop.  Every scalar
+    executor runs its intervals through it: :meth:`run` for offline
+    runs, and the streaming service's guardians one tick at a time.
+    """
 
     def __init__(
         self,
@@ -311,8 +331,6 @@ class ControlLoop:
         *,
         interval: float = 120.0,
         slo: float | None = None,
-        collector: MetricsCollector | None = None,
-        cluster: Cluster | None = None,
     ) -> None:
         if interval <= 0:
             raise ValueError("interval must be positive")
@@ -320,8 +338,6 @@ class ControlLoop:
         self.autoscaler = autoscaler
         self.workload = workload
         self.interval = interval
-        self.collector = collector
-        self.cluster = cluster
         explicit = slo if slo is not None else getattr(autoscaler, "slo", None)
         if explicit is None:
             raise ValueError("pass slo= when the autoscaler has no .slo")
@@ -330,18 +346,67 @@ class ControlLoop:
             if slo is None and hasattr(autoscaler, "slo")
             else (lambda: float(explicit))
         )
-        if cluster is not None and not cluster.pods:
-            cluster.deploy(environment.app, autoscaler.allocation)
 
     def current_slo(self) -> float:
         """The SLO in force right now.
 
         Live when the autoscaler carries its own (mutable) SLO — dynamic
-        SLO hooks show up immediately — fixed otherwise.  The service
-        layer's tick path calls this so streamed runs record exactly the
-        SLO sequence :meth:`run` would.
+        SLO hooks show up immediately — fixed otherwise.
         """
         return self._slo_getter()
+
+    def step(
+        self,
+        step: int,
+        rps: float,
+        allocation: Allocation,
+        history: LoopHistory,
+        *,
+        on_step: Callable[[int, "ControlLoop"], None] | None = None,
+        decision_log: list | None = None,
+        tracer: "Tracer | None" = None,
+    ) -> Allocation:
+        """One control interval; returns the allocation for the next one.
+
+        ``on_step`` hooks fire first, then ``allocation`` serves the
+        interval at ``rps`` offered load, the interval lands in
+        ``history``, and the autoscaler decides from its metrics.
+        ``decision_log`` and ``tracer`` receive the interval's
+        :func:`repro.obs.decision.decision_record` (see :meth:`run`).
+        """
+        if on_step is not None:
+            on_step(step, self)
+        metrics = self.environment.observe(allocation, rps, self.interval)
+        slo_now = self.current_slo()
+        total_now = allocation.total()
+        violated = metrics.latency_p95 > slo_now
+        history.append(
+            step,
+            step * self.interval,
+            rps,
+            metrics.latency_p95,
+            total_now,
+            violated,
+            slo_now,
+            allocation,
+        )
+        next_allocation = self.autoscaler.decide(metrics)
+        if decision_log is not None or tracer is not None:
+            record = decision_record(
+                step=step,
+                workload=rps,
+                response=metrics.latency_p95,
+                slo=slo_now,
+                violated=violated,
+                total_cpu=total_now,
+                next_total_cpu=next_allocation.total(),
+                decision=capture_decision_info(self.autoscaler),
+            )
+            if decision_log is not None:
+                decision_log.append(record)
+            if tracer is not None:
+                tracer.event("decision", **record)
+        return next_allocation
 
     def run(
         self,
@@ -353,9 +418,11 @@ class ControlLoop:
     ) -> LoopResult:
         """Execute ``n_steps`` control intervals.
 
-        ``on_step(step_index, loop)`` runs before each interval — the hook
-        used by the adaptability experiments to change CPU frequency
-        (Fig. 19) or the SLO (Fig. 20) mid-run.
+        Interval ``t`` offers the workload trace's rate at
+        ``t * interval``.  ``on_step(step_index, loop)`` runs before each
+        interval is observed — the hook used by the adaptability
+        experiments to change CPU frequency (Fig. 19) or the SLO
+        (Fig. 20) mid-run.
 
         ``decision_log`` collects one deterministic
         :func:`repro.obs.decision.decision_record` per interval (the
@@ -374,42 +441,13 @@ class ControlLoop:
         )
         with span:
             for step in range(n_steps):
-                if on_step is not None:
-                    on_step(step, self)
-                t = step * self.interval
-                rps = self.workload.rate(t)
-                if self.cluster is not None:
-                    self.cluster.apply(allocation)
-                metrics = self.environment.observe(allocation, rps, self.interval)
-                if self.collector is not None:
-                    self.collector.collect(t, allocation, metrics)
-                slo_now = self.current_slo()
-                total_now = allocation.total()
-                violated = metrics.latency_p95 > slo_now
-                history.append(
+                allocation = self.step(
                     step,
-                    t,
-                    rps,
-                    metrics.latency_p95,
-                    total_now,
-                    violated,
-                    slo_now,
+                    self.workload.rate(step * self.interval),
                     allocation,
+                    history,
+                    on_step=on_step,
+                    decision_log=decision_log,
+                    tracer=tracer,
                 )
-                allocation = self.autoscaler.decide(metrics)
-                if decision_log is not None or tracer is not None:
-                    record = decision_record(
-                        step=step,
-                        workload=rps,
-                        response=metrics.latency_p95,
-                        slo=slo_now,
-                        violated=violated,
-                        total_cpu=total_now,
-                        next_total_cpu=allocation.total(),
-                        decision=capture_decision_info(self.autoscaler),
-                    )
-                    if decision_log is not None:
-                        decision_log.append(record)
-                    if tracer is not None:
-                        tracer.event("decision", **record)
         return history.build()

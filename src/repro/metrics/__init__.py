@@ -1,30 +1,12 @@
-"""Monitoring substrate: Prometheus/Linkerd-style metrics collection."""
+"""Run-history codecs: :class:`~repro.core.loop.LoopResult` to JSON and CSV."""
 
-from repro.metrics.collector import MetricsCollector
 from repro.metrics.export import (
     loop_result_from_dict,
     loop_result_to_csv,
     loop_result_to_dict,
-    store_to_csv,
 )
-from repro.metrics.queries import (
-    max_over_window,
-    moving_average,
-    percentile_over_window,
-    rate,
-)
-from repro.metrics.series import TimeSeries
-from repro.metrics.store import MetricsStore
 
 __all__ = [
-    "TimeSeries",
-    "MetricsStore",
-    "MetricsCollector",
-    "percentile_over_window",
-    "moving_average",
-    "rate",
-    "max_over_window",
-    "store_to_csv",
     "loop_result_to_csv",
     "loop_result_to_dict",
     "loop_result_from_dict",

@@ -1,4 +1,4 @@
-"""Export utilities: metrics store and run histories to CSV/JSON.
+"""Export utilities: run histories to CSV/JSON.
 
 Downstream users want the raw series (for plotting in their own stack);
 these writers keep the on-disk format trivial — plain CSV with one header
@@ -15,41 +15,16 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 import numpy as np
 
-from repro.metrics.store import MetricsStore
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.loop import LoopRecord, LoopResult
 
 __all__ = [
     "MalformedHistoryError",
-    "store_to_csv",
     "loop_record_to_dict",
     "loop_result_to_csv",
     "loop_result_to_dict",
     "loop_result_from_dict",
 ]
-
-
-def store_to_csv(store: MetricsStore, path: str | Path) -> int:
-    """Dump every series as long-form CSV: metric,labels,time,value.
-
-    Returns the number of data rows written.
-    """
-    path = Path(path)
-    rows = 0
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "labels", "time", "value"])
-        for metric in store.metrics():
-            for labels in store.label_sets(metric):
-                label_str = ";".join(
-                    f"{k}={v}" for k, v in sorted(labels.items())
-                )
-                series = store.series(metric, **labels)
-                for t, v in series:
-                    writer.writerow([metric, label_str, f"{t:.6g}", f"{v:.9g}"])
-                    rows += 1
-    return rows
 
 
 def _interval_rows(result: "LoopResult") -> Iterator[tuple]:

@@ -20,6 +20,7 @@ byte-for-byte.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 import numpy as np
@@ -65,8 +66,8 @@ class ConstantDriver:
     """Streams one fixed rate to every app (smoke/load testing)."""
 
     def __init__(self, rps: float) -> None:
-        if rps < 0:
-            raise ValueError("rps must be >= 0")
+        if not (math.isfinite(rps) and rps >= 0):
+            raise ValueError(f"rps must be finite and >= 0: {rps!r}")
         self.rps = float(rps)
 
     def rates(self, guardian: "Guardian", n_steps: int) -> np.ndarray:

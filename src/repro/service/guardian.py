@@ -8,12 +8,12 @@ autoscaler, trace — built by the same
 ticks (the backpressure boundary — a driver outrunning the control loop
 blocks instead of growing memory), and the decision history so far.
 
-The tick path replicates :meth:`repro.core.loop.ControlLoop.run` step
-for step — hook dispatch, observation, SLO read, record, decide — so a
-guardian driven with the same rate floats as an offline run produces a
-byte-identical history.  That is the service's core determinism
-contract, enforced by ``tests/test_service.py`` and the CI service
-gate.
+A tick runs its interval through :meth:`repro.core.loop.ControlLoop.step`,
+the one step the offline :meth:`~repro.core.loop.ControlLoop.run` also
+loops over, so a guardian driven with the same rate floats as an offline
+run produces a byte-identical history.  That is the service's core
+determinism contract, enforced by ``tests/test_service.py`` and the CI
+service gate.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ import time
 from typing import Any
 
 from repro.core.loop import LoopHistory, LoopRecord
+
+# perfbench patches build_unit, loop_result_to_dict, decision_record here.
 from repro.experiments.runner import (
     build_unit,
     capture_manager_state,
@@ -31,7 +33,7 @@ from repro.experiments.runner import (
 from repro.experiments.spec import ExperimentSpec
 from repro.faults import reorder_window_for, stream_fault_entries
 from repro.metrics.export import loop_result_to_dict
-from repro.obs.decision import capture_decision_info, decision_record
+from repro.obs.decision import decision_record  # noqa: F401
 from repro.service.rescaler import Rescaler
 from repro.service.telemetry import (
     GUARDIAN_QUEUE_PEAK,
@@ -113,10 +115,12 @@ class Guardian:
     def tick(self, sample: MetricSample) -> Decision:
         """Execute one control interval from a streamed metric sample.
 
-        Mirrors one iteration of the offline loop exactly: the current
-        allocation serves the interval, the environment is observed
-        under the sample's rate, the record lands, and the autoscaler
-        decides the next allocation.
+        The guardian's own concerns come first — the step check,
+        injected test failures, and actuation through the rescaler
+        (skipped while replaying) — then the interval runs through the
+        unit loop's :meth:`~repro.core.loop.ControlLoop.step`.  The
+        published record is read back from the history that step
+        appended to.
         """
         step = self.steps_done
         if sample.step is not None and sample.step != step:
@@ -134,57 +138,23 @@ class Guardian:
                     f"injected {fail_kind} at step {step} of "
                     f"app {self.app_id!r}"
                 )
-        loop = self.unit.loop
-        if self._on_step is not None:
-            self._on_step(step, loop)
-        t = step * self.spec.interval
-        rps = float(sample.rps)
-        allocation = self._allocation
         if not self._replaying:
             # Replayed steps were already actuated (and counted) by the
             # guardian this one replaces; re-applying would double the
             # rescale accounting without changing any observation.
-            self.rescaler.apply(self, allocation)
-        metrics = self.rescaler.observe(self, allocation, rps)
-        slo_now = loop.current_slo()
-        record = LoopRecord(
-            step=step,
-            time=t,
-            workload=rps,
-            response=metrics.latency_p95,
-            total_cpu=allocation.total(),
-            violated=metrics.latency_p95 > slo_now,
-            slo=slo_now,
-            allocation=allocation,
-        )
-        self.history.append(
+            self.rescaler.apply(self, self._allocation)
+        self._allocation = self.unit.loop.step(
             step,
-            t,
-            rps,
-            record.response,
-            record.total_cpu,
-            record.violated,
-            slo_now,
-            allocation,
+            float(sample.rps),
+            self._allocation,
+            self.history,
+            on_step=self._on_step,
+            decision_log=self.trace_records if self._capture_trace else None,
         )
-        self._allocation = self.unit.autoscaler.decide(metrics)
-        if self._capture_trace:
-            self.trace_records.append(
-                decision_record(
-                    step=step,
-                    workload=rps,
-                    response=metrics.latency_p95,
-                    slo=slo_now,
-                    violated=record.violated,
-                    total_cpu=record.total_cpu,
-                    next_total_cpu=self._allocation.total(),
-                    decision=capture_decision_info(self.unit.autoscaler),
-                )
-            )
         decision = Decision(
             app=self.app_id,
             step=step,
-            record=record,
+            record=self.history.last(),
             next_allocation=self._allocation,
         )
         self.decisions.append(decision)

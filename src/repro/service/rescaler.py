@@ -1,9 +1,9 @@
 """The actuation plane: applies decisions to the simulated environment.
 
-In the MAPE-K framing the guardians are Analyze+Plan and the
-:class:`Rescaler` is Execute: it takes the allocation an autoscaler
-chose, pushes it into the app's environment (the simulated deployment),
-and observes the interval served under it.  Keeping actuation in one
+In the MAPE-K framing the control step each guardian runs
+(:meth:`repro.core.loop.ControlLoop.step`) is Monitor+Analyze+Plan and
+the :class:`Rescaler` is Execute: it takes the allocation an autoscaler
+chose and pushes it into the app's deployment.  Keeping actuation in one
 object gives the service a single choke point for rescale accounting —
 how many scale-ups/downs each app performed, how much CPU moved — and a
 seam where a real deployment would swap in an API-server client for the
@@ -23,7 +23,7 @@ from repro.service.telemetry import (
     RESCALER_SCALE_DOWNS,
     RESCALER_SCALE_UPS,
 )
-from repro.sim.types import Allocation, IntervalMetrics
+from repro.sim.types import Allocation
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.service.guardian import Guardian
@@ -51,12 +51,10 @@ class RescaleStats:
 
 
 class Rescaler:
-    """Applies allocations to per-app environments and observes them.
+    """Applies allocations to per-app deployments and counts the rescales.
 
-    The observation call is byte-identical to the offline control
-    loop's: ``environment.observe(allocation, rps, interval)`` with the
-    same floats in the same order, so the Rescaler adds accounting, not
-    behavior.
+    It adds accounting, not behavior: the observation of each interval
+    belongs to the control step, exactly as offline.
     """
 
     def __init__(self) -> None:
@@ -69,9 +67,9 @@ class Rescaler:
     def apply(self, guardian: "Guardian", allocation: Allocation) -> None:
         """Push ``allocation`` into the app's (simulated) deployment.
 
-        The analytical engine consumes the allocation at observe time,
-        so applying is pure bookkeeping here; a cluster-backed guardian
-        would call ``cluster.apply`` exactly as the offline loop does.
+        The simulated engines consume the allocation at observe time,
+        so applying is pure bookkeeping here; a real deployment would
+        resize its containers at this point.
         """
         app_id = guardian.app_id
         stats = self.stats(app_id)
@@ -92,14 +90,6 @@ class Rescaler:
             stats.cpu_moved += moved
             RESCALER_CPU_MOVED.inc(moved, app=app_id)
         self._last[app_id] = allocation
-
-    def observe(
-        self, guardian: "Guardian", allocation: Allocation, rps: float
-    ) -> IntervalMetrics:
-        """One interval served under ``allocation`` at ``rps``."""
-        return guardian.unit.engine.observe(
-            allocation, rps, guardian.spec.interval
-        )
 
     def forget(self, app_id: str) -> None:
         """Drop an unregistered app's actuation state."""

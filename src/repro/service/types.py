@@ -13,6 +13,7 @@ compare byte-for-byte.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -36,11 +37,19 @@ class MetricSample:
     drivers).  An explicit ``step`` that does not match the guardian's
     clock is a :class:`ServiceError` — a skipped or duplicated interval
     would silently break the determinism contract, so it fails loudly.
+    ``rps`` must be finite and ``>= 0``, or the sample is rejected with a
+    :class:`ServiceError` before any guardian sees it.
     """
 
     app: str
     rps: float
     step: int | None = None
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.rps) and self.rps >= 0):
+            raise ServiceError(
+                f"app {self.app!r}: rps must be finite and >= 0: {self.rps!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from repro.sim.noise import NoiseModel
 if TYPE_CHECKING:  # pragma: no cover - avoids a package import cycle
     from repro.apps.spec import AppSpec
 
-__all__ = ["BatchObservation", "BatchedAnalyticalEngine"]
+__all__ = ["BatchObservation", "BatchedAnalyticalEngine", "DecisionBank"]
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,41 @@ class BatchObservation:
     @property
     def n_cells(self) -> int:
         return self.latency_p95.shape[0]
+
+
+class DecisionBank:
+    """``C`` cells of one autoscaler family, decided together per interval.
+
+    The surface the batched sweep runner
+    (:func:`repro.sweeps.batched.run_units_batched`) drives every family
+    through.  Subclasses set ``allocation`` — the ``(C, S)`` allocations
+    serving the next interval — and ``slo`` — the ``(C,)`` SLO row this
+    interval's records carry — and implement :meth:`step`.  The trace and
+    state defaults fit families whose scalar autoscaler exposes neither:
+    their capture channels record None, exactly as scalar runs do.
+    """
+
+    allocation: np.ndarray
+    slo: np.ndarray
+
+    def step(self, obs: BatchObservation, totals: np.ndarray) -> np.ndarray:
+        """Decide every cell's next allocation; returns ``allocation``.
+
+        ``obs`` was observed under the current ``allocation``, and
+        ``totals`` is its row sum.
+        """
+        raise NotImplementedError
+
+    def enable_decision_trace(self, cells: Sequence[int]) -> None:
+        """Record per-step decision info for ``cells`` from now on."""
+
+    def decision_trace(self, cell: int) -> list | None:
+        """``cell``'s per-step decision info (None: the family has none)."""
+        return None
+
+    def manager_state(self, cell: int) -> dict | None:
+        """``cell``'s autoscaler state snapshot (None: it exposes none)."""
+        return None
 
 
 class BatchedAnalyticalEngine:

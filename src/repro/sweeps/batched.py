@@ -6,9 +6,12 @@ autoscaler kind, same horizon, analytical engine — and hands every group
 to :func:`run_units_batched`, which advances the whole group through the
 control loop as one stack of arrays: one
 :class:`~repro.sim.batched.BatchedAnalyticalEngine` observation and one
-:class:`~repro.core.batch.PEMABatch`/
-:class:`~repro.baselines.rule.RuleBatch` decision per interval, instead
-of one full scalar Python loop per cell.
+:class:`~repro.sim.batched.DecisionBank` step per interval, instead of
+one full scalar Python loop per cell.  Every autoscaler family reaches
+the step loop through that one bank surface:
+:class:`~repro.core.batch.PEMABatch`,
+:class:`~repro.baselines.rule.RuleBatch`, and the optimum, manager and
+fixed-allocation banks below.
 
 Byte-identity: every per-cell float operation and random draw is
 replicated in the scalar order (see the bit-exactness notes in
@@ -39,6 +42,7 @@ from repro.baselines.pid import PIDController
 from repro.baselines.rule import RuleBasedAutoscaler, RuleBatch
 from repro.core.batch import PEMABatch
 from repro.core.config import PEMAConfig
+from repro.core.loop import LoopResult
 from repro.experiments.registry import AUTOSCALERS, HOOKS, WORKLOADS
 from repro.experiments.runner import capture_manager_state
 from repro.experiments.spec import ExperimentSpec
@@ -49,8 +53,13 @@ from repro.faults import (
     fault_actions,
     normalize_fault_params,
 )
+from repro.metrics.export import loop_result_to_dict
 from repro.obs.decision import capture_decision_info
-from repro.sim.batched import BatchObservation, BatchedAnalyticalEngine
+from repro.sim.batched import (
+    BatchObservation,
+    BatchedAnalyticalEngine,
+    DecisionBank,
+)
 from repro.sim.concurrency import gamma_quantile
 from repro.sim.noise import NoiseModel
 from repro.sim.types import Allocation, IntervalMetrics
@@ -220,7 +229,7 @@ def batch_fallback_reason(spec: ExperimentSpec) -> str | None:
     return classify_unit(spec)[1]
 
 
-class _OptimumBank:
+class _OptimumBank(DecisionBank):
     """Vectorized :class:`~repro.baselines.OptimumAllocator` bank.
 
     Each cell pins the cached noiseless optimum for its observed
@@ -232,14 +241,21 @@ class _OptimumBank:
     allocator would.
     """
 
-    def __init__(self, app, restarts: Sequence[int], start: np.ndarray) -> None:
+    def __init__(
+        self,
+        app,
+        restarts: Sequence[int],
+        start: np.ndarray,
+        slos: Sequence[float],
+    ) -> None:
         self._app = app
         self._restarts = list(restarts)
         self.allocation = start.copy()
+        self.slo = np.asarray(slos, dtype=np.float64)
         self._workloads: list[float | None] = [None] * len(self._restarts)
-        self._order = {name: j for j, name in enumerate(app.service_names)}
 
-    def step(self, workloads: np.ndarray) -> np.ndarray:
+    def step(self, obs: BatchObservation, totals: np.ndarray) -> np.ndarray:
+        workloads = obs.workload_rps
         pending = [
             i
             for i, w in enumerate(workloads)
@@ -291,7 +307,7 @@ class _CellEnvironment:
         self._engine.set_service_level(self._cell, level)
 
 
-class _ManagerBank:
+class _ManagerBank(DecisionBank):
     """Bank of scalar decision-makers (manager, PID, brownout cells).
 
     The dynamic-range manager's decision logic is a per-cell state
@@ -307,25 +323,33 @@ class _ManagerBank:
     manager state included.
     """
 
-    def __init__(self, managers: Sequence[Any], names: tuple[str, ...]) -> None:
+    def __init__(
+        self,
+        managers: Sequence[Any],
+        names: tuple[str, ...],
+        slos: Sequence[float],
+    ) -> None:
         self._managers = list(managers)
         self._names = names
         self.allocation = np.stack(
             [m.allocation.as_array(names) for m in self._managers]
         )
+        self.slo = np.asarray(slos, dtype=np.float64)
         self._trace_cells: set[int] = set()
         self.decision_info: dict[int, list] = {}
 
     def enable_decision_trace(self, cells: Sequence[int]) -> None:
-        """Record each traced cell's manager decision info per step."""
         for cell in cells:
             self._trace_cells.add(int(cell))
             self.decision_info.setdefault(int(cell), [])
 
-    def manager(self, cell: int) -> Any:
-        return self._managers[cell]
+    def decision_trace(self, cell: int) -> list | None:
+        return self.decision_info.get(cell)
 
-    def step(self, obs: BatchObservation) -> np.ndarray:
+    def manager_state(self, cell: int) -> dict | None:
+        return capture_manager_state(self._managers[cell])
+
+    def step(self, obs: BatchObservation, totals: np.ndarray) -> np.ndarray:
         rows = []
         latency = obs.latency_p95.tolist()
         workload = obs.workload_rps.tolist()
@@ -344,6 +368,17 @@ class _ManagerBank:
             if i in self._trace_cells:
                 self.decision_info[i].append(capture_decision_info(manager))
         self.allocation = np.stack(rows)
+        return self.allocation
+
+
+class _FixedBank(DecisionBank):
+    """``static`` cells: the allocation pinned at build time, never changed."""
+
+    def __init__(self, allocation: np.ndarray, slos: Sequence[float]) -> None:
+        self.allocation = allocation
+        self.slo = np.asarray(slos, dtype=np.float64)
+
+    def step(self, obs: BatchObservation, totals: np.ndarray) -> np.ndarray:
         return self.allocation
 
 
@@ -425,82 +460,14 @@ def _run_units_batched(
     # same resolution the scalar engine factory performs.
     engine = BatchedAnalyticalEngine(app, engine_seeds, noise=noise_model)
 
-    if kind == "pema":
-        configs = [
-            PEMAConfig(**s.autoscaler.params) if s.autoscaler.params
-            else PEMAConfig()
-            for s in specs
-        ]
-        bank: PEMABatch | RuleBatch | _OptimumBank | _ManagerBank | None
-        bank = PEMABatch(names, slos, start, configs, seeds)
-        allocation = bank.allocation
-    elif kind in ("workload_aware_pema", "pid", "brownout"):
-        # Build each cell's controller through the registry factory,
-        # exactly as the scalar ``build_unit`` does (param handling,
-        # seeding convention, environment binding), so the bank's
-        # controllers are byte-equal.
-        managers = []
-        for i, s in enumerate(specs):
-            manager = AUTOSCALERS.build(
-                kind,
-                app,
-                Allocation.from_array(names, start[i]),
-                slos[i],
-                seed=seeds[i],
-                **s.autoscaler.params,
-            )
-            bind = getattr(manager, "bind_environment", None)
-            if callable(bind):
-                bind(_CellEnvironment(engine, i))
-            managers.append(manager)
-        bank = _ManagerBank(managers, names)
-        allocation = bank.allocation
-    elif kind == "rule":
-        scalers = [
-            RuleBasedAutoscaler(
-                Allocation.from_array(names, start[i]), **s.autoscaler.params
-            )
-            for i, s in enumerate(specs)
-        ]
-        bank = RuleBatch(start, scalers)
-        allocation = bank.allocation
-    elif kind == "optimum":
-        bank = _OptimumBank(
-            app,
-            [int(s.autoscaler.params.get("restarts", 2)) for s in specs],
-            start,
-        )
-        allocation = bank.allocation
-    else:  # static — the allocation is pinned at build time, never changes
-        bank = None
-        if any(s.autoscaler.params for s in specs):
-            # bottleneck_rps/scale cells pin a model-derived allocation;
-            # run each through the scalar registry factory so the pinned
-            # rows are byte-equal to ``build_unit``'s.
-            allocation = np.stack(
-                [
-                    AUTOSCALERS.build(
-                        kind,
-                        app,
-                        Allocation.from_array(names, start[i]),
-                        slos[i],
-                        seed=seeds[i],
-                        **s.autoscaler.params,
-                    ).allocation.as_array(names)
-                    for i, s in enumerate(specs)
-                ]
-            )
-        else:
-            allocation = start
+    bank = _build_bank(kind, app, specs, start, slos, seeds, engine)
 
     # Decision tracing: cells whose spec requested the channel record one
-    # info dict per step from their bank (PEMA/manager banks; other
-    # autoscaler kinds have no last_decision hook — None, as scalar).
-    trace_cells = [
-        i for i, s in enumerate(specs) if "decision_trace" in s.capture
-    ]
-    if trace_cells and isinstance(bank, (PEMABatch, _ManagerBank)):
-        bank.enable_decision_trace(trace_cells)
+    # info dict per step from their bank (families without decision info
+    # record None, as scalar).
+    bank.enable_decision_trace(
+        [i for i, s in enumerate(specs) if "decision_trace" in s.capture]
+    )
 
     # Hook schedule: (cell, hook-kind, params), in spec order.  Timed
     # setters fire at their step; engine faults consult the shared
@@ -522,13 +489,10 @@ def _run_units_batched(
             elif hook.kind in ("set_slo", "set_cpu_speed"):
                 hook_entries.append((i, hook.kind, dict(hook.params)))
 
-    fixed_slo = np.asarray(slos, dtype=np.float64)
     resp = np.empty((n_steps, n_cells))
     totals = np.empty((n_steps, n_cells))
-    workloads = np.empty((n_steps, n_cells))
     slo_rec = np.empty((n_steps, n_cells))
-    violated = np.empty((n_steps, n_cells), dtype=bool)
-    alloc_hist: list[np.ndarray] = []
+    alloc_hist = np.empty((n_steps, n_cells, len(names)))
 
     # Pre-evaluate every cell's whole rate series in one vectorized
     # ``rate_batch`` call (bit-identical to the per-step scalar calls —
@@ -546,8 +510,8 @@ def _run_units_batched(
     for step in range(n_steps):
         for cell, hook_kind, params in hook_entries:
             if hook_kind == "set_slo":
+                # classify_unit batches set_slo hooks only with PEMA.
                 if step == params["at"]:
-                    assert isinstance(bank, PEMABatch)
                     bank.set_slo(cell, params["slo"])
             elif hook_kind == "set_cpu_speed":
                 if step == params["at"]:
@@ -556,73 +520,47 @@ def _run_units_batched(
                 actions = fault_actions(hook_kind, params, step)
                 if actions:
                     apply_fault_actions(cell_envs[cell], actions)
-        rates = rates_all[step]
-        obs = engine.observe(allocation, rates, intervals)
+        allocation = bank.allocation
+        obs = engine.observe(allocation, rates_all[step], intervals)
         step_totals = allocation.sum(axis=1)
-        # The PEMA bank's SLO is live (set_slo hooks show up in records),
-        # like the scalar loop's live getter; others record the fixed SLO.
-        slo_now = bank.slo.copy() if isinstance(bank, PEMABatch) else fixed_slo
         resp[step] = obs.latency_p95
         totals[step] = step_totals
-        workloads[step] = rates
-        slo_rec[step] = slo_now
-        violated[step] = obs.latency_p95 > slo_now
-        alloc_hist.append(allocation.copy())
-        if isinstance(bank, PEMABatch):
-            allocation = bank.step(obs, step_totals)
-        elif isinstance(bank, RuleBatch):
-            allocation = bank.step(obs.usage_cores, obs.usage_p90_cores)
-        elif isinstance(bank, _OptimumBank):
-            allocation = bank.step(obs.workload_rps)
-        elif isinstance(bank, _ManagerBank):
-            allocation = bank.step(obs)
+        slo_rec[step] = bank.slo
+        alloc_hist[step] = allocation
+        bank.step(obs, step_totals)
+    violated = resp > slo_rec
 
     # Post-final-decide totals: step s's next_total_cpu is step s+1's
     # recorded total; the last step reads the loop-exit allocation (the
     # same row-sum the scalar loop's final ``allocation.total()`` takes).
-    final_totals = allocation.sum(axis=1)
+    final_totals = bank.allocation.sum(axis=1)
 
+    steps = np.arange(n_steps)
     payloads: list[dict[str, Any]] = []
-    for i in range(n_cells):
-        interval = intervals[i]
-        resp_col = resp[:, i].tolist()
-        total_col = totals[:, i].tolist()
-        work_col = workloads[:, i].tolist()
-        slo_col = slo_rec[:, i].tolist()
-        viol_col = violated[:, i].tolist()
-        alloc_rows = [alloc_hist[step][i].tolist() for step in range(n_steps)]
-        payload: dict[str, Any] = {
-            "records": [
-                {
-                    "step": step,
-                    "time": float(step * interval),
-                    "workload": work_col[step],
-                    "response": resp_col[step],
-                    "total_cpu": total_col[step],
-                    "violated": viol_col[step],
-                    "slo": slo_col[step],
-                    "allocation": [
-                        list(pair)
-                        for pair in zip(names, alloc_rows[step])
-                    ],
-                }
-                for step in range(n_steps)
-            ]
-        }
-        # The manager-state artifact channel, mirroring the scalar
-        # worker: key present exactly when the spec requested it.
-        if "manager_state" in specs[i].capture:
-            payload["manager_state"] = (
-                capture_manager_state(bank.manager(i))
-                if isinstance(bank, _ManagerBank)
-                else None
-            )
-        if "decision_trace" in specs[i].capture:
-            infos = (
-                bank.decision_info.get(i)
-                if isinstance(bank, (PEMABatch, _ManagerBank))
-                else None
-            )
+    for i, spec in enumerate(specs):
+        history = LoopResult(
+            names,
+            step=steps,
+            time=steps * intervals[i],
+            workload=rates_all[:, i],
+            response=resp[:, i],
+            total_cpu=totals[:, i],
+            violated=violated[:, i],
+            slo=slo_rec[:, i],
+            allocations=alloc_hist[:, i],
+        )
+        payload = loop_result_to_dict(history)
+        # The capture channels, mirroring the scalar worker: each key is
+        # present exactly when the spec requested it.
+        if "manager_state" in spec.capture:
+            payload["manager_state"] = bank.manager_state(i)
+        if "decision_trace" in spec.capture:
+            infos = bank.decision_trace(i)
+            work_col = history.workloads.tolist()
+            resp_col = history.responses.tolist()
+            slo_col = history.slos.tolist()
+            viol_col = history.violated.tolist()
+            total_col = history.total_cpu.tolist()
             # Inline ``decision_record`` dict shape: the columns are
             # already plain Python floats/bools (``.tolist()`` above), so
             # the per-record coercion layer would only cost time here —
@@ -643,6 +581,65 @@ def _run_units_batched(
             ]
         payloads.append(payload)
     return payloads
+
+
+def _build_bank(
+    kind: str,
+    app,
+    specs: Sequence[ExperimentSpec],
+    start: np.ndarray,
+    slos: Sequence[float],
+    seeds: Sequence[int],
+    engine: BatchedAnalyticalEngine,
+) -> DecisionBank:
+    """The ``kind`` family's bank over one batch group's cells."""
+    names = app.service_names
+    if kind == "pema":
+        configs = [
+            PEMAConfig(**s.autoscaler.params) if s.autoscaler.params
+            else PEMAConfig()
+            for s in specs
+        ]
+        return PEMABatch(names, slos, start, configs, seeds)
+    if kind == "rule":
+        scalers = [
+            RuleBasedAutoscaler(
+                Allocation.from_array(names, start[i]), **s.autoscaler.params
+            )
+            for i, s in enumerate(specs)
+        ]
+        return RuleBatch(start, scalers, slos)
+    if kind == "optimum":
+        return _OptimumBank(
+            app,
+            [int(s.autoscaler.params.get("restarts", 2)) for s in specs],
+            start,
+            slos,
+        )
+    # Build each cell's controller through the registry factory, exactly
+    # as the scalar ``build_unit`` does (param handling, seeding
+    # convention, environment binding), so the bank's controllers are
+    # byte-equal: the manager, PID and brownout cells, and static cells
+    # (whose bottleneck_rps/scale params pin a model-derived allocation).
+    controllers = []
+    for i, s in enumerate(specs):
+        controller = AUTOSCALERS.build(
+            kind,
+            app,
+            Allocation.from_array(names, start[i]),
+            slos[i],
+            seed=seeds[i],
+            **s.autoscaler.params,
+        )
+        bind = getattr(controller, "bind_environment", None)
+        if callable(bind):
+            bind(_CellEnvironment(engine, i))
+        controllers.append(controller)
+    if kind == "static":
+        return _FixedBank(
+            np.stack([c.allocation.as_array(names) for c in controllers]), slos
+        )
+    return _ManagerBank(controllers, names, slos)
 
 
 def _run_batch_worker(units_data: Sequence[Sequence[Any]]) -> list[dict]:

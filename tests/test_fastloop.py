@@ -10,7 +10,6 @@ from repro.core import (
     PEMAController,
 )
 from repro.core.fastloop import _aggregate
-from repro.metrics import MetricsCollector
 from repro.sim import AnalyticalEngine, NoiseModel
 from repro.sim.types import IntervalMetrics, ServiceMetrics
 from repro.workload import ConstantWorkload
@@ -112,12 +111,6 @@ class TestFastReactionLoop:
         plain_exposure = plain_result.violation_rate()
         # The fast loop measures exposure at sub-interval resolution.
         assert fast_result.violation_exposure() <= plain_exposure + 0.05
-
-    def test_collector_receives_aggregates(self, tiny_app):
-        loop = make_fast_loop(tiny_app)
-        loop.collector = MetricsCollector()
-        loop.run(5)
-        assert len(loop.collector.store.series("latency_p95")) == 5
 
     def test_validation(self, tiny_app):
         with pytest.raises(ValueError):

@@ -3,7 +3,10 @@
 import pytest
 
 from repro.apps import build_app
-from repro.cluster import HorizontalRuleAutoscaler, ReplicaAllocator
+from repro.baselines.horizontal import (
+    HorizontalRuleAutoscaler,
+    ReplicaAllocator,
+)
 from repro.core import ControlLoop
 from repro.sim import AnalyticalEngine
 from repro.workload import ConstantWorkload

@@ -1,5 +1,10 @@
 """Cross-module integration: the paper's headline behaviours end to end."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -207,3 +212,23 @@ class TestDESIntegration:
         ).latency_p95
         assert ana_gap > 0
         assert des_gap > 0
+
+
+SRC = Path(__file__).parents[1] / "src"
+
+
+def test_import_loads_no_removed_side_channels():
+    # A fresh interpreter: this test process may have imported anything.
+    code = (
+        "import sys, repro; "
+        "print(sorted(m for m in ('networkx', 'repro.cluster', "
+        "'repro.metrics.collector') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert out.stdout.strip() == "[]"

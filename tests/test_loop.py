@@ -7,10 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines import StaticAllocator
-from repro.cluster import Cluster
 from repro.core import ControlLoop, PEMAConfig, PEMAController
 from repro.core.loop import LoopHistory, LoopRecord, LoopResult
-from repro.metrics import MetricsCollector
 from repro.metrics.export import (
     loop_record_to_dict,
     loop_result_from_dict,
@@ -107,20 +105,6 @@ class TestViolations:
 
 
 class TestIntegrationPieces:
-    def test_collector_populated(self, tiny_app):
-        collector = MetricsCollector()
-        loop = make_loop(tiny_app, collector=collector)
-        loop.run(5)
-        assert len(collector.store.series("latency_p95")) == 5
-        assert len(collector.store.series("cpu_allocation", service="front")) == 5
-
-    def test_cluster_applied(self, tiny_app):
-        cluster = Cluster()
-        loop = make_loop(tiny_app, cluster=cluster)
-        loop.run(5)
-        assert cluster.resize_count == 5
-        assert cluster.allocation().total() > 0
-
     def test_hook_sees_loop(self, tiny_app):
         seen = []
         loop = make_loop(tiny_app)

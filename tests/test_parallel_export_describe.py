@@ -10,11 +10,7 @@ from repro.apps import build_app, describe_app, describe_plan
 from repro.bench import parallel_pema_totals, run_parallel
 from repro.baselines import StaticAllocator
 from repro.core import ControlLoop
-from repro.metrics import (
-    MetricsCollector,
-    loop_result_to_csv,
-    store_to_csv,
-)
+from repro.metrics import loop_result_to_csv
 from repro.sim import AnalyticalEngine
 from repro.workload import ConstantWorkload
 
@@ -57,12 +53,11 @@ class TestRunParallel:
 
 
 class TestExport:
-    def _run(self, tiny_app, collector=None):
+    def _run(self, tiny_app):
         engine = AnalyticalEngine(tiny_app, seed=1)
         static = StaticAllocator(tiny_app.generous_allocation(100.0))
         loop = ControlLoop(
-            engine, static, ConstantWorkload(100.0), slo=tiny_app.slo,
-            collector=collector,
+            engine, static, ConstantWorkload(100.0), slo=tiny_app.slo
         )
         return loop.run(5)
 
@@ -82,21 +77,6 @@ class TestExport:
 
         with pytest.raises(ValueError):
             loop_result_to_csv(LoopResult(), tmp_path / "x.csv")
-
-    def test_store_csv(self, tiny_app, tmp_path):
-        collector = MetricsCollector()
-        self._run(tiny_app, collector=collector)
-        path = tmp_path / "metrics.csv"
-        rows = store_to_csv(collector.store, path)
-        assert rows > 0
-        with path.open() as fh:
-            parsed = list(csv.reader(fh))
-        assert parsed[0] == ["metric", "labels", "time", "value"]
-        metrics = {row[0] for row in parsed[1:]}
-        assert "latency_p95" in metrics
-        assert "cpu_utilization" in metrics
-        labelled = [r for r in parsed[1:] if r[1]]
-        assert any("service=" in r[1] for r in labelled)
 
 
 class TestDescribe:

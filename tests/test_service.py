@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
+from repro.experiments.registry import AUTOSCALERS
 from repro.experiments.runner import _run_unit_worker
 from repro.experiments.spec import ExperimentSpec
 from repro.service import (
@@ -34,6 +35,7 @@ from repro.service import (
     service_state_key,
 )
 from repro.sweeps import SweepStore, canonical_key
+from repro.sweeps.batched import classify_unit, run_units_batched
 
 
 def make_spec(**overrides) -> ExperimentSpec:
@@ -141,6 +143,46 @@ class TestStreamedOfflineParity:
         assert dumps(asyncio.run(run())) == dumps(offline)
 
 
+#: Params for registered autoscalers that cannot be built from defaults
+#: alone; any other kind runs with none, so a new registration needing
+#: params fails the parity test below until it is listed here.
+_REQUIRED_PARAMS = {
+    "workload_aware_pema": {
+        "workload_low": 150.0,
+        "workload_high": 650.0,
+        "min_range_width": 62.5,
+        "split_after": 3,
+    },
+}
+
+
+class TestRegistryParity:
+    """Every registered autoscaler, through every executor, same bytes."""
+
+    @pytest.mark.parametrize("kind", AUTOSCALERS.names())
+    def test_offline_streamed_and_batched_agree(self, kind):
+        spec = make_spec(
+            workload={"kind": "constant", "params": {"rps": 400.0}},
+            n_steps=6,
+            seed=3,
+            autoscaler={
+                "kind": kind, "params": _REQUIRED_PARAMS.get(kind, {}),
+            },
+            hooks=(
+                {"kind": "set_cpu_speed", "params": {"at": 3, "speed": 0.8}},
+            ),
+            capture=["manager_state", "decision_trace"],
+        )
+        streamed, offline = stream_offline_pair(spec)
+        assert dumps(streamed) == dumps(offline)
+        key, reason = classify_unit(spec)
+        if key is None:
+            assert reason and reason.strip() == reason
+        else:
+            assert reason is None
+            assert dumps(run_units_batched([(spec, 0)])[0]) == dumps(offline)
+
+
 class TestGuardian:
     def test_out_of_order_tick_is_an_error(self):
         guardian = Guardian("a", make_spec())
@@ -167,6 +209,18 @@ class TestGuardian:
         assert status["steps_done"] == 1
         assert status["queue_depth"] == 0
         assert status["rescale"]["applies"] == 1
+
+    @pytest.mark.parametrize("rps", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_load_is_rejected(self, rps):
+        guardian = Guardian("a", make_spec())
+        guardian.tick(MetricSample(app="a", rps=200.0))
+        before = dumps(guardian.result_payload())
+        with pytest.raises(ServiceError, match="finite"):
+            guardian.tick(MetricSample(app="a", rps=rps))
+        assert guardian.steps_done == 1
+        assert dumps(guardian.result_payload()) == before
+        with pytest.raises(ValueError, match="finite"):
+            ConstantDriver(rps)
 
 
 class TestBackpressure:

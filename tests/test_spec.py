@@ -1,6 +1,5 @@
 """AppSpec / ServiceSpec / Stage / RequestClass validation and helpers."""
 
-import networkx as nx
 import pytest
 
 from repro.apps.spec import AppSpec, RequestClass, ServiceSpec, Stage
@@ -120,11 +119,6 @@ class TestAppSpec:
         assert rates["db"] == pytest.approx(0.7 * 1 + 0.3 * 2)
         # cache: 0.8 visits in read only
         assert rates["cache"] == pytest.approx(0.7 * 0.8)
-
-    def test_graph_covers_services(self, tiny_app):
-        g = tiny_app.graph()
-        assert isinstance(g, nx.DiGraph)
-        assert set(tiny_app.service_names) <= set(g.nodes)
 
     def test_uniform_allocation(self, tiny_app):
         a = tiny_app.uniform_allocation(0.5)
