@@ -19,12 +19,15 @@ window) to avoid flapping.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.sim.batched import BatchObservation, DecisionBank
 from repro.sim.types import Allocation, IntervalMetrics
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.apps.spec import AppSpec
 
 __all__ = ["RuleBasedAutoscaler", "RuleBatch"]
 
@@ -98,18 +101,11 @@ class RuleBatch(DecisionBank):
 
     def __init__(
         self,
-        allocations: np.ndarray,
-        scalers: "list[RuleBasedAutoscaler]",
+        app: "AppSpec",
+        scalers: "Sequence[RuleBasedAutoscaler]",
         slos: Sequence[float],
     ) -> None:
-        self.allocation = np.array(allocations, dtype=np.float64)
-        if self.allocation.ndim != 2 or not (
-            len(scalers) == len(slos) == self.allocation.shape[0]
-        ):
-            raise ValueError(
-                "allocations must be (B, S) with one scaler and SLO per row"
-            )
-        self.slo = np.asarray(slos, dtype=np.float64)
+        super().__init__(app, scalers, slos)
         # The scalar constructor already validated every parameter.
         self._vpa = np.asarray([s.mode == "vpa" for s in scalers])
         self._target = np.asarray([s.target_utilization for s in scalers])

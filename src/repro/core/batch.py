@@ -27,14 +27,17 @@ histories long enough to hit the RHDb's 100k-record trim.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.core.config import PEMAConfig
 from repro.core.reduction import _window_mean
 from repro.core.selection import select_targets
 from repro.sim.batched import BatchObservation, DecisionBank
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.apps.spec import AppSpec
+    from repro.core.controller import PEMAController
 
 __all__ = ["PEMABatch"]
 
@@ -45,34 +48,22 @@ _SEL_EPS = 1e-9
 class PEMABatch(DecisionBank):
     """A bank of ``B`` PEMA controllers over one shared service set.
 
-    ``slo`` is live: :meth:`set_slo` changes the row the records carry.
+    Each cell takes its config and its (still unused) random stream from
+    its scalar :class:`~repro.core.controller.PEMAController`.  ``slo``
+    is live: :meth:`set_slo` changes the row the records carry.
     """
 
     def __init__(
         self,
-        services: Sequence[str],
+        app: "AppSpec",
+        controllers: "Sequence[PEMAController]",
         slos: Sequence[float],
-        allocations: np.ndarray,
-        configs: Sequence[PEMAConfig],
-        seeds: Sequence[int],
     ) -> None:
-        self.services = tuple(services)
+        super().__init__(app, controllers, slos)
         self._index = {name: j for j, name in enumerate(self.services)}
-        n_cells = len(configs)
-        allocations = np.array(allocations, dtype=np.float64)
-        if allocations.shape != (n_cells, len(self.services)):
-            raise ValueError(
-                f"allocations must be ({n_cells}, {len(self.services)}): "
-                f"{allocations.shape}"
-            )
-        if not (len(slos) == len(seeds) == n_cells):
-            raise ValueError("slos/configs/seeds lengths must agree")
-        self.slo = np.asarray([float(s) for s in slos], dtype=np.float64)
-        if np.any(self.slo <= 0):
-            raise ValueError("slo must be positive")
-        self.allocation = allocations
-        self.configs = tuple(configs)
-        self.rngs = [np.random.default_rng(int(s)) for s in seeds]
+        n_cells = len(controllers)
+        self.configs = tuple(c.config for c in controllers)
+        self.rngs = [c.rng for c in controllers]
 
         cfg = self.configs
         # Arrays feed the whole-batch math; per-cell knobs stay plain
@@ -89,7 +80,7 @@ class PEMABatch(DecisionBank):
         self._window_len = [c.moving_average_window for c in cfg]
         self._use_filter = [c.use_bottleneck_filter for c in cfg]
 
-        shape = allocations.shape
+        shape = self.allocation.shape
         self.util_th = np.empty(shape)
         self.util_th[:] = np.asarray([c.init_util_threshold for c in cfg])[:, None]
         self.thr_th = np.empty(shape)

@@ -15,9 +15,9 @@ service's effective capacity for a window, ``calibration_drift``
 compounds a per-step error onto the calibrated CPU demands,
 ``correlated_surge`` shifts several services' demands at once.  They ship
 as ordinary ``HOOKS`` entries; :func:`fault_actions` is the *single*
-schedule implementation both the scalar hook closures and the batched
-sweep runner consume, so the floats they set are identical by
-construction.
+schedule implementation behind their hook closures, which the scalar
+loop and the batched sweep runner (per cell) both fire, so the floats
+they set are identical by construction.
 
 **Workload faults** reshape the offered load: ``flash_crowd`` wraps any
 base trace in a multiplicative spike with a linear ramp, hold, and decay
@@ -208,9 +208,10 @@ def fault_actions(
 ) -> list[FaultAction]:
     """The engine-channel assignments fault ``kind`` makes at ``step``.
 
-    This is the *single* schedule implementation: the scalar hook
-    closures and the batched sweep runner both call it, so the float each
-    path writes into its engine is the same IEEE value by construction.
+    This is the *single* schedule implementation: every executor fires
+    the hook closures that call it (the batched sweep runner once per
+    cell), so the float each path writes into its engine is the same
+    IEEE value by construction.
     ``params`` must be :func:`normalize_fault_params` output.
     """
     if kind == "service_crash":

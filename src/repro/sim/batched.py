@@ -23,7 +23,7 @@ to what a scalar engine seeded like cell ``i`` would observe —
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
@@ -63,15 +63,24 @@ class DecisionBank:
 
     The surface the batched sweep runner
     (:func:`repro.sweeps.batched.run_units_batched`) drives every family
-    through.  Subclasses set ``allocation`` — the ``(C, S)`` allocations
-    serving the next interval — and ``slo`` — the ``(C,)`` SLO row this
-    interval's records carry — and implement :meth:`step`.  The trace and
-    state defaults fit families whose scalar autoscaler exposes neither:
-    their capture channels record None, exactly as scalar runs do.
+    through.  A bank is built from its cells' registry-built scalar
+    controllers: this constructor stacks their start allocations into
+    ``allocation`` — the ``(C, S)`` allocations serving the next
+    interval — and the cells' SLOs into ``slo`` — the ``(C,)`` row this
+    interval's records carry.  Subclasses read their parameters from the
+    same controllers and implement :meth:`step`.  The trace and state
+    defaults fit families whose scalar autoscaler exposes neither: their
+    capture channels record None, exactly as scalar runs do.
     """
 
-    allocation: np.ndarray
-    slo: np.ndarray
+    def __init__(
+        self, app: "AppSpec", controllers: Sequence[Any], slos: Sequence[float]
+    ) -> None:
+        self.services = app.service_names
+        self.allocation = np.stack(
+            [c.allocation.as_array(self.services) for c in controllers]
+        )
+        self.slo = np.asarray(slos, dtype=np.float64)
 
     def step(self, obs: BatchObservation, totals: np.ndarray) -> np.ndarray:
         """Decide every cell's next allocation; returns ``allocation``.

@@ -7,11 +7,13 @@ to :func:`run_units_batched`, which advances the whole group through the
 control loop as one stack of arrays: one
 :class:`~repro.sim.batched.BatchedAnalyticalEngine` observation and one
 :class:`~repro.sim.batched.DecisionBank` step per interval, instead of
-one full scalar Python loop per cell.  Every autoscaler family reaches
-the step loop through that one bank surface:
-:class:`~repro.core.batch.PEMABatch`,
+one full scalar Python loop per cell.  The registries stay the one
+definition of every controller and hook: each family's bank
+(:class:`~repro.core.batch.PEMABatch`,
 :class:`~repro.baselines.rule.RuleBatch`, and the optimum, manager and
-fixed-allocation banks below.
+fixed-allocation banks below) is built from the cells' ``AUTOSCALERS``
+controllers, and each cell's hooks are the registered ``HOOKS``
+callables, fired against a per-cell view of the batched engine and bank.
 
 Byte-identity: every per-cell float operation and random draw is
 replicated in the scalar order (see the bit-exactness notes in
@@ -21,10 +23,9 @@ dicts returned here are exactly what
 the same JSON bytes land in the sweep store either way.
 
 Cells that :func:`batch_key` cannot place in a group (DES engine,
-non-noise engine params, unknown autoscalers/hooks, invalid component
-params) run
-through the scalar worker unchanged — a fallback, never an error.  Each
-fallback carries a machine-readable reason slug
+non-noise engine params, unknown autoscalers/hooks, params the registry
+factory rejects) run through the scalar worker unchanged — a fallback,
+never an error.  Each fallback carries a machine-readable reason slug
 (:func:`batch_fallback_reason`), which the scheduler tallies into
 ``SweepReport.fallbacks`` so batch coverage is visible instead of
 silently degrading.
@@ -32,27 +33,19 @@ silently degrading.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, Hashable, Sequence
 
 import numpy as np
 
 from repro.apps import build_app
-from repro.baselines.brownout import BrownoutController
-from repro.baselines.pid import PIDController
-from repro.baselines.rule import RuleBasedAutoscaler, RuleBatch
+from repro.baselines.rule import RuleBatch
 from repro.core.batch import PEMABatch
-from repro.core.config import PEMAConfig
 from repro.core.loop import LoopResult
 from repro.experiments.registry import AUTOSCALERS, HOOKS, WORKLOADS
-from repro.experiments.runner import capture_manager_state
+from repro.experiments.runner import capture_manager_state, hooks_on_step
 from repro.experiments.spec import ExperimentSpec
-from repro.faults import (
-    ENGINE_FAULT_KINDS,
-    STREAM_FAULT_KINDS,
-    apply_fault_actions,
-    fault_actions,
-    normalize_fault_params,
-)
+from repro.faults import ENGINE_FAULT_KINDS, STREAM_FAULT_KINDS
 from repro.metrics.export import loop_result_to_dict
 from repro.obs.decision import capture_decision_info
 from repro.sim.batched import (
@@ -85,20 +78,13 @@ def batch_from_env(default: bool = False) -> bool:
         return default
     return value.strip().lower() in ("1", "true", "yes", "on")
 
-#: Autoscaler kinds a batch group can hold.  ``pema``/``rule`` decide
-#: through fully vectorized banks; ``optimum``, ``workload_aware_pema``,
-#: ``pid``, and ``brownout`` ride the vectorized engine with bank-driven
-#: scalar decisions (the expensive closed-form observation is still one
-#: call per batch).
-BATCHABLE_AUTOSCALERS = (
-    "pema", "rule", "static", "optimum", "workload_aware_pema",
-    "pid", "brownout",
-)
 
-#: Hook kinds the batched loop can dispatch.  ``set_slo`` only drives a
-#: PEMA bank (other autoscalers have no ``set_slo``, exactly as scalar);
-#: engine faults go through the shared :func:`repro.faults.fault_actions`
-#: schedule; stream faults are delivery disturbances, offline no-ops.
+#: Hook kinds whose registered callables touch only what a batch cell's
+#: :class:`_CellLoop` view provides: the engine's setters (CPU speed,
+#: the engine-fault capacity/demand scales) and ``autoscaler.set_slo``,
+#: which only a PEMA bank carries (other autoscalers have no
+#: ``set_slo``, exactly as scalar).  Stream faults are delivery
+#: disturbances, offline no-ops.
 _BATCHABLE_HOOKS = (
     ("set_slo", "set_cpu_speed") + ENGINE_FAULT_KINDS + STREAM_FAULT_KINDS
 )
@@ -124,10 +110,32 @@ def classify_unit(
     prints them, so nobody mistakes a mostly-scalar "batched" sweep for
     a vectorized one.
 
-    Component params are probed against their scalar constructors so a
-    spec the scalar path would reject at build time falls back to the
-    scalar path and fails there, with the same error.
+    Hook and autoscaler params are probed through their registry
+    factories — the calls the scalar path makes — so a spec the scalar
+    path would reject at build time falls back to the scalar path and
+    fails there, with the same error.
     """
+    key, reason = _group_key(spec)
+    if key is None:
+        return None, reason
+    app, probe = _probe_start(spec.app)
+    try:
+        AUTOSCALERS.build(
+            spec.autoscaler.kind,
+            app,
+            probe,
+            spec.slo if spec.slo is not None else app.slo,
+            **spec.autoscaler.params,
+        )
+    except (TypeError, ValueError):
+        return None, f"autoscaler_params:{spec.autoscaler.kind}"
+    return key, None
+
+
+def _group_key(
+    spec: ExperimentSpec,
+) -> tuple[tuple[Hashable, ...] | None, str | None]:
+    """:func:`classify_unit` short of its autoscaler-params probe."""
     if spec.engine.kind != "analytical":
         return None, f"engine:{spec.engine.kind}"
     noise_model: NoiseModel | None = None
@@ -159,67 +167,26 @@ def classify_unit(
             HOOKS.build(hook.kind, **hook.params)
         except (TypeError, ValueError, KeyError):
             return None, f"hook_params:{hook.kind}"
-    bad_params = (None, f"autoscaler_params:{kind}")
-    try:
-        if kind == "pema":
-            PEMAConfig(**spec.autoscaler.params)
-        elif kind == "rule":
-            RuleBasedAutoscaler(
-                Allocation({"probe": 1.0}), **spec.autoscaler.params
-            )
-        elif kind == "pid":
-            PIDController(
-                Allocation({"probe": 1.0}), 1.0, **spec.autoscaler.params
-            )
-        elif kind == "brownout":
-            BrownoutController(
-                Allocation({"probe": 1.0}), 1.0, **spec.autoscaler.params
-            )
-        elif kind == "optimum":
-            params = dict(spec.autoscaler.params)
-            restarts = params.pop("restarts", 2)
-            if params or not isinstance(restarts, int) or restarts < 1:
-                return bad_params
-        elif kind == "workload_aware_pema":
-            from repro.core import WorkloadAwarePEMA
-
-            params = dict(spec.autoscaler.params)
-            start_rps = params.pop("start_rps", None)
-            if start_rps is not None:
-                float(start_rps)
-            config = params.pop("config", None)
-            if config is not None:
-                config = PEMAConfig(**config)
-            WorkloadAwarePEMA(
-                ("probe",),
-                1.0,
-                Allocation({"probe": 1.0}),
-                config=config,
-                seed=0,
-                **params,
-            )
-        elif spec.autoscaler.params:  # static: bottleneck_rps [+ scale]
-            params = dict(spec.autoscaler.params)
-            bottleneck_rps = params.pop("bottleneck_rps", None)
-            scale = params.pop("scale", 1.0)
-            if params:  # unknown key → scalar factory raises TypeError
-                return bad_params
-            if bottleneck_rps is None:
-                if scale != 1.0:  # "'scale' needs 'bottleneck_rps'"
-                    return bad_params
-            else:
-                float(bottleneck_rps)
-                float(scale)
-    except (TypeError, ValueError):
-        return bad_params
     return (spec.app, kind, spec.n_steps, noise_model), None
+
+
+@lru_cache(maxsize=None)  # one entry per registered app
+def _probe_start(app_name: str) -> tuple[Any, Allocation]:
+    """The (frozen) app and a start allocation to probe factories with.
+
+    Cached: building the app costs more than the probe itself, and the
+    probe runs once per sweep unit.
+    """
+    app = build_app(app_name)
+    names = app.service_names
+    return app, Allocation.from_array(names, np.ones(len(names)))
 
 
 def batch_key(spec: ExperimentSpec) -> tuple[Hashable, ...] | None:
     """The compatibility-group key of ``spec``, or None if un-batchable.
 
-    The key/reason split lives in :func:`classify_unit`; this is the
-    key-only view the batch runner and older call sites use.
+    The key/reason split lives in :func:`classify_unit`; this is its
+    key-only view.
     """
     return classify_unit(spec)[0]
 
@@ -241,17 +208,10 @@ class _OptimumBank(DecisionBank):
     allocator would.
     """
 
-    def __init__(
-        self,
-        app,
-        restarts: Sequence[int],
-        start: np.ndarray,
-        slos: Sequence[float],
-    ) -> None:
+    def __init__(self, app, controllers: Sequence[Any], slos) -> None:
+        super().__init__(app, controllers, slos)
         self._app = app
-        self._restarts = list(restarts)
-        self.allocation = start.copy()
-        self.slo = np.asarray(slos, dtype=np.float64)
+        self._restarts = [c.restarts for c in controllers]
         self._workloads: list[float | None] = [None] * len(self._restarts)
 
     def step(self, obs: BatchObservation, totals: np.ndarray) -> np.ndarray:
@@ -271,9 +231,7 @@ class _OptimumBank(DecisionBank):
             allocation = self.allocation.copy()
             for i, payload in zip(pending, payloads):
                 values = dict(payload["allocation"])
-                allocation[i] = [
-                    values[name] for name in self._app.service_names
-                ]
+                allocation[i] = [values[name] for name in self.services]
                 self._workloads[i] = float(workloads[i])
             self.allocation = allocation
         return self.allocation
@@ -283,15 +241,18 @@ class _CellEnvironment:
     """One batch row presented through the scalar engine's channel API.
 
     Exposes the scalar :class:`~repro.sim.engine.AnalyticalEngine` setter
-    signatures for a single cell of a batched engine, so the shared fault
-    schedule (:func:`repro.faults.apply_fault_actions`) and actuating
-    controllers (brownout's service-level dimmer) drive the batched
-    engine through exactly the calls they make against a scalar one.
+    signatures for a single cell of a batched engine, so registered hooks
+    (CPU speed, the engine-fault schedule) and actuating controllers
+    (brownout's service-level dimmer) drive the batched engine through
+    exactly the calls they make against a scalar one.
     """
 
     def __init__(self, engine: BatchedAnalyticalEngine, cell: int) -> None:
         self._engine = engine
         self._cell = cell
+
+    def set_cpu_speed(self, speed: float) -> None:
+        self._engine.set_cpu_speed(self._cell, speed)
 
     def set_capacity_scale(
         self, scale: float, service: str | None = None
@@ -305,6 +266,24 @@ class _CellEnvironment:
 
     def set_service_level(self, level: float) -> None:
         self._engine.set_service_level(self._cell, level)
+
+
+class _CellLoop:
+    """One batch cell as the ``ControlLoop`` a registered hook expects:
+    ``environment`` is the cell's engine row, ``autoscaler.set_slo`` its
+    bank row."""
+
+    def __init__(
+        self, engine: BatchedAnalyticalEngine, bank: DecisionBank, cell: int
+    ) -> None:
+        self.environment = _CellEnvironment(engine, cell)
+        self.autoscaler = self
+        self._bank = bank
+        self._cell = cell
+
+    def set_slo(self, slo: float) -> None:
+        # classify_unit batches set_slo hooks only with PEMA banks.
+        self._bank.set_slo(self._cell, slo)
 
 
 class _ManagerBank(DecisionBank):
@@ -323,18 +302,9 @@ class _ManagerBank(DecisionBank):
     manager state included.
     """
 
-    def __init__(
-        self,
-        managers: Sequence[Any],
-        names: tuple[str, ...],
-        slos: Sequence[float],
-    ) -> None:
+    def __init__(self, app, managers: Sequence[Any], slos) -> None:
+        super().__init__(app, managers, slos)
         self._managers = list(managers)
-        self._names = names
-        self.allocation = np.stack(
-            [m.allocation.as_array(names) for m in self._managers]
-        )
-        self.slo = np.asarray(slos, dtype=np.float64)
         self._trace_cells: set[int] = set()
         self.decision_info: dict[int, list] = {}
 
@@ -355,7 +325,7 @@ class _ManagerBank(DecisionBank):
         workload = obs.workload_rps.tolist()
         for i, manager in enumerate(self._managers):
             metrics = IntervalMetrics.from_arrays(
-                self._names,
+                self.services,
                 latency[i],
                 workload[i],
                 obs.utilization[i],
@@ -364,7 +334,7 @@ class _ManagerBank(DecisionBank):
                 obs.usage_p90_cores[i],
                 latency_mean=latency[i] / 1.6,
             )
-            rows.append(manager.decide(metrics).as_array(self._names))
+            rows.append(manager.decide(metrics).as_array(self.services))
             if i in self._trace_cells:
                 self.decision_info[i].append(capture_decision_info(manager))
         self.allocation = np.stack(rows)
@@ -374,12 +344,28 @@ class _ManagerBank(DecisionBank):
 class _FixedBank(DecisionBank):
     """``static`` cells: the allocation pinned at build time, never changed."""
 
-    def __init__(self, allocation: np.ndarray, slos: Sequence[float]) -> None:
-        self.allocation = allocation
-        self.slo = np.asarray(slos, dtype=np.float64)
-
     def step(self, obs: BatchObservation, totals: np.ndarray) -> np.ndarray:
         return self.allocation
+
+
+#: The bank each batchable autoscaler family runs in, built from the
+#: group's registry-built controllers as ``bank(app, controllers, slos)``.
+#: ``pema``/``rule`` decide through fully vectorized banks; ``optimum``,
+#: ``workload_aware_pema``, ``pid``, and ``brownout`` ride the vectorized
+#: engine with bank-driven scalar decisions (the expensive closed-form
+#: observation is still one call per batch).
+_BANKS: dict[str, type[DecisionBank]] = {
+    "pema": PEMABatch,
+    "rule": RuleBatch,
+    "static": _FixedBank,
+    "optimum": _OptimumBank,
+    "workload_aware_pema": _ManagerBank,
+    "pid": _ManagerBank,
+    "brownout": _ManagerBank,
+}
+
+#: Autoscaler kinds a batch group can hold: the bank table's keys.
+BATCHABLE_AUTOSCALERS = tuple(_BANKS)
 
 
 def _generous_batch(app, rates: np.ndarray, headrooms: np.ndarray) -> np.ndarray:
@@ -426,8 +412,10 @@ def _run_units_batched(
     if not units:
         return []
     specs = [spec for spec, _ in units]
-    key = batch_key(specs[0])
-    if key is None or any(batch_key(s) != key for s in specs[1:]):
+    # No params probe here: _build_bank builds every cell's controller
+    # through the registry factory, which raises the scalar path's error.
+    key = _group_key(specs[0])[0]
+    if key is None or any(_group_key(s)[0] != key for s in specs[1:]):
         raise ValueError("units do not form one compatible batch group")
     app_name, kind, n_steps, noise_model = key
     app = build_app(app_name)
@@ -469,25 +457,13 @@ def _run_units_batched(
         [i for i, s in enumerate(specs) if "decision_trace" in s.capture]
     )
 
-    # Hook schedule: (cell, hook-kind, params), in spec order.  Timed
-    # setters fire at their step; engine faults consult the shared
-    # :func:`repro.faults.fault_actions` schedule every step and apply it
-    # through the cell's scalar-API facade; stream faults are delivery
-    # disturbances — offline no-ops, exactly as their scalar hooks.
-    cell_envs = [_CellEnvironment(engine, i) for i in range(n_cells)]
-    hook_entries = []
-    for i, spec in enumerate(specs):
-        for hook in spec.hooks:
-            if hook.kind in ENGINE_FAULT_KINDS:
-                hook_entries.append(
-                    (
-                        i,
-                        hook.kind,
-                        normalize_fault_params(hook.kind, dict(hook.params)),
-                    )
-                )
-            elif hook.kind in ("set_slo", "set_cpu_speed"):
-                hook_entries.append((i, hook.kind, dict(hook.params)))
+    # Each cell's registered hook callables, dispatched as the scalar
+    # loop dispatches them.
+    hooked = [
+        (fire, _CellLoop(engine, bank, i))
+        for i, spec in enumerate(specs)
+        if (fire := hooks_on_step(spec)) is not None
+    ]
 
     resp = np.empty((n_steps, n_cells))
     totals = np.empty((n_steps, n_cells))
@@ -508,18 +484,8 @@ def _run_units_batched(
     )
 
     for step in range(n_steps):
-        for cell, hook_kind, params in hook_entries:
-            if hook_kind == "set_slo":
-                # classify_unit batches set_slo hooks only with PEMA.
-                if step == params["at"]:
-                    bank.set_slo(cell, params["slo"])
-            elif hook_kind == "set_cpu_speed":
-                if step == params["at"]:
-                    engine.set_cpu_speed(cell, params["speed"])
-            else:
-                actions = fault_actions(hook_kind, params, step)
-                if actions:
-                    apply_fault_actions(cell_envs[cell], actions)
+        for fire, view in hooked:
+            fire(step, view)
         allocation = bank.allocation
         obs = engine.observe(allocation, rates_all[step], intervals)
         step_totals = allocation.sum(axis=1)
@@ -592,35 +558,13 @@ def _build_bank(
     seeds: Sequence[int],
     engine: BatchedAnalyticalEngine,
 ) -> DecisionBank:
-    """The ``kind`` family's bank over one batch group's cells."""
+    """The ``kind`` family's bank over one batch group's cells.
+
+    Each cell's controller is built exactly as the scalar ``build_unit``
+    builds it (registry factory, seeding, environment binding), and the
+    bank reads its parameters and start allocation from them.
+    """
     names = app.service_names
-    if kind == "pema":
-        configs = [
-            PEMAConfig(**s.autoscaler.params) if s.autoscaler.params
-            else PEMAConfig()
-            for s in specs
-        ]
-        return PEMABatch(names, slos, start, configs, seeds)
-    if kind == "rule":
-        scalers = [
-            RuleBasedAutoscaler(
-                Allocation.from_array(names, start[i]), **s.autoscaler.params
-            )
-            for i, s in enumerate(specs)
-        ]
-        return RuleBatch(start, scalers, slos)
-    if kind == "optimum":
-        return _OptimumBank(
-            app,
-            [int(s.autoscaler.params.get("restarts", 2)) for s in specs],
-            start,
-            slos,
-        )
-    # Build each cell's controller through the registry factory, exactly
-    # as the scalar ``build_unit`` does (param handling, seeding
-    # convention, environment binding), so the bank's controllers are
-    # byte-equal: the manager, PID and brownout cells, and static cells
-    # (whose bottleneck_rps/scale params pin a model-derived allocation).
     controllers = []
     for i, s in enumerate(specs):
         controller = AUTOSCALERS.build(
@@ -635,11 +579,7 @@ def _build_bank(
         if callable(bind):
             bind(_CellEnvironment(engine, i))
         controllers.append(controller)
-    if kind == "static":
-        return _FixedBank(
-            np.stack([c.allocation.as_array(names) for c in controllers]), slos
-        )
-    return _ManagerBank(controllers, names, slos)
+    return _BANKS[kind](app, controllers, slos)
 
 
 def _run_batch_worker(units_data: Sequence[Sequence[Any]]) -> list[dict]:

@@ -289,6 +289,43 @@ class TestBatchKey:
             assert (key is None) == (reason is not None)
 
 
+class TestClassificationMatchesScalar:
+    """A spec batches exactly when the scalar worker accepts it.
+
+    The first three cases once drifted: hand-written probes rejected a
+    float ``restarts`` the optimum factory accepts, and batched static
+    params the static factory rejects.  The rest are one rejected-params
+    case per family.
+    """
+
+    @pytest.mark.parametrize("autoscaler", [
+        {"kind": "optimum", "params": {"restarts": 2.0}},
+        {"kind": "static", "params": {"bottleneck_rps": -5.0}},
+        {"kind": "static", "params": {"bottleneck_rps": 500.0, "scale": "2"}},
+        {"kind": "pema", "params": {"alpha": "0.5"}},
+        {"kind": "rule", "params": {"mode": "nope"}},
+        {"kind": "static", "params": {"x": 1}},
+        {"kind": "optimum", "params": {"restarts": 0}},
+        {"kind": "pid", "params": {"max_step": -1.0}},
+        {"kind": "brownout", "params": {"gain": 0.0}},
+        {"kind": "workload_aware_pema", "params": {"config": {"alpha": 2.0}}},
+    ])
+    def test_batches_iff_scalar_accepts(self, autoscaler):
+        s = spec(autoscaler=autoscaler)
+        key, reason = classify_unit(s)
+        try:
+            expected = scalar_payload(s)
+        except (TypeError, ValueError):
+            assert key is None
+            assert reason == f"autoscaler_params:{autoscaler['kind']}"
+            return
+        assert key is not None, reason
+        (payload,) = run_units_batched([(s, 0)])
+        assert json.dumps(payload, sort_keys=True) == json.dumps(
+            expected, sort_keys=True
+        )
+
+
 class TestSchedulerBatchPath:
     def grid(self) -> SweepGrid:
         return SweepGrid(

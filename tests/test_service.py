@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.experiments.registry import AUTOSCALERS
+from repro.experiments.registry import AUTOSCALERS, HOOKS
 from repro.experiments.runner import _run_unit_worker
 from repro.experiments.spec import ExperimentSpec
 from repro.service import (
@@ -156,8 +156,24 @@ _REQUIRED_PARAMS = {
 }
 
 
+#: Valid params for every registered hook, each firing inside a 6-step run.
+_HOOK_PARAMS = {
+    "set_slo": {"at": 2, "slo": 0.15},
+    "set_cpu_speed": {"at": 3, "speed": 0.8},
+    "service_crash": {"at": 1, "duration": 2, "service": "carts"},
+    "calibration_drift": {"rate": 0.1, "at": 1, "service": "orders"},
+    "correlated_surge": {
+        "services": ["frontend", "orders"], "factor": 1.5, "at": 2,
+        "duration": 3,
+    },
+    "metric_dropout": {"at": 2},
+    "metric_duplicate": {"at": 3},
+    "metric_delay": {"at": 1, "rounds": 2},
+}
+
+
 class TestRegistryParity:
-    """Every registered autoscaler, through every executor, same bytes."""
+    """Every registered autoscaler and hook, through every executor, same bytes."""
 
     @pytest.mark.parametrize("kind", AUTOSCALERS.names())
     def test_offline_streamed_and_batched_agree(self, kind):
@@ -178,6 +194,25 @@ class TestRegistryParity:
         key, reason = classify_unit(spec)
         if key is None:
             assert reason and reason.strip() == reason
+        else:
+            assert reason is None
+            assert dumps(run_units_batched([(spec, 0)])[0]) == dumps(offline)
+
+    @pytest.mark.parametrize("kind", HOOKS.names())
+    def test_every_hook_batches_or_names_itself(self, kind):
+        # A hook missing from the table raises KeyError: new hooks must
+        # be listed here with valid params, never silently skipped.
+        spec = make_spec(
+            n_steps=6,
+            seed=3,
+            hooks=({"kind": kind, "params": _HOOK_PARAMS[kind]},),
+            capture=["decision_trace"],
+        )
+        streamed, offline = stream_offline_pair(spec)
+        assert dumps(streamed) == dumps(offline)
+        key, reason = classify_unit(spec)
+        if key is None:
+            assert reason == f"hook:{kind}"
         else:
             assert reason is None
             assert dumps(run_units_batched([(spec, 0)])[0]) == dumps(offline)
