@@ -16,11 +16,19 @@ Four variants of PEMA on SockShop @ 700 rps:
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 
 from benchmarks._report import emit
-from repro.bench import format_table, optimum_total, pema_run
 from repro.core import PEMAConfig
+from repro.experiments import (
+    AutoscalerSpec,
+    ExperimentSpec,
+    optimum_total,
+    run_experiment,
+)
+from repro.sweeps import format_table
 
 WORKLOAD = 700.0
 ITERS = 60
@@ -39,13 +47,18 @@ def run_ablation():
     opt = optimum_total("sockshop", WORKLOAD)
     out = {}
     for label, config in VARIANTS.items():
-        totals, viols = [], []
-        for r in range(RUNS):
-            run = pema_run(
-                "sockshop", WORKLOAD, ITERS, config=config, seed=900 + r
+        artifact = run_experiment(
+            ExperimentSpec(
+                app="sockshop",
+                workload=WORKLOAD,
+                n_steps=ITERS,
+                autoscaler=AutoscalerSpec("pema", asdict(config)),
+                seed=900,
+                repeats=RUNS,
             )
-            totals.append(run.result.settled_total())
-            viols.append(run.result.violation_rate() * 100)
+        )
+        totals = [result.settled_total() for result in artifact.results]
+        viols = [result.violation_rate() * 100 for result in artifact.results]
         out[label] = (
             float(np.mean(totals)) / opt,
             float(np.mean(viols)),

@@ -14,9 +14,9 @@ import numpy as np
 
 from benchmarks._report import emit
 from repro.apps import build_app
-from repro.bench import format_table
 from repro.sim import AnalyticalEngine
 from repro.sim.des import DESEngine
+from repro.sweeps import format_table
 
 WORKLOAD = 200.0
 # The DES realizes its own (burstiness-dependent) knee; sweep deep enough

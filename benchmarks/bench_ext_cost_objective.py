@@ -14,9 +14,9 @@ import numpy as np
 
 from benchmarks._report import emit
 from repro.apps import build_app
-from repro.bench import format_table
 from repro.core import ControlLoop, CostModel, PEMAConfig, PEMAController
 from repro.sim import AnalyticalEngine
+from repro.sweeps import format_table
 from repro.workload import ConstantWorkload
 
 WORKLOAD = 700.0

@@ -17,7 +17,6 @@ import numpy as np
 
 from benchmarks._report import emit
 from repro.apps import build_app
-from repro.bench import format_table
 from repro.core import (
     ControlLoop,
     FastReactionLoop,
@@ -25,6 +24,7 @@ from repro.core import (
     PEMAController,
 )
 from repro.sim import AnalyticalEngine
+from repro.sweeps import format_table
 from repro.workload import ConstantWorkload
 
 WORKLOAD = 700.0

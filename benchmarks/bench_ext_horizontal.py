@@ -14,17 +14,16 @@ out to cut both ways:
 
 from __future__ import annotations
 
-import numpy as np
-
 from benchmarks._report import emit
 from repro.apps import build_app
-from repro.bench import format_table, optimum_total, pema_run, rule_total
 from repro.baselines.horizontal import (
     HorizontalRuleAutoscaler,
     ReplicaAllocator,
 )
 from repro.core import ControlLoop
+from repro.experiments import ExperimentSpec, run_comparison
 from repro.sim import AnalyticalEngine
+from repro.sweeps import format_table
 from repro.workload import ConstantWorkload
 
 WORKLOAD = 225.0
@@ -55,9 +54,15 @@ def run_ext_horizontal():
                 f"{result.violation_rate() * 100:.0f}%",
             ]
         )
-    vertical_rule = rule_total("trainticket", WORKLOAD)
-    pema = pema_run("trainticket", WORKLOAD, 60, seed=401).result.settled_total()
-    opt = optimum_total("trainticket", WORKLOAD)
+    # One Fig. 15 cell: vertical PEMA, its RULE counterpart and OPTM.
+    cell = run_comparison(
+        ExperimentSpec(
+            app="trainticket", workload=WORKLOAD, n_steps=60, seed=401
+        )
+    )
+    vertical_rule = cell["rule_total"]
+    pema = cell["pema_total"]
+    opt = cell["optm_total"]
     rows.append(["RULE (vertical)", round(vertical_rule, 1), "-", "-", "-"])
     rows.append(["PEMA (vertical)", round(pema, 1), "-", "-", "-"])
     rows.append(["OPTM", round(opt, 1), "-", "-", "-"])

@@ -14,8 +14,8 @@ import numpy as np
 from benchmarks._report import emit
 from repro.apps import build_app
 from repro.baselines import OptimumSearch
-from repro.bench import format_table
 from repro.sim import AnalyticalEngine, Allocation
+from repro.sweeps import format_table
 
 # (workload levels, perturbation sigma).  The paper reports one "bad"
 # configuration per panel without its distance from the good one; we pick

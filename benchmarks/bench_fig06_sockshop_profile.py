@@ -13,8 +13,8 @@ import numpy as np
 from benchmarks._report import emit
 from repro.apps import build_app
 from repro.baselines import OptimumSearch
-from repro.bench import format_table
 from repro.sim import AnalyticalEngine, Allocation
+from repro.sweeps import format_table
 
 WORKLOAD = 550.0
 

@@ -16,8 +16,8 @@ import numpy as np
 from benchmarks._report import emit
 from repro.apps import build_app
 from repro.baselines import OptimumSearch
-from repro.bench import format_series, format_table
 from repro.sim import AnalyticalEngine, Allocation
+from repro.sweeps import format_table
 
 APPS = {"trainticket": 200.0, "sockshop": 550.0, "hotelreservation": 500.0}
 N_SAMPLES = 400
@@ -80,12 +80,10 @@ def run_fig07():
                 break
             alloc = trial
         traj_blocks.append(
-            format_series(
-                f"Fig. 7b trajectory — {app_name}",
-                [round(x, 3) for x in xs],
-                [round(y, 3) for y in ys],
-                "resource/optimum",
-                "response/SLO",
+            format_table(
+                ["resource/optimum", "response/SLO"],
+                [[round(x, 3), round(y, 3)] for x, y in zip(xs, ys)],
+                title=f"Fig. 7b trajectory — {app_name}",
             )
         )
     return cdf_rows, anti_fracs, traj_blocks

@@ -14,8 +14,8 @@ import numpy as np
 
 from benchmarks._report import emit
 from repro.apps import build_app
-from repro.bench import format_table
 from repro.sim import AnalyticalEngine
+from repro.sweeps import format_table
 
 WORKLOAD = 200.0
 PROBES = ("seat", "basic", "ticketinfo")

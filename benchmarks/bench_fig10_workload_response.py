@@ -18,8 +18,8 @@ import numpy as np
 from benchmarks._grids import run_figure_grid
 from benchmarks._report import emit
 from repro.apps import build_app
-from repro.bench import format_table
 from repro.core.target import learn_slope
+from repro.sweeps import format_table
 
 BANDS = {"trainticket": (150.0, 320.0), "sockshop": (400.0, 1000.0)}
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from benchmarks._grids import figure_optimum, run_figure_grid
 from benchmarks._report import emit
-from repro.bench import format_table
+from repro.sweeps import format_table
 
 WORKLOAD = 700.0
 ITERS = 70

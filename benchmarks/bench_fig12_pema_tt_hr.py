@@ -13,7 +13,7 @@ from __future__ import annotations
 from benchmarks._grids import figure_optimum, run_figure_grid
 from benchmarks._report import emit
 from repro.apps import build_app
-from repro.bench import format_table
+from repro.sweeps import format_table
 
 
 def run_fig12():

@@ -18,7 +18,7 @@ import numpy as np
 
 from benchmarks._grids import run_figure_grid
 from benchmarks._report import emit
-from repro.bench import format_table
+from repro.sweeps import format_table
 
 ITERS = 120
 

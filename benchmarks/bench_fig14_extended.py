@@ -19,7 +19,7 @@ import numpy as np
 
 from benchmarks._grids import run_figure_grid
 from benchmarks._report import emit
-from repro.bench import format_table
+from repro.sweeps import format_table
 
 HOURS = 36
 STEPS = HOURS * 30  # 2-minute control intervals

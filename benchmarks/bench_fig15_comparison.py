@@ -16,7 +16,7 @@ import numpy as np
 
 from benchmarks._grids import figure_optimum, run_figure_grid
 from benchmarks._report import emit
-from repro.bench import format_table
+from repro.sweeps import format_table
 
 
 def run_fig15():

@@ -15,7 +15,7 @@ import numpy as np
 
 from benchmarks._grids import figure_optimum, run_figure_grid
 from benchmarks._report import emit
-from repro.bench import format_table
+from repro.sweeps import format_table
 
 def run_fig16():
     run = run_figure_grid("fig16_alpha_sensitivity")

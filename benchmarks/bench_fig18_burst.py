@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from benchmarks._grids import run_figure_grid
 from benchmarks._report import emit
-from repro.bench import format_table
+from repro.sweeps import format_table
 
 TRAIN_STEPS = 120
 BURST_STEPS = 25  # 50 minutes at 2-minute intervals

@@ -15,7 +15,7 @@ import numpy as np
 
 from benchmarks._grids import run_figure_grid
 from benchmarks._report import emit
-from repro.bench import format_table
+from repro.sweeps import format_table
 
 ITERS = 60
 SWITCH_1 = 25  # -> 1.6 GHz

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from benchmarks._report import emit
 from repro.analysis import TABLE1_SCENARIOS, run_scenario
-from repro.bench import format_table
+from repro.sweeps import format_table
 
 PAPER_ACCURACY = (94.18, 96.2, 100.0, 98.3, 97.8, 95.6)
 

@@ -12,7 +12,7 @@ entry point: one JSON-round-tripping :class:`ExperimentSpec` describes a
 scenario (app, engine backend, workload trace, autoscaler, seeds,
 mid-run hooks) and the shared runner reproduces it identically from
 Python, the CLI (``python -m repro experiment --spec file.json``), and
-the benchmark helpers.
+the sweep scheduler (:mod:`repro.sweeps`), which runs every unit.
 
 Quickstart::
 
@@ -41,7 +41,6 @@ from repro.experiments import (
     ExperimentArtifact,
     ExperimentSpec,
     run_experiment,
-    run_sweep,
 )
 from repro.sim import Allocation, AnalyticalEngine, IntervalMetrics
 from repro.sweeps import SweepGrid, SweepStore, run_grid
@@ -64,7 +63,6 @@ __all__ = [
     "ExperimentSpec",
     "ExperimentArtifact",
     "run_experiment",
-    "run_sweep",
     "SweepGrid",
     "SweepStore",
     "run_grid",

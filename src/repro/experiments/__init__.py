@@ -12,10 +12,11 @@ run.  This package makes that construction declarative:
 * registries (:data:`ENGINES`, :data:`AUTOSCALERS`, :data:`WORKLOADS`,
   :data:`HOOKS`) that resolve the spec's string keys to factories and
   accept third-party extensions;
-* :func:`run_experiment` / :func:`run_sweep` — execute specs (multi-seed,
-  optionally fanned out over processes) into
-  :class:`ExperimentArtifact` objects that carry per-seed histories,
-  summary statistics, and lossless JSON serialization;
+* :func:`run_experiment` — execute a spec (multi-seed, optionally fanned
+  out over processes by the sweep scheduler, whose
+  :func:`~repro.sweeps.run_sweep_cached` runs many specs at once) into an
+  :class:`ExperimentArtifact` that carries per-seed histories, summary
+  statistics, and lossless JSON serialization;
 * :func:`run_comparison` — a Fig. 15 cell (PEMA vs OPTM vs RULE) from a
   single PEMA spec.
 
@@ -52,7 +53,6 @@ from repro.experiments.runner import (
     optimum_total,
     run_comparison,
     run_experiment,
-    run_sweep,
     run_unit,
     set_optimum_store,
 )
@@ -88,7 +88,6 @@ __all__ = [
     "hooks_on_step",
     "run_unit",
     "run_experiment",
-    "run_sweep",
     "run_comparison",
     "derive_rule_spec",
     "optimum_total",

@@ -2,11 +2,11 @@
 
 ``run_unit`` materializes one seed of a spec (build app -> engine ->
 autoscaler -> trace -> loop, run it); ``run_experiment`` runs every
-repeat and returns an :class:`ExperimentArtifact`; ``run_sweep`` fans a
-list of specs out over processes at (spec, repeat) granularity via
-:mod:`repro.bench.parallel`.  Serial and parallel execution build every
-component fresh from the serialized spec, so their artifacts are
-byte-identical.
+repeat through the sweep scheduler
+(:func:`repro.sweeps.run_sweep_cached`), which fans (spec, repeat) units
+out over processes and returns an :class:`ExperimentArtifact`.  Serial
+and parallel execution build every component fresh from the serialized
+spec, so their artifacts are byte-identical.
 
 Seeding convention (matches the historical benchmark wiring): repeat
 ``r`` of a spec runs under ``seed_r = spec.seed + r``; the controller
@@ -15,7 +15,7 @@ gets ``seed_r`` and the engine gets ``seed_r + engine.seed_offset``.
 ``run_comparison`` evaluates one Fig. 15 cell — PEMA (averaged over the
 spec's repeats) vs the noiseless optimum vs the rule-based baseline —
 from a single PEMA spec, and is the one code path behind both the CLI
-``compare`` command and the ``bench.runner`` helpers.
+``compare`` command and the benchmark drivers.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from copy import deepcopy
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.apps import build_app
 from repro.apps.spec import AppSpec
@@ -48,7 +48,6 @@ __all__ = [
     "hooks_on_step",
     "run_unit",
     "run_experiment",
-    "run_sweep",
     "run_comparison",
     "derive_rule_spec",
     "optimum_total",
@@ -245,40 +244,17 @@ def _run_unit_worker(spec_data: dict[str, Any], repeat: int) -> dict[str, Any]:
     return payload
 
 
-def run_sweep(
-    specs: Sequence[ExperimentSpec] | Iterable[ExperimentSpec],
-    *,
-    parallel: int = 1,
-) -> list[ExperimentArtifact]:
-    """Run every (spec, repeat) cell, fanning out over ``parallel`` workers.
-
-    Each cell rebuilds its components from the serialized spec whether it
-    runs inline or in a worker process, so ``parallel=1`` and
-    ``parallel=N`` produce byte-identical artifacts.
-    """
-    from repro.bench.parallel import run_parallel
-
-    specs = list(specs)
-    kwargs_list = [
-        dict(spec_data=spec.to_dict(), repeat=r)
-        for spec in specs
-        for r in range(spec.repeats)
-    ]
-    raw = run_parallel(_run_unit_worker, kwargs_list, max_workers=parallel)
-    artifacts: list[ExperimentArtifact] = []
-    cursor = 0
-    for spec in specs:
-        payloads = [raw[cursor + r] for r in range(spec.repeats)]
-        cursor += spec.repeats
-        artifacts.append(ExperimentArtifact.from_payloads(spec, payloads))
-    return artifacts
-
-
 def run_experiment(
     spec: ExperimentSpec, *, parallel: int = 1
 ) -> ExperimentArtifact:
-    """Run every repeat of one spec and return its artifact."""
-    return run_sweep([spec], parallel=parallel)[0]
+    """Run every repeat of one spec and return its artifact.
+
+    The repeats fan out over ``parallel`` worker processes; ``parallel=1``
+    and ``parallel=N`` produce byte-identical artifacts.
+    """
+    from repro.sweeps.scheduler import run_sweep_cached
+
+    return run_sweep_cached([spec], parallel=parallel)[0][0]
 
 
 # -- baseline comparison (Fig. 15 cells) ---------------------------------------

@@ -20,7 +20,8 @@ file plus an incremental execution pipeline:
   compatible cell groups as vectorized NumPy batches
   (:mod:`repro.sweeps.batched`), byte-identical to the scalar path;
 * :mod:`repro.sweeps.aggregate` — grouped reductions (mean/p95/cost over
-  seeds, per-axis tables) and a byte-stable aggregate JSON;
+  seeds, per-axis tables), a byte-stable aggregate JSON, and the
+  fixed-width :func:`format_table` every benchmark report prints;
 * :func:`run_worker` / :func:`run_distributed` / :func:`wait_for_grid`
   (:mod:`repro.sweeps.distributed`) — lease/claim workers pulling task
   chunks from one shared store directory (``repro sweep --worker``),
@@ -44,6 +45,7 @@ from repro.sweeps.aggregate import (
     artifact_metrics,
     axis_table,
     cells_table,
+    format_table,
     grid_summary,
     grid_summary_json,
     group_reduce,
@@ -135,4 +137,5 @@ __all__ = [
     "group_reduce",
     "cells_table",
     "axis_table",
+    "format_table",
 ]

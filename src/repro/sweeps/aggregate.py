@@ -5,7 +5,9 @@ reports: per-cell reductions over seeds (mean/std/p95 settled CPU,
 violation rate, p95 response, CPU-time cost), per-axis tables that average
 the remaining axes away, and a canonical JSON summary whose bytes depend
 only on the grid and its results — an interrupted-then-resumed sweep and
-an uninterrupted one aggregate to identical files.
+an uninterrupted one aggregate to identical files.  :func:`format_table`
+renders the fixed-width tables these views and every benchmark report
+print.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.bench.tables import format_table
 from repro.experiments.artifact import ExperimentArtifact
 from repro.sweeps.scheduler import GridRun
 
@@ -27,6 +28,7 @@ __all__ = [
     "group_reduce",
     "cells_table",
     "axis_table",
+    "format_table",
 ]
 
 #: The per-cell metrics, in report order.
@@ -39,6 +41,33 @@ METRIC_NAMES = (
     "response_p95_mean",
     "cost_cpu_seconds_mean",
 )
+
+
+def _cell(value: object) -> str:
+    if isinstance(value, float):
+        return f"{value:.4g}"
+    return str(value)
+
+
+def format_table(
+    headers: Sequence[str], rows: Iterable[Sequence[object]], title: str = ""
+) -> str:
+    """A fixed-width ASCII table (every benchmark report is one or more)."""
+    str_rows = [[_cell(v) for v in row] for row in rows]
+    widths = [len(h) for h in headers]
+    for row in str_rows:
+        if len(row) != len(headers):
+            raise ValueError("row width does not match headers")
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+    lines = []
+    if title:
+        lines.append(title)
+    lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
+    lines.append("  ".join("-" * w for w in widths))
+    for row in str_rows:
+        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
+    return "\n".join(lines)
 
 
 def _longest_violation_streak(violated: np.ndarray) -> int:

@@ -48,8 +48,9 @@ from repro.sweeps.grid import SweepCell, SweepGrid
 from repro.sweeps.scheduler import (
     GridRun,
     SweepReport,
+    _build_repairing,
     _partition_chunk,
-    build_artifacts,
+    build_artifacts,  # kept importable here: perfbench/tracing.py wraps it
 )
 from repro.sweeps.store import (
     Lease,
@@ -412,11 +413,13 @@ def _merge_specs(
     *,
     seconds: float = 0.0,
 ) -> tuple[list[ExperimentArtifact], SweepReport]:
-    """Assemble artifacts + report purely from persisted unit payloads.
+    """Assemble artifacts + report from persisted unit payloads.
 
     This is the serial scheduler's aggregation step fed entirely from the
     cache, so a merged distributed run and an uninterrupted serial run
-    produce byte-identical artifacts and aggregate summaries.
+    produce byte-identical artifacts and aggregate summaries.  A unit
+    whose entry does not decode is recomputed and rewritten, exactly as
+    the scheduler repairs it.
     """
     payloads: dict[tuple[int, int], dict[str, Any]] = {}
     absent: list[str] = []
@@ -433,15 +436,18 @@ def _merge_specs(
             f"{len(absent)} unit(s) missing from {store.root} "
             f"(e.g. {preview}) — are workers still running?"
         )
-    artifacts = build_artifacts(specs, payloads)
+    artifacts, repaired = _build_repairing(
+        specs, payloads, list(payloads), store
+    )
     units = sum(spec.repeats for spec in specs)
     report = SweepReport(
         specs=len(specs),
         units=units,
-        cache_hits=units,
-        computed=0,
+        cache_hits=units - repaired,
+        computed=repaired,
         chunks=0,
         seconds=seconds,
+        scalar_units=repaired,
         replay_units=sum(
             spec.repeats for spec in specs if spec.workload.kind == "replay"
         ),
@@ -463,9 +469,11 @@ def merge_grid(
 ) -> GridRun:
     """Build the grid's :class:`GridRun` from a fully populated store.
 
-    Raises LookupError (naming the gaps) when any unit is absent — merge
-    only ever reads, so it can run on any host that sees the store, any
-    number of times, before or after the workers exit.
+    Raises LookupError (naming the gaps) when any unit is absent.  Merge
+    writes only to repair an entry whose records do not decode (it
+    recomputes that unit and overwrites the entry with the same bytes a
+    serial run writes), so it can run on any host that sees the store,
+    any number of times, before or after the workers exit.
     """
     cells = tuple(grid.cells() if cells is None else cells)
     artifacts, report = _merge_specs(

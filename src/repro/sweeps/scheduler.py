@@ -1,13 +1,14 @@
 """Chunked, cache-aware sweep execution.
 
-``run_sweep_cached`` is the resumable counterpart of
-:func:`repro.experiments.run_sweep`: it expands specs to (spec, repeat)
-unit tasks, satisfies whatever it can from a :class:`SweepStore`, and fans
-the remainder out over processes in bounded chunks — each chunk's results
-are persisted and reported through a progress callback as soon as the
-chunk lands, instead of one giant end-of-run gather.  Killing a sweep
-between chunks therefore loses at most one chunk of work, and re-running
-with the same store recomputes only the units that never completed.
+``run_sweep_cached`` is the one executor of (spec, repeat) units, and
+:func:`repro.experiments.run_experiment` is a one-spec call of it.  It
+expands specs to unit tasks, satisfies whatever it can from a
+:class:`SweepStore`, and fans the remainder out over one process pool in
+bounded chunks — each chunk's results are persisted and reported through
+a progress callback as soon as the chunk lands, instead of one giant
+end-of-run gather.  Killing a sweep between chunks therefore loses at
+most one chunk of work, and re-running with the same store recomputes
+only the units that never completed.
 
 ``batch=True`` additionally partitions every chunk into compatible
 groups (same app, autoscaler kind, and horizon — see
@@ -31,7 +32,6 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.bench.parallel import run_parallel
 from repro.experiments.artifact import ExperimentArtifact
 from repro.experiments.runner import (
     _run_unit_worker,
@@ -193,29 +193,40 @@ def build_artifacts(
     ]
 
 
-def _repair_malformed(
+def _build_repairing(
     specs: Sequence[ExperimentSpec],
-    cached_units: Sequence[tuple[int, int]],
     results: dict[tuple[int, int], dict],
-    store: SweepStore,
-) -> int:
-    """Recompute every cached unit whose payload fails to decode.
+    cached_units: Sequence[tuple[int, int]],
+    store: SweepStore | None,
+) -> tuple[list[ExperimentArtifact], int]:
+    """:func:`build_artifacts`, recomputing cached units that do not decode.
 
-    Each one is counted on ``store`` as a corrupt miss, and its entry is
-    overwritten with the fresh payload.  Returns how many were replaced.
+    A cached entry whose records fail to decode is a corrupt miss: only
+    this repair path decodes twice to find it.  Each such unit is
+    recomputed on the scalar path (byte-identical to batched), counted
+    on ``store`` as a corrupt miss, and its entry overwritten, before
+    the artifacts are built again.  Returns the artifacts and how many
+    units were repaired; re-raises when nothing could be.
     """
-    repaired = 0
-    for spec_index, repeat in cached_units:
-        try:
-            loop_result_from_dict(results[(spec_index, repeat)])
-        except MalformedHistoryError:
-            spec = specs[spec_index]
-            payload = _run_unit_worker(spec.to_dict(), repeat)
-            store.reclassify_hit_as_corrupt()
-            store.put_result(spec, repeat, payload)
-            results[(spec_index, repeat)] = payload
-            repaired += 1
-    return repaired
+    try:
+        return build_artifacts(specs, results), 0
+    except MalformedHistoryError:
+        if store is None:
+            raise
+        repaired = 0
+        for spec_index, repeat in cached_units:
+            try:
+                loop_result_from_dict(results[(spec_index, repeat)])
+            except MalformedHistoryError:
+                spec = specs[spec_index]
+                payload = _run_unit_worker(spec.to_dict(), repeat)
+                store.reclassify_hit_as_corrupt()
+                store.put_result(spec, repeat, payload)
+                results[(spec_index, repeat)] = payload
+                repaired += 1
+        if not repaired:
+            raise
+        return build_artifacts(specs, results), repaired
 
 
 def _partition_chunk(
@@ -380,23 +391,22 @@ def run_sweep_cached(
         for chunk_index, chunk in enumerate(chunks, start=1):
             chunk_started = perf_counter()
             worker_tasks = _partition_chunk(chunk, batch, parallel, fallbacks)
-            raw = run_parallel(
-                _run_sweep_task,
-                [
-                    dict(
-                        task={
-                            "batched": batched,
-                            "units": [
-                                [spec.to_dict(), repeat]
-                                for _, spec, repeat in units
-                            ],
-                        }
-                    )
-                    for batched, units in worker_tasks
-                ],
-                max_workers=parallel,
-                pool=pool,
-            )
+            task_data = [
+                {
+                    "batched": batched,
+                    "units": [
+                        [spec.to_dict(), repeat] for _, spec, repeat in units
+                    ],
+                }
+                for batched, units in worker_tasks
+            ]
+            if pool is None:
+                raw = [_run_sweep_task(task) for task in task_data]
+            else:
+                futures = [
+                    pool.submit(_run_sweep_task, task) for task in task_data
+                ]
+                raw = [future.result() for future in futures]
             for (batched, units), result in zip(worker_tasks, raw):
                 payloads = result["payloads"]
                 task_seconds = float(result["seconds"])
@@ -446,22 +456,10 @@ def run_sweep_cached(
     phases["run"] -= phases["persist"]
 
     aggregate_started = perf_counter()
-    try:
-        artifacts = build_artifacts(specs, results)
-    except MalformedHistoryError:
-        # A cached entry whose records do not decode is a corrupt miss:
-        # find it (only this repair path decodes twice), recompute it on
-        # the scalar path (byte-identical to batched), overwrite it, and
-        # aggregate again.
-        if store is None:
-            raise
-        repaired = _repair_malformed(specs, cached_units, results, store)
-        if not repaired:
-            raise
-        cached -= repaired
-        computed += repaired
-        scalar_units += repaired
-        artifacts = build_artifacts(specs, results)
+    artifacts, repaired = _build_repairing(specs, results, cached_units, store)
+    cached -= repaired
+    computed += repaired
+    scalar_units += repaired
     phases["aggregate"] = perf_counter() - aggregate_started
     optimum_after = optimum_cache_info()
     report = SweepReport(

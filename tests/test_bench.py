@@ -1,17 +1,8 @@
-"""Benchmark harness: formatting and experiment drivers."""
+"""Benchmark report formatting: the fixed-width tables every driver prints."""
 
 import pytest
 
-from repro.bench import (
-    average_pema_total,
-    clear_caches,
-    format_kv,
-    format_series,
-    format_table,
-    optimum_total,
-    pema_run,
-    rule_total,
-)
+from repro.sweeps import format_table
 
 
 class TestFormatting:
@@ -27,41 +18,3 @@ class TestFormatting:
     def test_table_row_width_check(self):
         with pytest.raises(ValueError):
             format_table(["a", "b"], [["only-one"]])
-
-    def test_series(self):
-        out = format_series("s", [1, 2], [3.0, 4.0], "x", "y")
-        assert "s" in out
-        assert "x" in out
-
-    def test_series_length_check(self):
-        with pytest.raises(ValueError):
-            format_series("s", [1], [1, 2])
-
-    def test_kv(self):
-        out = format_kv("Summary", [("total", 8.77), ("runs", 3)])
-        assert "Summary" in out
-        assert "total: 8.77" in out
-
-
-class TestRunners:
-    def test_pema_run_structure(self):
-        run = pema_run("sockshop", 700.0, 10, seed=0)
-        assert len(run.result) == 10
-        assert run.app.name == "sockshop"
-        assert run.controller.steps_taken == 10
-
-    def test_optimum_total_cached(self):
-        clear_caches()
-        a = optimum_total("sockshop", 700.0)
-        b = optimum_total("sockshop", 700.0)  # cache hit
-        assert a == b
-        assert 6.0 < a < 12.0  # near the paper's 8.8
-
-    def test_rule_total_above_optimum(self):
-        rule = rule_total("sockshop", 700.0, n_steps=20)
-        opt = optimum_total("sockshop", 700.0)
-        assert rule > opt
-
-    def test_average_pema_total(self):
-        avg = average_pema_total("sockshop", 700.0, n_steps=25, runs=2)
-        assert avg > 0

@@ -18,6 +18,7 @@ import signal
 import tempfile
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from repro.cli import main
 from repro.obs.metrics import default_registry
 from repro.sweeps import (
     LeaseNamespace,
+    SweepGrid,
     SweepStore,
     grid_summary_json,
     merge_grid,
@@ -34,11 +36,14 @@ from repro.sweeps import (
     plan_tasks,
     run_distributed,
     run_grid,
+    run_sweep_cached,
     run_worker,
     wait_for_grid,
     worker_reports,
 )
 from tests.conftest import make_small_grid, make_sweep_spec
+
+GRIDS = Path(__file__).parents[1] / "benchmarks" / "grids"
 
 
 def entry_bytes(store: SweepStore) -> dict[str, bytes]:
@@ -250,6 +255,37 @@ class TestMergeAndWait:
         grid = make_small_grid()
         with pytest.raises(LookupError, match="missing"):
             merge_grid(grid, sweep_store)
+
+    def test_merge_repairs_malformed_entry(self, tmp_path, sweep_store):
+        """An entry whose records do not decode must not wedge the sweep.
+
+        The workers' done markers keep a rerun from recomputing it, so
+        the merge repairs it the way the scheduler does: recompute the
+        unit, count a corrupt miss, and overwrite the entry.
+        """
+        grid = SweepGrid.read(GRIDS / "ci_smoke.json")
+        specs = grid_specs(grid)
+        serial, _ = run_sweep_cached(
+            specs, store=SweepStore(tmp_path / "serial")
+        )
+        run_worker(specs, sweep_store, worker_id="w0")
+        path = sweep_store.path_for(sweep_store.unit_key(specs[0], 0))
+        good_bytes = path.read_bytes()
+        entry = json.loads(good_bytes)
+        entry["payload"]["records"][0]["response"] = "oops"
+        path.write_text(json.dumps(entry, sort_keys=True))
+        rerun = run_worker(specs, sweep_store, worker_id="w1")
+        assert rerun.units_computed == 0
+        run = merge_grid(grid, sweep_store)
+        assert [a.to_json() for a in run.artifacts] == [
+            a.to_json() for a in serial
+        ]
+        assert run.report.computed == 1
+        assert run.report.cache_hits == len(specs) - 1
+        assert sweep_store.stats.corrupt == 1
+        assert path.read_bytes() == good_bytes
+        # Repaired once, the store merges as a pure read again.
+        assert merge_grid(grid, sweep_store).report.computed == 0
 
     def test_wait_times_out(self, sweep_store):
         grid = make_small_grid()

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.bench.runner import average_pema_total, pema_spec, rule_spec, rule_total
 from repro.experiments import (
     AUTOSCALERS,
     ENGINES,
@@ -20,9 +19,9 @@ from repro.experiments import (
     derive_rule_spec,
     run_comparison,
     run_experiment,
-    run_sweep,
     run_unit,
 )
+from repro.sweeps import run_sweep_cached
 
 
 def small_spec(**overrides) -> ExperimentSpec:
@@ -218,8 +217,8 @@ class TestRunner:
 
     def test_parallel_sweep_byte_identical_to_serial(self):
         specs = [small_spec(), small_spec(seed=9, repeats=1)]
-        serial = run_sweep(specs, parallel=1)
-        fanned = run_sweep(specs, parallel=2)
+        serial, _ = run_sweep_cached(specs, parallel=1)
+        fanned, _ = run_sweep_cached(specs, parallel=2)
         assert [a.summary_json() for a in serial] == [
             a.summary_json() for a in fanned
         ]
@@ -295,32 +294,24 @@ class TestHooks:
         assert unit.result.records[-1].slo == pytest.approx(0.2)
 
 
-class TestBenchEquivalence:
-    def test_average_pema_total_matches_spec_path(self):
-        spec = pema_spec("sockshop", 700.0, 10, seed=3, repeats=2)
-        assert average_pema_total(
-            "sockshop", 700.0, n_steps=10, runs=2, base_seed=3
-        ) == run_experiment(spec).mean_settled_total()
-
-    def test_rule_total_matches_spec_path(self):
-        spec = rule_spec("sockshop", 700.0, n_steps=12)
-        assert rule_total(
-            "sockshop", 700.0, n_steps=12
-        ) == run_experiment(spec).mean_settled_total()
-
+class TestComparison:
     def test_comparison_single_code_path(self):
-        spec = pema_spec("sockshop", 700.0, 10, seed=0, repeats=1)
+        spec = ExperimentSpec(app="sockshop", workload=700.0, n_steps=10)
         cell = run_comparison(spec, rule_steps=12)
-        assert cell["rule_total"] == rule_total(
-            "sockshop", 700.0, n_steps=12
-        )
+        assert cell["rule_total"] == run_experiment(
+            derive_rule_spec(spec, n_steps=12)
+        ).mean_settled_total()
         assert cell["pema_total"] == run_experiment(spec).mean_settled_total()
         assert cell["pema_savings_vs_rule"] == pytest.approx(
             1.0 - cell["pema_total"] / cell["rule_total"]
         )
+        # RULE's fixed point over-provisions the optimum.
+        assert cell["rule_total"] > cell["optm_total"]
 
     def test_derive_rule_spec(self):
-        spec = pema_spec("sockshop", 700.0, 10, seed=42)
+        spec = ExperimentSpec(
+            app="sockshop", workload=700.0, n_steps=10, seed=42
+        )
         rule = derive_rule_spec(spec, n_steps=12)
         assert rule.autoscaler.kind == "rule"
         assert rule.engine.seed_offset == 2000

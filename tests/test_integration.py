@@ -222,7 +222,7 @@ def test_import_loads_no_removed_side_channels():
     code = (
         "import sys, repro; "
         "print(sorted(m for m in ('networkx', 'repro.cluster', "
-        "'repro.metrics.collector') if m in sys.modules))"
+        "'repro.metrics.collector', 'repro.bench') if m in sys.modules))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],

@@ -1,55 +1,16 @@
-"""Parallel runner, CSV export, and app description utilities."""
+"""CSV export and app description utilities."""
 
 import csv
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.apps import build_app, describe_app, describe_plan
-from repro.bench import parallel_pema_totals, run_parallel
 from repro.baselines import StaticAllocator
 from repro.core import ControlLoop
 from repro.metrics import loop_result_to_csv
 from repro.sim import AnalyticalEngine
 from repro.workload import ConstantWorkload
-
-
-def _square(x: float) -> float:
-    return x * x
-
-
-class TestRunParallel:
-    def test_inline_mode(self):
-        out = run_parallel(_square, [{"x": 2.0}, {"x": 3.0}], max_workers=1)
-        assert out == [4.0, 9.0]
-
-    def test_empty(self):
-        assert run_parallel(_square, []) == []
-
-    def test_process_mode_matches_inline(self):
-        kwargs = [{"x": float(i)} for i in range(6)]
-        inline = run_parallel(_square, kwargs, max_workers=1)
-        parallel = run_parallel(_square, kwargs, max_workers=2)
-        assert inline == parallel
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            run_parallel(_square, [{"x": 1.0}], max_workers=0)
-
-    def test_parallel_pema_totals_deterministic(self):
-        a = parallel_pema_totals(
-            "sockshop", 700.0, n_steps=15, runs=2, max_workers=1
-        )
-        b = parallel_pema_totals(
-            "sockshop", 700.0, n_steps=15, runs=2, max_workers=2
-        )
-        np.testing.assert_allclose(a, b)
-        assert a.shape == (2,)
-
-    def test_runs_validation(self):
-        with pytest.raises(ValueError):
-            parallel_pema_totals("sockshop", 700.0, runs=0)
 
 
 class TestExport:

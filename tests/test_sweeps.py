@@ -12,12 +12,13 @@ import pytest
 import repro.baselines
 import repro.experiments.runner as runner_mod
 from repro.experiments import (
+    ExperimentArtifact,
     clear_optimum_cache,
     optimum_cache_info,
     optimum_store,
     optimum_total,
-    run_sweep,
 )
+from repro.experiments.runner import _run_unit_worker
 from repro.metrics.export import MalformedHistoryError, loop_result_from_dict
 from repro.sweeps import (
     METRIC_NAMES,
@@ -459,8 +460,18 @@ class TestPausedGc:
 
 class TestScheduler:
     def test_matches_run_sweep(self):
+        # The scheduler against the plain unit runner, one call per unit.
         specs = [base_spec(repeats=2), base_spec(seed=5)]
-        expected = run_sweep(specs)
+        expected = [
+            ExperimentArtifact.from_payloads(
+                spec,
+                [
+                    _run_unit_worker(spec.to_dict(), repeat)
+                    for repeat in range(spec.repeats)
+                ],
+            )
+            for spec in specs
+        ]
         artifacts, report = run_sweep_cached(specs)
         assert [a.to_json() for a in artifacts] == [
             a.to_json() for a in expected
