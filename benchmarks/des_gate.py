@@ -5,7 +5,8 @@ Three gates in one artifact:
 * **fidelity** — the vectorized :class:`MicroserviceSimulator` must be
   bit-identical to the retained scalar :class:`ReferenceSimulator`
   (IntervalMetrics, started/completed counters, and every recorded span)
-  across arrival processes and seeds, and a whole DES sweep-cell payload
+  across arrival processes and seeds, at an ample allocation and at a
+  squeezed one that throttles, and a whole DES sweep-cell payload
   run through the experiment worker must be byte-identical between
   ``mode="reference"`` and ``mode="vectorized"``;
 * **speedup** — the vectorized simulator must run at least
@@ -46,6 +47,9 @@ SIM_SECONDS = 8.0
 WARMUP_SECONDS = 2.0
 SEEDS = (0, 1, 82)
 ARRIVALS = ("mmpp", "poisson")
+THROTTLED_SCALE = 0.12
+"""Fraction of ``generous_allocation(WORKLOAD)`` the throttled fidelity
+scenarios run at."""
 
 
 def _identity_pair(app, alloc, arrivals: str, seed: int):
@@ -66,15 +70,19 @@ def _spans(sim) -> list[tuple]:
     ]
 
 
-def check_fidelity(app, alloc, failures: list[str]) -> dict:
+def check_fidelity(app, alloc, failures: list[str], label: str = "") -> dict:
     scenarios = 0
+    throttle_seconds = 0.0
     for arrivals in ARRIVALS:
         for seed in SEEDS:
-            tag = f"fidelity[{arrivals},seed={seed}]"
+            tag = f"fidelity{label}[{arrivals},seed={seed}]"
             (ref, m_ref), (vec, m_vec) = _identity_pair(
                 app, alloc, arrivals, seed
             )
             scenarios += 1
+            throttle_seconds += sum(
+                m.throttle_seconds for m in m_ref.services.values()
+            )
             if m_ref != m_vec:
                 failures.append(f"{tag}: IntervalMetrics diverge")
             if (ref.window.started, ref.window.completed) != (
@@ -85,7 +93,7 @@ def check_fidelity(app, alloc, failures: list[str]) -> dict:
             if _spans(ref) != _spans(vec):
                 failures.append(f"{tag}: trace spans diverge")
     return {"scenarios": scenarios, "seeds": list(SEEDS),
-            "arrivals": list(ARRIVALS)}
+            "arrivals": list(ARRIVALS), "throttle_seconds": throttle_seconds}
 
 
 def check_payload_identity(failures: list[str]) -> dict:
@@ -172,6 +180,18 @@ def main(argv=None) -> int:
     alloc = Allocation({name: 2.0 for name in app.service_names})
 
     bench["fidelity"] = check_fidelity(app, alloc, failures)
+    # At 2 cores/service the scenarios above never throttle; this
+    # squeezed allocation does, so the quota-exhaust and throttled-period
+    # paths are compared too.
+    bench["fidelity_throttled"] = check_fidelity(
+        app,
+        app.generous_allocation(WORKLOAD).scale(THROTTLED_SCALE),
+        failures,
+        label="-throttled",
+    )
+    bench["fidelity_throttled"]["alloc_scale"] = THROTTLED_SCALE
+    if bench["fidelity_throttled"]["throttle_seconds"] <= 0.0:
+        failures.append("fidelity-throttled: the squeezed scenarios never throttle")
     bench["payload"] = check_payload_identity(failures)
     bench["coverage"] = check_grid_coverage(Path(args.grids), failures)
 

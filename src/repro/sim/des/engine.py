@@ -10,6 +10,7 @@ analytical engine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from typing import TYPE_CHECKING
 
@@ -44,8 +45,15 @@ class DESEngine:
         seed: int = 0,
         mode: str = "vectorized",
     ) -> None:
-        if sim_seconds <= 0 or warmup_seconds < 0:
-            raise ValueError("need sim_seconds > 0 and warmup_seconds >= 0")
+        if not (
+            math.isfinite(sim_seconds)
+            and math.isfinite(warmup_seconds)
+            and sim_seconds > 0
+            and warmup_seconds >= 0
+        ):
+            raise ValueError(
+                "need finite sim_seconds > 0 and warmup_seconds >= 0"
+            )
         if mode == "vectorized":
             self._simulator_cls = MicroserviceSimulator
         elif mode == "reference":
@@ -64,6 +72,8 @@ class DESEngine:
         self.last_traces: TraceLog | None = None
         self.last_completed: int = 0
         self.last_started: int = 0
+        self.last_events: int = 0
+        """Heap pops of the last ``observe`` simulation."""
 
     @property
     def app(self) -> "AppSpec":
@@ -112,6 +122,7 @@ class DESEngine:
         self.last_traces = sim.traces
         self.last_completed = sim.window.completed
         self.last_started = sim.window.started
+        self.last_events = sim.events
         scale = interval / duration
         services = {
             name: ServiceMetrics(

@@ -80,8 +80,10 @@ class ReferenceSimulator(_SimCore):
     def _drain(self, horizon: float, warmup: float) -> bool:
         queue = self.queue
         warmup_done = warmup == 0.0
+        events = 0
         while len(queue) and queue.peek_time() <= horizon:
             event = queue.pop()
+            events += 1
             if not warmup_done and event.time >= warmup:
                 self._reset_measurement(warmup)
                 warmup_done = True
@@ -102,4 +104,5 @@ class ReferenceSimulator(_SimCore):
             elif kind is EventKind.BACKGROUND:
                 service, bg_horizon = event.payload
                 self._on_background(service, bg_horizon)
+        self.events = events
         return warmup_done

@@ -47,6 +47,9 @@ class ServiceServer:
         self.epoch = 0
         self.period_event_armed = False
         """Managed by the simulator: one PERIOD_END in flight at a time."""
+        self.parked_quota: tuple | None = None
+        """Managed by the vectorized simulator: a QUOTA_EXHAUST heap entry
+        held back because the CPU_DONE armed with it pops first."""
         # Accumulators (reset by the measurement window).
         self.usage_seconds = 0.0
         self.throttle_seconds = 0.0

@@ -28,8 +28,9 @@ per-purpose variate streams of :mod:`repro.sim.des.variates`:
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from heapq import heappop, heappush
 from operator import attrgetter
 
@@ -88,6 +89,10 @@ class SimConfig:
     """Record Jaeger-like spans (needed only by the analysis package)."""
 
     def __post_init__(self) -> None:
+        for f in fields(self):  # annotations are strings in this module
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.period <= 0:
             raise ValueError("period must be positive")
         if self.arrivals not in ("poisson", "mmpp"):
@@ -98,6 +103,12 @@ class SimConfig:
             raise ValueError("background_interval must be positive")
         if self.cpu_speed <= 0:
             raise ValueError("cpu_speed must be positive")
+        # Checked here, not when an MMPP run starts: a bad pair fails at
+        # construction whatever the arrival process.
+        if self.burst_factor < 1:
+            raise ValueError("burst_factor must be >= 1")
+        if not 0 < self.burst_fraction < 1:
+            raise ValueError("burst_fraction must be in (0, 1)")
 
 
 @dataclass(slots=True)
@@ -164,6 +175,8 @@ class _SimCore:
         self._next_request_id = 0
         self._next_job_id = 0
         self.in_flight = 0
+        self.events = 0
+        """Heap pops of the last run (stored when the drain returns)."""
         cfg = self.config
         shape = 1.0 / cfg.demand_cv**2 if cfg.demand_cv > 0 else 0.0
         self._demand_shape = shape
@@ -564,6 +577,20 @@ class MicroserviceSimulator(_SimCore):
     # every trace, metric, and payload byte — matches the reference),
     # with the queue/server method calls inlined.  The property tests and
     # ``benchmarks/des_gate.py`` hold them to the reference bit for bit.
+    #
+    # Two shortcuts skip heap traffic without changing that order:
+    #
+    # * After an epoch bump (a job admitted or finished), QUOTA_EXHAUST
+    #   is pushed only when it falls strictly before the new CPU_DONE;
+    #   otherwise it is parked on the server.  The CPU_DONE has the lower
+    #   seq, so it pops first.  By then either the epoch has moved on
+    #   (the quota event would have popped stale, a no-op) or the
+    #   CPU_DONE is live: it removes its job (another bump) or takes the
+    #   drift branch into :meth:`_resched`, which pushes the parked entry
+    #   with its original (time, seq) key.  The seq counter advances by
+    #   2 either way, so every later push keeps the reference's key.
+    # * An arrival whose same-instant STAGE_START would be the next pop
+    #   starts the stage inline, after consuming the same seq.
 
     def _drain(self, horizon: float, warmup: float) -> bool:
         queue = self.queue
@@ -575,7 +602,6 @@ class MicroserviceSimulator(_SimCore):
         stage_start = _STAGE_START
         cpu_done = _CPU_DONE
         wait_done = _WAIT_DONE
-        quota_exhaust = _QUOTA_EXHAUST
         period_end = _PERIOD_END
         background = _BACKGROUND
         on_cpu_done = self._on_cpu_done
@@ -586,31 +612,40 @@ class MicroserviceSimulator(_SimCore):
         on_arrival = self._on_arrival
         on_background = self._on_background
         pop = heappop
-        # Dispatch in event-frequency order (CPU_DONE and QUOTA_EXHAUST
-        # dominate: every resched arms one of each).
+        events = 0
+        # Dispatch in event-frequency order.
         while heap and heap[0][0] <= horizon:
             time, _seq, kind, payload, epoch = pop(heap)
+            events += 1
             queue.now = time
             if not warmup_done and time >= warmup:
                 self._reset_measurement(warmup)
                 warmup_done = True
             if kind is cpu_done:
                 on_cpu_done(payload[0], payload[1], epoch)
-            elif kind is quota_exhaust:
-                on_quota(payload, epoch)
-            elif kind is period_end:
-                on_period_end(payload)
             elif kind is wait_done:
                 finish_visit(payload)
             elif kind is stage_start:
                 start_stage(payload)
             elif kind is background:
                 on_background(payload[0], payload[1])
-            else:  # ARRIVAL
+            elif kind is arrival:
                 on_arrival(payload)
+            elif kind is period_end:
+                on_period_end(payload)
+            else:  # QUOTA_EXHAUST
+                on_quota(payload, epoch)
+        self.events = events
         return warmup_done
 
     def _resched(self, server: ServiceServer) -> None:
+        queue = self.queue
+        heap = queue._heap
+        parked = server.parked_quota
+        if parked is not None:
+            server.parked_quota = None
+            if parked[4] == server.epoch:
+                heappush(heap, parked)  # live: the reference has it queued
         # Inlined ``next_completion``/``time_to_quota_exhaust``/``push``:
         # both queries share one gate (busy and unthrottled), and every
         # pushed time is ``now + dt`` with ``dt >= 0``, so the queue's
@@ -618,9 +653,7 @@ class MicroserviceSimulator(_SimCore):
         jobs = server.jobs
         if not jobs or server.throttled:
             return
-        queue = self.queue
         now = queue.now
-        heap = queue._heap
         seq = queue._next_seq
         queue._next_seq = seq + 2
         epoch = server.epoch
@@ -685,70 +718,88 @@ class MicroserviceSimulator(_SimCore):
         )
         server.period_event_armed = True
 
-    def _start_visit(self, visit: _Visit) -> None:
+    def _admit(self, server: ServiceServer, now: float, job: CpuJob) -> None:
+        """Inlined ``advance`` + ``add_job`` (+ period-end arming on an
+        idle server) + ``_resched``, parking the quota timer."""
         queue = self.queue
-        now = queue.now
-        service = visit.service
-        server = self.servers[service]
+        heap = queue._heap
+        service = server.name
         jobs = server.jobs
-        # Inlined advance.
-        elapsed = now - server.last_advance
-        if elapsed > 0.0:
-            n = len(jobs)
-            if n and not server.throttled:
-                used = n * elapsed
-                for job in jobs.values():
-                    job.remaining -= elapsed
-                server.usage_seconds += used
-                server.quota_left -= used
-                server.period_usage += used
-            elif n:
-                server.throttle_seconds += elapsed
-        server.last_advance = now
+        job_id = job.job_id
+        if jobs:
+            elapsed = now - server.last_advance
+            if elapsed > 0.0:
+                if not server.throttled:
+                    used = len(jobs) * elapsed
+                    for other in jobs.values():
+                        other.remaining -= elapsed
+                    server.usage_seconds += used
+                    server.quota_left -= used
+                    server.period_usage += used
+                else:
+                    server.throttle_seconds += elapsed
+            server.last_advance = now
+            jobs[job_id] = job
+            epoch = server.epoch = server.epoch + 1
+            if server.throttled:
+                return
+            nxt = min(jobs.values(), key=_JOB_REMAINING)
+            remaining = nxt.remaining
+            done_t = now + (remaining if remaining > 0.0 else 0.0)
+            done_id = nxt.job_id
+            quota = server.quota_left
+            quota_t = now + (quota if quota > 0.0 else 0.0) / len(jobs)
+        else:
+            # Idle: ``sync_period`` and the period-end arming share one
+            # period index, and the lone job is the next completion.
+            server.last_advance = now
+            period = server.period
+            idx = int(now / period + 1e-9)
+            if idx > server.period_index:
+                server.period_samples.append(server.period_usage / period)
+                server.period_usage = 0.0
+                server.quota_left = server.alloc * period
+                server.throttled = False
+                server.period_index = idx
+            if not server.period_event_armed:
+                seq = queue._next_seq
+                queue._next_seq = seq + 1
+                heappush(
+                    heap, ((idx + 1) * period, seq, _PERIOD_END, service, -1)
+                )
+                server.period_event_armed = True
+            jobs[job_id] = job
+            epoch = server.epoch = server.epoch + 1
+            if server.throttled:
+                return
+            done_t = now + job.remaining
+            done_id = job_id
+            quota = server.quota_left
+            quota_t = now + (quota if quota > 0.0 else 0.0)
+        seq = queue._next_seq
+        queue._next_seq = seq + 2
+        heappush(heap, (done_t, seq, _CPU_DONE, (service, done_id), epoch))
+        if quota_t < done_t:
+            heappush(heap, (quota_t, seq + 1, _QUOTA_EXHAUST, service, epoch))
+        else:
+            server.parked_quota = (
+                quota_t, seq + 1, _QUOTA_EXHAUST, service, epoch
+            )
+
+    def _start_visit(self, visit: _Visit) -> None:
+        now = self.queue.now
+        service = visit.service
         mean, scale = self._demand_params[service]
         demand = mean if scale is None else self._next_gamma() * scale
         visit.span_start = now
         visit.cpu_time = demand
         if demand <= 0:
+            self._advance(self.servers[service], now)
             self._finish_cpu_phase(visit)
             return
         job_id = self._next_job_id
         self._next_job_id = job_id + 1
-        if not jobs:
-            # Inlined ``add_job`` idle branch + period-end arming.
-            server.sync_period(now)
-            self._schedule_period_end(server)
-        jobs[job_id] = CpuJob(job_id, demand, visit, now)
-        epoch = server.epoch = server.epoch + 1
-        # Inlined resched (jobs is non-empty; sync_period may have just
-        # cleared a stale throttle, so the flag is read after it).
-        if not server.throttled:
-            heap = queue._heap
-            seq = queue._next_seq
-            queue._next_seq = seq + 2
-            job = min(jobs.values(), key=_JOB_REMAINING)
-            remaining = job.remaining
-            heappush(
-                heap,
-                (
-                    now + (remaining if remaining > 0.0 else 0.0),
-                    seq,
-                    _CPU_DONE,
-                    (service, job.job_id),
-                    epoch,
-                ),
-            )
-            quota = server.quota_left
-            heappush(
-                heap,
-                (
-                    now + (quota if quota > 0.0 else 0.0) / len(jobs),
-                    seq + 1,
-                    _QUOTA_EXHAUST,
-                    service,
-                    epoch,
-                ),
-            )
+        self._admit(self.servers[service], now, CpuJob(job_id, demand, visit, now))
 
     def _finish_cpu_phase(self, visit: _Visit) -> None:
         # Inlined ``_sample_wait`` plus a direct WAIT_DONE push.
@@ -798,10 +849,20 @@ class MicroserviceSimulator(_SimCore):
             )
 
     def _start_stage(self, request: RequestState) -> None:
-        entries = request.sample_stage_entries(self._next_entry_u)
-        if not entries:
+        # Inlined ``RequestState.sample_stage_entries``, building the
+        # visits directly: one entry uniform per plan entry, in order.
+        stage = request.stage_index + 1
+        request.stage_index = stage
+        next_u = self._next_entry_u
+        visits = []
+        for service, whole, frac in request.plan.stages[stage]:
+            count = whole + (1 if next_u() < frac else 0)
+            if count > 0:
+                visits.append(_Visit(request, service, count))
+        request.entries_pending = len(visits)
+        if not visits:
             # Every call in the stage sampled to zero visits.
-            if request.stage_index >= request.plan.last_stage:
+            if stage >= request.plan.last_stage:
                 self.in_flight -= 1
                 self.window.record_completion(
                     self.queue.now - request.arrived_at
@@ -816,8 +877,8 @@ class MicroserviceSimulator(_SimCore):
                 )
             return
         start_visit = self._start_visit
-        for entry in entries:
-            start_visit(_Visit(request, entry.service, entry.visits_left))
+        for visit in visits:
+            start_visit(visit)
 
     def _on_cpu_done(self, service: str, job_id: int, epoch: int) -> None:
         server = self.servers[service]
@@ -846,34 +907,27 @@ class MicroserviceSimulator(_SimCore):
             return
         del jobs[job_id]
         epoch = server.epoch = server.epoch + 1
-        # Inlined resched.
+        heap = queue._heap
+        # Inlined resched, parking the quota timer as in ``_admit``.
         if jobs and not server.throttled:
-            heap = queue._heap
+            n = len(jobs)
+            if n == 1:
+                (nxt,) = jobs.values()
+            else:
+                nxt = min(jobs.values(), key=_JOB_REMAINING)
+            remaining = nxt.remaining
+            done_t = now + (remaining if remaining > 0.0 else 0.0)
+            quota = server.quota_left
+            quota_t = now + (quota if quota > 0.0 else 0.0) / n
             seq = queue._next_seq
             queue._next_seq = seq + 2
-            nxt = min(jobs.values(), key=_JOB_REMAINING)
-            remaining = nxt.remaining
-            heappush(
-                heap,
-                (
-                    now + (remaining if remaining > 0.0 else 0.0),
-                    seq,
-                    _CPU_DONE,
-                    (service, nxt.job_id),
-                    epoch,
-                ),
-            )
-            quota = server.quota_left
-            heappush(
-                heap,
-                (
-                    now + (quota if quota > 0.0 else 0.0) / len(jobs),
-                    seq + 1,
-                    _QUOTA_EXHAUST,
-                    service,
-                    epoch,
-                ),
-            )
+            heappush(heap, (done_t, seq, _CPU_DONE, (service, nxt.job_id), epoch))
+            if quota_t < done_t:
+                heappush(heap, (quota_t, seq + 1, _QUOTA_EXHAUST, service, epoch))
+            else:
+                server.parked_quota = (
+                    quota_t, seq + 1, _QUOTA_EXHAUST, service, epoch
+                )
         visit = job.visit_ref
         if visit is None:
             return  # background jobs just end
@@ -888,7 +942,7 @@ class MicroserviceSimulator(_SimCore):
             wait = base * float(np.exp(jitter * self._next_normal()))
         seq = queue._next_seq
         queue._next_seq = seq + 1
-        heappush(queue._heap, (now + wait, seq, _WAIT_DONE, visit, -1))
+        heappush(heap, (now + wait, seq, _WAIT_DONE, visit, -1))
 
     def _on_quota_exhaust(self, service: str, epoch: int) -> None:
         server = self.servers[service]
@@ -913,6 +967,7 @@ class MicroserviceSimulator(_SimCore):
     def _on_arrival(self, horizon: float) -> None:
         queue = self.queue
         now = queue.now
+        heap = queue._heap
         request_id = self._next_request_id
         self._next_request_id = request_id + 1
         # Inlined _choose_plan.
@@ -924,9 +979,8 @@ class MicroserviceSimulator(_SimCore):
         )
         self.in_flight += 1
         self.window.started += 1
-        seq = queue._next_seq
-        queue._next_seq = seq + 1
-        heappush(queue._heap, (now, seq, _STAGE_START, request, -1))
+        stage_seq = queue._next_seq
+        queue._next_seq = stage_seq + 1
         aidx = self._arrival_idx
         times = self._arrival_times
         if aidx < len(times):
@@ -935,7 +989,12 @@ class MicroserviceSimulator(_SimCore):
             if t <= horizon:
                 seq = queue._next_seq
                 queue._next_seq = seq + 1
-                heappush(queue._heap, (t, seq, _ARRIVAL, horizon, -1))
+                heappush(heap, (t, seq, _ARRIVAL, horizon, -1))
+        if heap and heap[0][0] <= now:
+            # Something else is due this instant: queue the stage start.
+            heappush(heap, (now, stage_seq, _STAGE_START, request, -1))
+        else:
+            self._start_stage(request)
 
     def _on_background(self, service: str, horizon: float) -> None:
         queue = self.queue
@@ -943,57 +1002,9 @@ class MicroserviceSimulator(_SimCore):
         bg_idx = self._bg_idx[service]
         work = self._bg_works[service][bg_idx]
         if work > 0:
-            server = self.servers[service]
-            jobs = server.jobs
-            # Inlined advance.
-            elapsed = now - server.last_advance
-            if elapsed > 0.0:
-                n = len(jobs)
-                if n and not server.throttled:
-                    used = n * elapsed
-                    for job in jobs.values():
-                        job.remaining -= elapsed
-                    server.usage_seconds += used
-                    server.quota_left -= used
-                    server.period_usage += used
-                elif n:
-                    server.throttle_seconds += elapsed
-            server.last_advance = now
             job_id = self._next_job_id
             self._next_job_id = job_id + 1
-            if not jobs:
-                server.sync_period(now)
-                self._schedule_period_end(server)
-            jobs[job_id] = CpuJob(job_id, work, None)
-            epoch = server.epoch = server.epoch + 1
-            # Inlined resched.
-            if not server.throttled:
-                heap = queue._heap
-                seq = queue._next_seq
-                queue._next_seq = seq + 2
-                nxt = min(jobs.values(), key=_JOB_REMAINING)
-                remaining = nxt.remaining
-                heappush(
-                    heap,
-                    (
-                        now + (remaining if remaining > 0.0 else 0.0),
-                        seq,
-                        _CPU_DONE,
-                        (service, nxt.job_id),
-                        epoch,
-                    ),
-                )
-                quota = server.quota_left
-                heappush(
-                    heap,
-                    (
-                        now + (quota if quota > 0.0 else 0.0) / len(jobs),
-                        seq + 1,
-                        _QUOTA_EXHAUST,
-                        service,
-                        epoch,
-                    ),
-                )
+            self._admit(self.servers[service], now, CpuJob(job_id, work, None))
         bg_idx += 1
         self._bg_idx[service] = bg_idx
         times = self._bg_times[service]

@@ -35,6 +35,9 @@ contract.
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import chain
+
 import numpy as np
 
 __all__ = [
@@ -130,63 +133,64 @@ class ScalarGamma:
 
 
 # -- block streams (vectorized: pre-draw BLOCK variates, serve in order) -------
+def _draw_list(draw) -> list[float]:
+    return draw().tolist()
+
+
 class _BlockStream:
     """Serve pre-drawn variates in draw order, refilling in BLOCK chunks.
 
-    The buffer is stored reversed so ``next`` is a single C-level
-    ``list.pop()`` — reversing only reorders the already-materialized
-    float64 values, so the served sequence stays bit-identical to the
-    block draw (and therefore to sequential scalar draws).
+    ``next`` is a C-level callable, ``partial(next, chain)`` over lazily
+    drawn blocks, so serving a variate runs no Python frame.  A block is
+    drawn only when the previous one is used up, so the served sequence
+    stays bit-identical to the block draw (and therefore to sequential
+    scalar draws).  The chain holds the generator's draw method, not the
+    stream object, so dropping the stream frees its block at once
+    instead of at the next cyclic collection.
     """
 
-    __slots__ = ("_gen", "_buf")
+    __slots__ = ("next",)
 
-    def __init__(self, gen: np.random.Generator) -> None:
-        self._gen = gen
-        self._buf: list[float] = []
-
-    def _draw(self) -> np.ndarray:
-        raise NotImplementedError
-
-    def next(self) -> float:
-        buf = self._buf
-        if not buf:
-            buf = self._buf = self._draw().tolist()
-            buf.reverse()
-        return buf.pop()
+    def __init__(self, draw) -> None:
+        """``draw()`` returns the next BLOCK variates as an array."""
+        # ``iter(f, None)`` is endless: a list is never None.
+        blocks = iter(partial(_draw_list, draw), None)
+        self.next = partial(next, chain.from_iterable(blocks))
 
 
 class BlockExp(_BlockStream):
     """Block-buffered standard-exponential stream."""
 
-    def _draw(self) -> np.ndarray:
-        return self._gen.standard_exponential(BLOCK)
+    __slots__ = ()
+
+    def __init__(self, gen: np.random.Generator) -> None:
+        super().__init__(partial(gen.standard_exponential, BLOCK))
 
 
 class BlockUniform(_BlockStream):
     """Block-buffered uniform [0, 1) stream."""
 
-    def _draw(self) -> np.ndarray:
-        return self._gen.random(BLOCK)
+    __slots__ = ()
+
+    def __init__(self, gen: np.random.Generator) -> None:
+        super().__init__(partial(gen.random, BLOCK))
 
 
 class BlockNormal(_BlockStream):
     """Block-buffered standard-normal stream."""
 
-    def _draw(self) -> np.ndarray:
-        return self._gen.standard_normal(BLOCK)
+    __slots__ = ()
+
+    def __init__(self, gen: np.random.Generator) -> None:
+        super().__init__(partial(gen.standard_normal, BLOCK))
 
 
 class BlockGamma(_BlockStream):
     """Block-buffered Gamma(shape, 1) stream."""
 
-    __slots__ = ("_shape",)
+    __slots__ = ()
 
     def __init__(self, gen: np.random.Generator, shape: float) -> None:
         if shape <= 0:
             raise ValueError("shape must be positive")
-        super().__init__(gen)
-        self._shape = shape
-
-    def _draw(self) -> np.ndarray:
-        return self._gen.standard_gamma(self._shape, BLOCK)
+        super().__init__(partial(gen.standard_gamma, shape, BLOCK))

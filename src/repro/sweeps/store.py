@@ -25,6 +25,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import math
 import os
 import tempfile
 import time
@@ -317,12 +318,26 @@ class LeaseNamespace:
         return self.root / f"{task_id}.json"
 
     def read(self, task_id: str) -> dict[str, Any] | None:
-        """The current lease record, or None (absent or unreadable)."""
+        """The current lease record, or None (absent or unreadable).
+
+        A record whose ``expires`` is not a finite real number (``null``,
+        a string, a list, a bool, NaN) is unreadable too: its expiry
+        cannot be compared, so the mtime rule decides as for garbage.
+        """
         try:
             data = json.loads(self.path_for(task_id).read_text())
         except (OSError, UnicodeDecodeError, json.JSONDecodeError):
             return None
-        return data if isinstance(data, dict) else None
+        if not isinstance(data, dict):
+            return None
+        expires = data.get("expires", 0.0)
+        if isinstance(expires, bool) or not isinstance(expires, (int, float)):
+            return None
+        try:
+            finite = math.isfinite(expires)
+        except OverflowError:  # an int too large for a float
+            return None
+        return data if finite else None
 
     def _fresh_by_mtime(self, task_id: str, ttl: float, now: float) -> bool:
         """Is an unreadable lease file young enough to be an in-flight write?

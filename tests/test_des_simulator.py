@@ -205,3 +205,68 @@ class TestBackgroundLoad:
     def test_background_interval_validation(self):
         with pytest.raises(ValueError):
             SimConfig(background_interval=0.0)
+
+
+_FLOAT_FIELDS = [
+    "period",
+    "burst_factor",
+    "burst_fraction",
+    "demand_cv",
+    "wait_jitter",
+    "cpu_speed",
+    "background_interval",
+]
+
+
+class TestNonFiniteTunables:
+    """NaN/inf tunables fail at construction with a ValueError, before any
+    run: unchecked they hang ``run()``, return a zero p95, or end in
+    ZeroDivisionError/IndexError deep inside the event loop."""
+
+    @pytest.fixture(autouse=True)
+    def _no_runs(self, monkeypatch):
+        from repro.sim.des.simulator import _SimCore
+
+        def run(*args, **kwargs):
+            pytest.fail("a simulation started")
+
+        monkeypatch.setattr(_SimCore, "run", run)
+
+    def test_float_fields_are_the_dataclass_floats(self):
+        from dataclasses import fields
+
+        assert _FLOAT_FIELDS == [
+            f.name for f in fields(SimConfig) if f.type == "float"
+        ]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", _FLOAT_FIELDS)
+    def test_sim_config_rejects(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SimConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", _FLOAT_FIELDS)
+    def test_registry_engine_rejects(self, tiny_app, field, value):
+        from repro.experiments import ENGINES
+
+        with pytest.raises(ValueError, match=field):
+            ENGINES.build("des", tiny_app, config={field: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("param", ["sim_seconds", "warmup_seconds"])
+    def test_engine_rejects_non_finite_durations(self, tiny_app, param, value):
+        from repro.experiments import ENGINES
+
+        with pytest.raises(ValueError, match="finite"):
+            ENGINES.build("des", tiny_app, **{param: value})
+        with pytest.raises(ValueError, match="finite"):
+            DESEngine(tiny_app, **{param: value})
+
+    @pytest.mark.parametrize(
+        "cfg", [{"burst_factor": 0.5}, {"burst_fraction": 0.0},
+                {"burst_fraction": 1.0}]
+    )
+    def test_burst_pair_checked_for_poisson_too(self, cfg):
+        with pytest.raises(ValueError, match="burst"):
+            SimConfig(arrivals="poisson", **cfg)

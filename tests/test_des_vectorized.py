@@ -221,6 +221,145 @@ class TestBitIdentity:
         assert m_a != m_b
 
 
+class _Drift:
+    """Mixin forcing the non-epoch-bumping re-arm paths.
+
+    Once per job, a live CPU_DONE whose server would exhaust its quota
+    within ``DRIFT`` seconds gets ``DRIFT`` added to the job's remaining
+    work (the numerical-drift branch re-arms without bumping the epoch)
+    and ``QUOTA_DRIFT`` added to the quota (so the earlier, still-live
+    quota timer pops first and takes the non-throttling branch).  The
+    vectorized mode parked that timer when it armed the CPU_DONE; only
+    the flush in ``_resched`` puts it back in the heap.  Both modes apply
+    the identical perturbation to identical state.
+    """
+
+    DRIFT = 2e-3
+    QUOTA_DRIFT = 5e-4
+
+    def _init_streams(self, core, background):
+        super()._init_streams(core, background)
+        self.drifted: set[int] = set()
+        self.live_flushes = 0
+        self.live_quota_pops: list[tuple[float, str, bool]] = []
+
+    def _on_cpu_done(self, service, job_id, epoch):
+        server = self.servers[service]
+        if (
+            epoch == server.epoch
+            and job_id in server.jobs
+            and job_id not in self.drifted
+        ):
+            n = len(server.jobs)
+            elapsed = self.queue.now - server.last_advance
+            if 0.0 < (server.quota_left - n * elapsed) / n < self.DRIFT:
+                self.drifted.add(job_id)
+                server.jobs[job_id].remaining += self.DRIFT
+                server.quota_left += self.QUOTA_DRIFT
+        super()._on_cpu_done(service, job_id, epoch)
+
+    def _resched(self, server):
+        parked = server.parked_quota
+        if parked is not None and parked[4] == server.epoch:
+            self.live_flushes += 1
+        super()._resched(server)
+
+    def _on_quota_exhaust(self, service, epoch):
+        server = self.servers[service]
+        live = epoch == server.epoch
+        super()._on_quota_exhaust(service, epoch)
+        if live:
+            self.live_quota_pops.append(
+                (self.queue.now, service, server.throttled)
+            )
+
+
+class _DriftReference(_Drift, ReferenceSimulator):
+    pass
+
+
+class _DriftVectorized(_Drift, MicroserviceSimulator):
+    pass
+
+
+class TestParkedQuotaTimer:
+    """The deferred QUOTA_EXHAUST is flushed with its original key."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_live_parked_timer_flushed_on_drift(self, seed):
+        app = build_app("sockshop")
+        alloc = app.generous_allocation(150.0).scale(0.12)
+        cfg = SimConfig(arrivals="poisson", trace=True)
+        runs = []
+        for cls in (_DriftReference, _DriftVectorized):
+            sim = cls(app, alloc, 150.0, config=cfg, seed=seed)
+            runs.append((sim, sim.run(1.5, warmup=0.3)))
+        (ref, m_ref), (vec, m_vec) = runs
+        assert ref.drifted == vec.drifted and ref.drifted
+        assert vec.live_flushes > 0
+        # Some flushed timers pop live without throttling.
+        assert any(not throttled for _, _, throttled in ref.live_quota_pops)
+        assert vec.live_quota_pops == ref.live_quota_pops
+        assert m_ref == m_vec
+        assert span_tuples(ref) == span_tuples(vec)
+        assert {n: s.period_samples for n, s in ref.servers.items()} == {
+            n: s.period_samples for n, s in vec.servers.items()
+        }
+
+
+class TestEventCount:
+    """``events`` counts heap pops; the vectorized mode pops far fewer."""
+
+    def test_des_cells_shape_cuts_events(self):
+        # The des_cells benchmark cell shape: Poisson arrivals, 2.0 s
+        # measured after 0.5 s of warmup, at each app's benchmark rate.
+        for app_name, rps in (("sockshop", 150.0), ("hotelreservation", 200.0)):
+            app = build_app(app_name)
+            alloc = app.generous_allocation(rps)
+            engines = [
+                DESEngine(
+                    app,
+                    config=SimConfig(arrivals="poisson"),
+                    sim_seconds=2.0,
+                    warmup_seconds=0.5,
+                    seed=7,
+                    mode=mode,
+                )
+                for mode in ("reference", "vectorized")
+            ]
+            ref, vec = engines
+            assert ref.observe(alloc, rps) == vec.observe(alloc, rps)
+            assert vec.last_started == ref.last_started > 0
+            assert 0 < vec.last_events <= 0.75 * ref.last_events
+            # Counting is deterministic: a same-seed rerun pops the same.
+            again = DESEngine(
+                app,
+                config=SimConfig(arrivals="poisson"),
+                sim_seconds=2.0,
+                warmup_seconds=0.5,
+                seed=7,
+            )
+            again.observe(alloc, rps)
+            assert again.last_events == vec.last_events
+
+    @pytest.mark.parametrize("app_name,rps", [("sockshop", 150.0),
+                                              ("hotelreservation", 200.0)])
+    def test_des_cells_payload_bytes_identical(self, app_name, rps):
+        def payload(mode):
+            spec = ExperimentSpec.from_dict({
+                "app": app_name,
+                "workload": {"kind": "constant", "params": {"rps": rps}},
+                "n_steps": 2,
+                "seed": 7,
+                "engine": {"kind": "des", "params": {
+                    "sim_seconds": 2.0, "warmup_seconds": 0.5, "mode": mode,
+                    "config": {"arrivals": "poisson"}}},
+            })
+            return json.dumps(_run_unit_worker(spec.to_dict(), 0), sort_keys=True)
+
+        assert payload("reference") == payload("vectorized")
+
+
 class TestEngineModes:
     def test_engine_mode_selection(self):
         app = build_app("sockshop")

@@ -150,6 +150,26 @@ class TestLeaseNamespace:
         assert not lease.stolen
         assert ns.read("t")["worker"] == "bob"
 
+    @pytest.mark.parametrize(
+        "expires", [None, [1], "soon", True, {"t": 1}, float("nan"), 10**400]
+    )
+    def test_non_numeric_expiry_is_unreadable(self, tmp_path, expires):
+        # A foreign or hand-edited record whose expiry is not a finite
+        # real number reads as garbage: the mtime rule decides, and
+        # neither acquire nor the worker loop's expiry probe raises.
+        ns = LeaseNamespace(tmp_path / "leases")
+        path = ns.path_for("t")
+        path.write_text(
+            json.dumps({"worker": "mallory", "token": "x", "expires": expires})
+        )
+        assert ns.read("t") is None
+        assert ns.acquire("t", "bob", ttl=60.0) is None  # fresh by mtime
+        old = time.time() - 120.0
+        os.utime(path, (old, old))
+        lease = ns.acquire("t", "bob", ttl=60.0)
+        assert lease is not None and not lease.stolen
+        assert ns.read("t")["worker"] == "bob"
+
     def test_zero_ttl_makes_leases_instantly_stale(self, tmp_path):
         ns = LeaseNamespace(tmp_path / "leases")
         assert ns.acquire("t", "alice", ttl=0.0, now=1000.0) is not None
