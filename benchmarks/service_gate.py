@@ -198,7 +198,7 @@ def main(argv=None) -> int:
         cached = check_store.get_result(spec, 0)
         if cached is None:
             failures.append(f"{spec.name}: no sweep-store unit entry")
-        elif dumps(cached) != offline[spec.name]:
+        elif dumps(cached.to_payload()) != offline[spec.name]:
             failures.append(
                 f"{spec.name}: flushed unit entry differs from the "
                 f"offline bytes"

@@ -844,13 +844,13 @@ def _load_trace_records(args: argparse.Namespace) -> list[dict]:
         from repro.sweeps import SweepStore
 
         spec = ExperimentSpec.from_json(Path(args.spec).read_text())
-        payload = SweepStore(args.store).get_result(spec, args.repeat)
-        if payload is None:
+        unit = SweepStore(args.store).get_result(spec, args.repeat)
+        if unit is None:
             raise LookupError(
                 f"no unit entry for {args.spec} repeat {args.repeat} "
                 f"in {args.store}"
             )
-        trace = payload.get("decision_trace")
+        trace = unit.channels.get("decision_trace")
         if trace is None:
             raise LookupError(
                 "unit entry has no decision_trace — was the spec run "

@@ -138,10 +138,11 @@ class ExperimentArtifact:
         """Assemble an artifact from per-repeat unit worker payloads.
 
         ``payloads`` are ``loop_result_to_dict`` dicts (one per repeat, in
-        repeat order), each optionally carrying the ``manager_state`` key
-        when the spec's ``capture`` requested that channel — exactly what
-        the experiment runner, the sweep scheduler, and the sweep store
-        hand around.
+        repeat order), each optionally carrying the ``manager_state`` and
+        ``decision_trace`` keys when the spec's ``capture`` requested
+        those channels — exactly what the unit workers return.  (The
+        sweep scheduler holds its units decoded and builds artifacts
+        directly; see :func:`repro.sweeps.build_artifacts`.)
         """
         return cls(
             spec=spec,

@@ -1,13 +1,25 @@
-"""Export utilities: run histories to CSV/JSON.
+"""Export utilities: run histories to CSV/JSON, and the packed codec.
 
 Downstream users want the raw series (for plotting in their own stack);
 these writers keep the on-disk format trivial — plain CSV with one header
-row, or plain-dict JSON.  The JSON form round-trips exactly (it is what
-:class:`repro.experiments.ExperimentArtifact` persists).
+row, or plain-dict JSON.  Two JSON forms round-trip exactly:
+
+* the **records** form (:func:`loop_result_to_dict`), one dict per
+  interval — what :class:`repro.experiments.ExperimentArtifact` persists,
+  what unit workers return and what the streaming service emits;
+* the **packed** form (:func:`loop_result_to_packed`), the columns as
+  base64 little-endian arrays — what the sweep store keeps at rest
+  (:mod:`repro.sweeps.store`).  float64 values travel as their 8 bytes,
+  so decoding yields bit-identical columns and re-encoding them as
+  records gives the same bytes as the original records.
+
+Both decoders apply the same value rule and raise
+:class:`MalformedHistoryError` on anything they cannot decode.
 """
 
 from __future__ import annotations
 
+import base64
 import csv
 from itertools import chain
 from pathlib import Path
@@ -24,6 +36,8 @@ __all__ = [
     "loop_result_to_csv",
     "loop_result_to_dict",
     "loop_result_from_dict",
+    "loop_result_to_packed",
+    "loop_result_from_packed",
 ]
 
 
@@ -213,3 +227,116 @@ def loop_result_from_dict(data: dict[str, Any]) -> "LoopResult":
         raise
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise MalformedHistoryError(f"malformed run history: {exc!r}") from exc
+
+
+
+# -- the packed form ---------------------------------------------------------------
+# Little-endian on every host, so an entry reads the same everywhere.
+_STEP_DTYPE = np.dtype("<i8")
+_VIOLATED_DTYPE = np.dtype("<u1")
+_VALUES_DTYPE = np.dtype("<f8")
+
+
+def _pack(column: np.ndarray, dtype: np.dtype) -> str:
+    return base64.b64encode(column.astype(dtype, copy=False).tobytes()).decode(
+        "ascii"
+    )
+
+
+def _unpack(text: Any, dtype: np.dtype, count: int, field: str) -> np.ndarray:
+    """``count`` values of ``dtype`` from base64 ``text``, or raise."""
+    if not isinstance(text, str):
+        raise MalformedHistoryError(f"{field} must be a base64 string")
+    raw = base64.b64decode(text, validate=True)
+    if len(raw) != count * dtype.itemsize:
+        raise MalformedHistoryError(
+            f"{field} holds {len(raw)} bytes, expected {count} "
+            f"x {dtype.itemsize}"
+        )
+    return np.frombuffer(raw, dtype=dtype)
+
+
+def loop_result_to_packed(result: "LoopResult") -> dict[str, Any]:
+    """The run history as packed columns (lossless; inverse below).
+
+    ``n`` intervals over ``names`` (stored once); ``step`` is ``int64``,
+    ``violated`` one ``uint8`` 0/1 per interval, and ``values`` one
+    ``float64`` block: ``n`` values each of time, workload, response,
+    total_cpu and slo, then the row-major ``(n, len(names))`` allocation
+    matrix.  Every array is little-endian and base64-encoded.
+    """
+    values = np.concatenate(
+        [
+            result.times,
+            result.workloads,
+            result.responses,
+            result.total_cpu,
+            result.slos,
+            result.allocations.ravel(),
+        ]
+    )
+    return {
+        "n": len(result),
+        "names": list(result.service_names),
+        "step": _pack(result.steps, _STEP_DTYPE),
+        "violated": _pack(result.violated, _VIOLATED_DTYPE),
+        "values": _pack(values, _VALUES_DTYPE),
+    }
+
+
+def loop_result_from_packed(data: dict[str, Any]) -> "LoopResult":
+    """Rebuild a :class:`LoopResult` from :func:`loop_result_to_packed` output.
+
+    Raises :class:`MalformedHistoryError` for a missing key, bad base64,
+    an array whose length does not match ``n``, a ``violated`` byte
+    other than 0/1, names that are empty, duplicated or not strings, and
+    any value the records decoder would reject (negative or non-finite).
+    """
+    from repro.core.loop import LoopResult
+
+    try:
+        n = data["n"]
+        names = data["names"]
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+            raise MalformedHistoryError(f"invalid interval count {n!r}")
+        if (
+            not isinstance(names, list)
+            or not all(isinstance(name, str) and name for name in names)
+            or len(set(names)) != len(names)
+            or (n and not names)
+        ):
+            raise MalformedHistoryError(
+                "names must be distinct non-empty strings"
+            )
+        width = len(names)
+        scalars = len(_FLOAT_FIELDS) * n
+        step = _unpack(data["step"], _STEP_DTYPE, n, "step")
+        violated = _unpack(data["violated"], _VIOLATED_DTYPE, n, "violated")
+        values = _unpack(
+            data["values"], _VALUES_DTYPE, scalars + n * width, "values"
+        )
+        if violated.size and violated.max() > 1:
+            raise MalformedHistoryError("violated flags must be 0 or 1")
+        _check_values(
+            values,
+            lambda i: _FLOAT_FIELDS[i // n] if i < scalars else "allocation",
+        )
+        _check_values(step, lambda i: "step")
+        time, workload, response, total_cpu, slo = values[:scalars].reshape(
+            len(_FLOAT_FIELDS), n
+        )
+        return LoopResult(
+            names,
+            step=step,
+            time=time,
+            workload=workload,
+            response=response,
+            total_cpu=total_cpu,
+            violated=violated.view(np.bool_),
+            slo=slo,
+            allocations=values[scalars:].reshape(n, width),
+        )
+    except MalformedHistoryError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedHistoryError(f"malformed packed history: {exc!r}") from exc

@@ -5,8 +5,9 @@ guardian's decision feed in memory for the query API and persists
 snapshots plus final histories through a pluggable *backend* — any
 object with the content-addressed ``get_raw(key)``/``put_raw(key,
 payload)`` surface that :class:`repro.sweeps.store.JsonDirectoryStore`
-defines.  Two backends ship, resolved through the :data:`STATE_STORES`
-registry:
+defines, plus :class:`~repro.sweeps.SweepStore`'s ``put_result(spec,
+repeat, payload)`` for completed units.  Two backends ship, resolved
+through the :data:`STATE_STORES` registry:
 
 ``memory``
     volatile in-process dict — the default for tests and one-shot
@@ -14,10 +15,11 @@ registry:
 ``directory``
     a :class:`~repro.sweeps.SweepStore` directory.  Because a complete
     guardian history is byte-identical to the offline unit payload, the
-    store flushes it under the *same* content-addressed unit key the
-    sweep scheduler uses — so a finished service run literally warms the
-    sweep cache, and ``repro sweep --resume`` over the same specs gets
-    cache hits.
+    store flushes it through the sweep store's own unit-entry encoder
+    under the *same* content-addressed unit key the sweep scheduler
+    uses — so a finished service run writes the bytes an offline sweep
+    writes, literally warms the sweep cache, and ``repro sweep
+    --resume`` over the same specs gets cache hits.
 
 Incomplete runs are never written under unit keys (that would poison
 the sweep cache with partial histories); they persist only under
@@ -46,7 +48,7 @@ _FORMAT = 1
 
 #: Pluggable persistence backends for the service state store.  Factory
 #: convention: ``factory(**params) -> backend`` where the backend
-#: exposes ``get_raw``/``put_raw`` (see module docstring).
+#: exposes ``get_raw``/``put_raw``/``put_result`` (see module docstring).
 STATE_STORES = Registry("state-store backend")
 
 
@@ -72,6 +74,10 @@ class MemoryBackend:
         self.keys[digest] = key_obj
         self.stats.writes += 1
         return digest
+
+    def put_result(self, spec: Any, repeat: int, payload: Any) -> str:
+        """Keep a completed unit's payload under its sweep unit key."""
+        return self.put_raw(SweepStore.unit_key(spec, repeat), payload)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -199,8 +205,9 @@ class ServiceStateStore:
             if self.backend is not None:
                 self.snapshot(guardian)
                 if guardian.complete and guardian.error is None:
-                    self.backend.put_raw(
-                        SweepStore.unit_key(guardian.spec, guardian.repeat),
+                    self.backend.put_result(
+                        guardian.spec,
+                        guardian.repeat,
                         guardian.result_payload(),
                     )
                     self.unit_entries += 1

@@ -12,7 +12,8 @@ file plus an incremental execution pipeline:
 * :class:`SweepStore` (:mod:`repro.sweeps.store`) — a content-addressed
   on-disk cache keyed by the hash of each (spec, repeat), with atomic
   writes and corruption-tolerant loads, shared by every grid that sweeps
-  overlapping points;
+  overlapping points; unit histories rest as packed columns and come
+  back as decoded :class:`UnitResult` objects;
 * :func:`run_sweep_cached` / :func:`run_grid`
   (:mod:`repro.sweeps.scheduler`) — chunked process-parallel scheduling
   with per-chunk persistence and progress callbacks, so an interrupted
@@ -92,6 +93,7 @@ from repro.sweeps.store import (
     LeaseNamespace,
     StoreStats,
     SweepStore,
+    UnitResult,
     canonical_key,
 )
 
@@ -106,6 +108,7 @@ __all__ = [
     "Lease",
     "LeaseNamespace",
     "StoreStats",
+    "UnitResult",
     "canonical_key",
     "run_sweep_cached",
     "run_grid",

@@ -18,7 +18,8 @@ from the same grid:
 * **dedupe** — before computing a unit the worker probes the store by
   content hash, so units another worker (or a previous run) already
   persisted are skipped, and a task whose units are all present is
-  fast-forwarded to done without being claimed;
+  fast-forwarded to done without being claimed; a corrupt entry reads
+  as absent, so the worker recomputes and rewrites it;
 * **byte-identity** — workers run the exact scalar/batched unit workers
   the local scheduler uses, so the merged artifacts, aggregate summary,
   and store entries are byte-identical to a serial ``run_sweep_cached``
@@ -48,14 +49,14 @@ from repro.sweeps.grid import SweepCell, SweepGrid
 from repro.sweeps.scheduler import (
     GridRun,
     SweepReport,
-    _build_repairing,
     _partition_chunk,
-    build_artifacts,  # kept importable here: perfbench/tracing.py wraps it
+    build_artifacts,
 )
 from repro.sweeps.store import (
     Lease,
     LeaseNamespace,
     SweepStore,
+    UnitResult,
     _write_json_replace,
     canonical_key,
 )
@@ -395,16 +396,34 @@ def run_worker(
 
 
 # -- merge / coordination ------------------------------------------------------
+def _probe(
+    store: SweepStore, spec: ExperimentSpec, repeat: int
+) -> tuple[UnitResult | None, bool]:
+    """A unit's stored result, and whether its entry proved corrupt.
+
+    A corrupt entry was persisted (it is not missing) but must be
+    recomputed before it can be merged.
+    """
+    corrupt = store.stats.corrupt
+    unit = store.get_result(spec, repeat)
+    return unit, store.stats.corrupt > corrupt
+
+
 def missing_units(
     specs: Sequence[ExperimentSpec], store: SweepStore
 ) -> list[tuple[int, int]]:
-    """The (spec_index, repeat) units not yet persisted in ``store``."""
-    return [
-        (spec_index, repeat)
-        for spec_index, spec in enumerate(specs)
-        for repeat in range(spec.repeats)
-        if store.get_result(spec, repeat) is None
-    ]
+    """The (spec_index, repeat) units not yet persisted in ``store``.
+
+    A unit whose entry is corrupt counts as persisted: the merge
+    recomputes it, since done markers keep workers from doing so.
+    """
+    missing = []
+    for spec_index, spec in enumerate(specs):
+        for repeat in range(spec.repeats):
+            unit, corrupt = _probe(store, spec, repeat)
+            if unit is None and not corrupt:
+                missing.append((spec_index, repeat))
+    return missing
 
 
 def _merge_specs(
@@ -413,32 +432,38 @@ def _merge_specs(
     *,
     seconds: float = 0.0,
 ) -> tuple[list[ExperimentArtifact], SweepReport]:
-    """Assemble artifacts + report from persisted unit payloads.
+    """Assemble artifacts + report from persisted unit results.
 
     This is the serial scheduler's aggregation step fed entirely from the
     cache, so a merged distributed run and an uninterrupted serial run
     produce byte-identical artifacts and aggregate summaries.  A unit
-    whose entry does not decode is recomputed and rewritten, exactly as
-    the scheduler repairs it.
+    whose entry is corrupt (a counted corrupt miss of ``get_result``) is
+    recomputed on the scalar path and its entry rewritten, as the
+    scheduler would; a unit with no entry at all raises LookupError.
     """
-    payloads: dict[tuple[int, int], dict[str, Any]] = {}
+    results: dict[tuple[int, int], UnitResult] = {}
     absent: list[str] = []
+    repaired = 0
     for spec_index, spec in enumerate(specs):
         for repeat in range(spec.repeats):
-            payload = store.get_result(spec, repeat)
-            if payload is None:
+            unit, corrupt = _probe(store, spec, repeat)
+            if corrupt:
+                unit = UnitResult.from_payload(
+                    _run_unit_worker(spec.to_dict(), repeat)
+                )
+                store.put_result(spec, repeat, unit)
+                repaired += 1
+            if unit is None:
                 absent.append(f"{spec.name or spec.app}#{repeat}")
             else:
-                payloads[(spec_index, repeat)] = payload
+                results[(spec_index, repeat)] = unit
     if absent:
         preview = ", ".join(absent[:5])
         raise LookupError(
             f"{len(absent)} unit(s) missing from {store.root} "
             f"(e.g. {preview}) — are workers still running?"
         )
-    artifacts, repaired = _build_repairing(
-        specs, payloads, list(payloads), store
-    )
+    artifacts = build_artifacts(specs, results)
     units = sum(spec.repeats for spec in specs)
     report = SweepReport(
         specs=len(specs),
@@ -453,8 +478,8 @@ def _merge_specs(
         ),
         manager_states=sum(
             1
-            for payload in payloads.values()
-            if payload.get("manager_state") is not None
+            for unit in results.values()
+            if unit.channels.get("manager_state") is not None
         ),
     )
     return artifacts, report
@@ -470,10 +495,10 @@ def merge_grid(
     """Build the grid's :class:`GridRun` from a fully populated store.
 
     Raises LookupError (naming the gaps) when any unit is absent.  Merge
-    writes only to repair an entry whose records do not decode (it
-    recomputes that unit and overwrites the entry with the same bytes a
-    serial run writes), so it can run on any host that sees the store,
-    any number of times, before or after the workers exit.
+    writes only to repair a corrupt entry (it recomputes that unit and
+    overwrites the entry with the same bytes a serial run writes), so it
+    can run on any host that sees the store, any number of times, before
+    or after the workers exit.
     """
     cells = tuple(grid.cells() if cells is None else cells)
     artifacts, report = _merge_specs(

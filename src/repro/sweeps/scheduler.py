@@ -20,9 +20,14 @@ scalar worker, with per-reason counts reported in
 payloads, so a store is freely shared between the two modes.
 
 Every unit rebuilds its components from the serialized spec whether it
-runs inline, in a worker, or comes back from the cache (results round-trip
-losslessly through JSON), so serial, parallel, cold, resumed, and batched
-runs all produce byte-identical artifacts.
+runs inline, in a worker, or comes back from the cache (histories
+round-trip losslessly through the records payload and the store's
+packed columns), so serial, parallel, cold, resumed, and batched runs
+all produce byte-identical artifacts.  Each unit's history is decoded
+once per sweep — by ``get_result`` for a cached unit, on receipt for a
+computed one — and that one :class:`~repro.sweeps.store.UnitResult`
+feeds both the store write and the artifact.  A corrupt cached entry is
+a miss like any other: the unit is recomputed and its entry rewritten.
 """
 
 from __future__ import annotations
@@ -39,10 +44,9 @@ from repro.experiments.runner import (
     optimum_store,
 )
 from repro.experiments.spec import ExperimentSpec
-from repro.metrics.export import MalformedHistoryError, loop_result_from_dict
 from repro.obs.metrics import Histogram, default_registry
 from repro.sweeps.grid import SweepCell, SweepGrid
-from repro.sweeps.store import SweepStore
+from repro.sweeps.store import SweepStore, UnitResult
 
 __all__ = [
     "SweepProgress",
@@ -175,58 +179,36 @@ def _chunked(items: Sequence, size: int) -> Iterable[Sequence]:
 
 def build_artifacts(
     specs: Sequence[ExperimentSpec],
-    results: dict[tuple[int, int], dict],
+    results: dict[tuple[int, int], UnitResult],
 ) -> list[ExperimentArtifact]:
-    """Assemble per-spec artifacts from ``(spec_index, repeat)`` payloads.
+    """Assemble per-spec artifacts from ``(spec_index, repeat)`` units.
 
     The one aggregation step every execution mode funnels through —
     serial, process-parallel, batched, and the distributed merge
-    (:mod:`repro.sweeps.distributed`) — so however the payloads were
-    produced, identical payload bytes yield identical artifacts.
+    (:mod:`repro.sweeps.distributed`).  Units arrive decoded, so the
+    artifacts take each :class:`LoopResult` as is: however a unit was
+    produced or cached, identical histories yield identical artifacts.
     """
-    return [
-        ExperimentArtifact.from_payloads(
-            spec,
-            [results[(spec_index, repeat)] for repeat in range(spec.repeats)],
+    artifacts = []
+    for spec_index, spec in enumerate(specs):
+        units = [
+            results[(spec_index, repeat)] for repeat in range(spec.repeats)
+        ]
+
+        def channel(name: str) -> tuple[Any, ...]:
+            if name not in spec.capture:
+                return ()
+            return tuple(unit.channels.get(name) for unit in units)
+
+        artifacts.append(
+            ExperimentArtifact(
+                spec=spec,
+                results=tuple(unit.result for unit in units),
+                manager_states=channel("manager_state"),
+                decision_traces=channel("decision_trace"),
+            )
         )
-        for spec_index, spec in enumerate(specs)
-    ]
-
-
-def _build_repairing(
-    specs: Sequence[ExperimentSpec],
-    results: dict[tuple[int, int], dict],
-    cached_units: Sequence[tuple[int, int]],
-    store: SweepStore | None,
-) -> tuple[list[ExperimentArtifact], int]:
-    """:func:`build_artifacts`, recomputing cached units that do not decode.
-
-    A cached entry whose records fail to decode is a corrupt miss: only
-    this repair path decodes twice to find it.  Each such unit is
-    recomputed on the scalar path (byte-identical to batched), counted
-    on ``store`` as a corrupt miss, and its entry overwritten, before
-    the artifacts are built again.  Returns the artifacts and how many
-    units were repaired; re-raises when nothing could be.
-    """
-    try:
-        return build_artifacts(specs, results), 0
-    except MalformedHistoryError:
-        if store is None:
-            raise
-        repaired = 0
-        for spec_index, repeat in cached_units:
-            try:
-                loop_result_from_dict(results[(spec_index, repeat)])
-            except MalformedHistoryError:
-                spec = specs[spec_index]
-                payload = _run_unit_worker(spec.to_dict(), repeat)
-                store.reclassify_hit_as_corrupt()
-                store.put_result(spec, repeat, payload)
-                results[(spec_index, repeat)] = payload
-                repaired += 1
-        if not repaired:
-            raise
-        return build_artifacts(specs, results), repaired
+    return artifacts
 
 
 def _partition_chunk(
@@ -330,21 +312,21 @@ def run_sweep_cached(
         "persist": 0.0,
         "aggregate": 0.0,
     }
-    results: dict[tuple[int, int], dict] = {}
+    # Every unit stays decoded from the moment it arrives: a cached one
+    # is decoded by ``get_result``, a computed payload once on receipt.
+    results: dict[tuple[int, int], UnitResult] = {}
     pending: list[tuple[int, ExperimentSpec, int]] = []
     unit_counts = [spec.repeats for spec in specs]
     remaining = list(unit_counts)
     cached = 0
-    cached_units: list[tuple[int, int]] = []
     load_started = perf_counter()
     # ``is not None``, never ``bool(store)``: truth-testing the store
     # calls ``__len__``, which scans the whole directory.
     probe = store is not None and reuse
     for spec_index, spec, repeat in tasks:
-        payload = store.get_result(spec, repeat) if probe else None
-        if payload is not None:
-            results[(spec_index, repeat)] = payload
-            cached_units.append((spec_index, repeat))
+        unit = store.get_result(spec, repeat) if probe else None
+        if unit is not None:
+            results[(spec_index, repeat)] = unit
             remaining[spec_index] -= 1
             cached += 1
         else:
@@ -418,11 +400,12 @@ def run_sweep_cached(
                 for (spec_index, spec, repeat), payload in zip(
                     units, payloads
                 ):
+                    unit = UnitResult.from_payload(payload)
                     persist_started = perf_counter()
                     if store is not None:
-                        store.put_result(spec, repeat, payload)
+                        store.put_result(spec, repeat, unit)
                     phases["persist"] += perf_counter() - persist_started
-                    results[(spec_index, repeat)] = payload
+                    results[(spec_index, repeat)] = unit
                     remaining[spec_index] -= 1
                     computed += 1
                     cell_hist.observe(per_cell)
@@ -456,10 +439,7 @@ def run_sweep_cached(
     phases["run"] -= phases["persist"]
 
     aggregate_started = perf_counter()
-    artifacts, repaired = _build_repairing(specs, results, cached_units, store)
-    cached -= repaired
-    computed += repaired
-    scalar_units += repaired
+    artifacts = build_artifacts(specs, results)
     phases["aggregate"] = perf_counter() - aggregate_started
     optimum_after = optimum_cache_info()
     report = SweepReport(
@@ -477,8 +457,8 @@ def run_sweep_cached(
         ),
         manager_states=sum(
             1
-            for payload in results.values()
-            if payload.get("manager_state") is not None
+            for unit in results.values()
+            if unit.channels.get("manager_state") is not None
         ),
         optimum={
             counter: optimum_after[counter] - optimum_before[counter]

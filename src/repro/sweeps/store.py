@@ -6,15 +6,28 @@ repeat index — so a cache hit is exactly "this computation already ran":
 specs that differ in any field hash to different entries, and entries are
 shared between figures that sweep overlapping (app, workload, seed) points.
 
+An entry file is ``{"format", "key", "payload"}``.  Unit entries are
+format 2 (:data:`UNIT_FORMAT`): the payload holds the run history as
+packed columns (:func:`repro.metrics.export.loop_result_to_packed`)
+under ``history``, next to the plain-JSON capture channels
+(``manager_state``, ``decision_trace``).  Every other entry — OPTM
+searches, service snapshots — is format 1 with a plain JSON payload.
+Key objects keep their own ``format`` field, so digests did not move
+when unit entries changed format: a format-1 unit entry is read as a
+corrupt miss and rewritten in place by the recomputation.
+
 Robustness properties the scheduler relies on:
 
 * **atomic writes** — entries are written to a temp file in the target
-  directory and ``os.replace``d into place, so a killed sweep never leaves
-  a half-written entry and concurrent writers of the same key can only
-  produce one complete file (last writer wins, both wrote the same bytes);
-* **corruption-tolerant loads** — a truncated/garbled/foreign file is a
-  cache miss (counted in :attr:`SweepStore.stats`), never an exception, and
-  the recomputed result simply overwrites it;
+  directory, fsynced and ``os.replace``d into place, so a killed sweep
+  never leaves a half-written entry and concurrent writers of the same
+  key can only produce one complete file (last writer wins, both wrote
+  the same bytes);
+* **corruption-tolerant loads** — a truncated/garbled/foreign file, an
+  entry of the wrong format, or a unit entry whose history does not
+  decode is a cache miss (counted in :attr:`SweepStore.stats`), never an
+  exception and never a misread, and the recomputed result simply
+  overwrites it;
 * **self-describing entries** — each file stores its own key object and is
   verified against the requested key on load, so a hash collision or a
   misplaced file cannot alias a different computation.
@@ -35,9 +48,17 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator, TYPE_CHECKING
 
+from repro.metrics.export import (
+    MalformedHistoryError,
+    loop_result_from_dict,
+    loop_result_from_packed,
+    loop_result_to_dict,
+    loop_result_to_packed,
+)
 from repro.obs.metrics import default_registry
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.loop import LoopResult
     from repro.experiments.spec import ExperimentSpec
 
 __all__ = [
@@ -46,11 +67,17 @@ __all__ = [
     "LeaseNamespace",
     "SweepStore",
     "StoreStats",
+    "UNIT_FORMAT",
+    "UnitResult",
     "canonical_key",
     "paused_gc",
 ]
 
+#: Format of key objects and of every entry except unit results.
 _FORMAT = 1
+
+#: Format of unit-result entries: the history as packed columns.
+UNIT_FORMAT = 2
 
 #: Queue state (leases, done markers, worker reports) lives under this
 #: directory inside a store root.  Entry files live under two-hex-char
@@ -81,10 +108,10 @@ _STORE_CORRUPT = _REG.counter(
 def paused_gc() -> Iterator[None]:
     """Pause the cyclic garbage collector for the body, then restore it.
 
-    For code that builds large acyclic trees (decoded store entries,
-    batched run payloads): refcounting frees them, and letting
-    generational GC rescan their tens of thousands of containers while
-    they are built costs more than building them.  Restores the state
+    For code that builds large acyclic trees (batched run payloads):
+    refcounting frees them, and letting generational GC rescan their
+    tens of thousands of containers while they are built costs more
+    than building them.  Restores the state
     found on entry, also when the body raises, so a caller that had GC
     disabled keeps it disabled and nested pauses compose.
     """
@@ -149,13 +176,16 @@ class JsonDirectoryStore:
         return self.root / digest[:2] / f"{digest}.json"
 
     # -- raw payload access ------------------------------------------------------
-    def get_raw(self, key_obj: Any) -> Any | None:
-        """The stored payload for ``key_obj``, or None on miss/corruption."""
+    def get_raw(
+        self, key_obj: Any, *, entry_format: int = _FORMAT
+    ) -> Any | None:
+        """The stored payload for ``key_obj``, or None on miss/corruption.
+
+        An entry whose ``format`` is not ``entry_format`` is corrupt.
+        """
         digest = canonical_key(key_obj)
         try:
-            text = self._path(digest).read_text()
-            with paused_gc():
-                entry = json.loads(text)
+            entry = json.loads(self._path(digest).read_text())
         except FileNotFoundError:
             self.stats.misses += 1
             _STORE_MISSES.inc()
@@ -165,23 +195,29 @@ class JsonDirectoryStore:
         # A foreign/garbled-but-valid-JSON file is also just a miss.
         if (
             not isinstance(entry, dict)
+            or entry.get("format") != entry_format
             or "payload" not in entry
             or canonical_key(entry.get("key")) != digest
         ):
-            self.stats.corrupt += 1
-            self.stats.misses += 1
-            _STORE_CORRUPT.inc()
-            _STORE_MISSES.inc()
+            self._count_corrupt()
             return None
         self.stats.hits += 1
         _STORE_HITS.inc()
         return entry["payload"]
 
-    def put_raw(self, key_obj: Any, payload: Any) -> Path:
+    def _count_corrupt(self) -> None:
+        self.stats.corrupt += 1
+        self.stats.misses += 1
+        _STORE_CORRUPT.inc()
+        _STORE_MISSES.inc()
+
+    def put_raw(
+        self, key_obj: Any, payload: Any, *, entry_format: int = _FORMAT
+    ) -> Path:
         """Atomically persist ``payload`` under ``key_obj``."""
         path = self.path_for(key_obj)
         _write_json_replace(
-            path, {"format": _FORMAT, "key": key_obj, "payload": payload}
+            path, {"format": entry_format, "key": key_obj, "payload": payload}
         )
         self.stats.writes += 1
         _STORE_WRITES.inc()
@@ -430,6 +466,47 @@ class LeaseNamespace:
         return True
 
 
+@dataclass(frozen=True)
+class UnitResult:
+    """One decoded (spec, repeat) unit: its history plus capture channels.
+
+    ``channels`` holds the unit payload's other keys (``manager_state``,
+    ``decision_trace``) exactly as present, so :meth:`to_payload` gives
+    back the records-form payload the unit workers return, byte for
+    byte under canonical dumping.  A sweep keeps each unit in this form
+    from the moment it arrives: the store write packs its columns and
+    the artifact takes its :class:`LoopResult` as is.
+    """
+
+    result: "LoopResult"
+    channels: dict[str, Any] = field(default_factory=dict)
+
+    @classmethod
+    def from_payload(cls, payload: dict[str, Any]) -> "UnitResult":
+        """Decode a records-form unit payload (one history decode)."""
+        result = loop_result_from_dict(payload)
+        return cls(result, {k: v for k, v in payload.items() if k != "records"})
+
+    def to_payload(self) -> dict[str, Any]:
+        """The records-form unit payload."""
+        return {**loop_result_to_dict(self.result), **self.channels}
+
+    @classmethod
+    def from_entry(cls, payload: Any) -> "UnitResult":
+        """Decode a format-2 entry payload (one history decode).
+
+        Raises :class:`MalformedHistoryError` when it does not decode.
+        """
+        if not isinstance(payload, dict) or "history" not in payload:
+            raise MalformedHistoryError("unit entry holds no packed history")
+        result = loop_result_from_packed(payload["history"])
+        return cls(result, {k: v for k, v in payload.items() if k != "history"})
+
+    def to_entry(self) -> dict[str, Any]:
+        """The format-2 entry payload: packed history plus the channels."""
+        return {"history": loop_result_to_packed(self.result), **self.channels}
+
+
 @dataclass
 class SweepStore(JsonDirectoryStore):
     """A directory of content-addressed JSON cache entries."""
@@ -472,30 +549,42 @@ class SweepStore(JsonDirectoryStore):
     # -- unit results ------------------------------------------------------------
     def get_result(
         self, spec: "ExperimentSpec", repeat: int
-    ) -> dict[str, Any] | None:
-        """A stored unit run history (``loop_result_to_dict`` form) or None."""
-        payload = self.get_raw(self.unit_key(spec, repeat))
-        if payload is not None and not (
-            isinstance(payload, dict) and isinstance(payload.get("records"), list)
-        ):
-            # Structurally wrong payload: treat as corruption, recompute.
-            self.reclassify_hit_as_corrupt()
-            return None
-        return payload
+    ) -> UnitResult | None:
+        """A stored unit result, decoded, or None.
 
-    def reclassify_hit_as_corrupt(self) -> None:
-        """Count a hit whose payload proved unusable as a corrupt miss.
-
-        The global counters are monotonic, so only the per-handle hit
-        tally is rolled back.
+        A format-1 entry, or a format-2 entry whose history does not
+        decode, is a counted corrupt miss: the caller recomputes the
+        unit and :meth:`put_result` overwrites the entry.
         """
-        self.stats.hits -= 1
-        self.stats.misses += 1
-        self.stats.corrupt += 1
-        _STORE_CORRUPT.inc()
-        _STORE_MISSES.inc()
+        payload = self.get_raw(
+            self.unit_key(spec, repeat), entry_format=UNIT_FORMAT
+        )
+        if payload is None:
+            return None
+        try:
+            return UnitResult.from_entry(payload)
+        except MalformedHistoryError:
+            # get_raw counted a hit; the global counters are monotonic,
+            # so only the per-handle tally is rolled back.
+            self.stats.hits -= 1
+            self._count_corrupt()
+            return None
 
     def put_result(
-        self, spec: "ExperimentSpec", repeat: int, result: dict[str, Any]
+        self,
+        spec: "ExperimentSpec",
+        repeat: int,
+        result: UnitResult | dict[str, Any],
     ) -> Path:
-        return self.put_raw(self.unit_key(spec, repeat), result)
+        """Persist one unit result as a format-2 entry.
+
+        ``result`` is a :class:`UnitResult` or a records-form unit
+        payload, which is decoded here.
+        """
+        if not isinstance(result, UnitResult):
+            result = UnitResult.from_payload(result)
+        return self.put_raw(
+            self.unit_key(spec, repeat),
+            result.to_entry(),
+            entry_format=UNIT_FORMAT,
+        )

@@ -41,6 +41,7 @@ from repro.sweeps import (
     wait_for_grid,
     worker_reports,
 )
+from repro.sweeps.distributed import DEFAULT_TASK_UNITS
 from tests.conftest import make_small_grid, make_sweep_spec
 
 GRIDS = Path(__file__).parents[1] / "benchmarks" / "grids"
@@ -277,11 +278,12 @@ class TestMergeAndWait:
             merge_grid(grid, sweep_store)
 
     def test_merge_repairs_malformed_entry(self, tmp_path, sweep_store):
-        """An entry whose records do not decode must not wedge the sweep.
+        """An entry whose history does not decode must not wedge the sweep.
 
-        The workers' done markers keep a rerun from recomputing it, so
-        the merge repairs it the way the scheduler does: recompute the
-        unit, count a corrupt miss, and overwrite the entry.
+        The workers' done markers keep a rerun from recomputing it, and
+        a coordinator counts it as persisted, so the merge repairs it
+        the way the scheduler does: recompute the unit, count a corrupt
+        miss, and overwrite the entry.
         """
         grid = SweepGrid.read(GRIDS / "ci_smoke.json")
         specs = grid_specs(grid)
@@ -292,10 +294,11 @@ class TestMergeAndWait:
         path = sweep_store.path_for(sweep_store.unit_key(specs[0], 0))
         good_bytes = path.read_bytes()
         entry = json.loads(good_bytes)
-        entry["payload"]["records"][0]["response"] = "oops"
+        entry["payload"]["history"]["n"] += 1
         path.write_text(json.dumps(entry, sort_keys=True))
         rerun = run_worker(specs, sweep_store, worker_id="w1")
         assert rerun.units_computed == 0
+        assert missing_units(specs, SweepStore(sweep_store.root)) == []
         run = merge_grid(grid, sweep_store)
         assert [a.to_json() for a in run.artifacts] == [
             a.to_json() for a in serial
@@ -306,6 +309,28 @@ class TestMergeAndWait:
         assert path.read_bytes() == good_bytes
         # Repaired once, the store merges as a pure read again.
         assert merge_grid(grid, sweep_store).report.computed == 0
+
+    def test_worker_recomputes_corrupt_entry(self, tmp_path, sweep_store):
+        """A corrupt entry with no done marker over it reads as absent:
+        a worker's fast-forward and cached-unit checks both see it, so
+        the worker computes exactly that unit and rewrites its entry."""
+        grid = make_small_grid()
+        specs = grid_specs(grid)
+        summary, payload_bytes = serial_baseline(grid, tmp_path / "serial")
+        run_sweep_cached(specs, store=sweep_store)
+        path = sweep_store.path_for(sweep_store.unit_key(specs[1], 1))
+        entry = json.loads(path.read_bytes())
+        entry["payload"]["history"]["violated"] = "AgICAg=="  # flags of 2
+        path.write_text(json.dumps(entry, sort_keys=True))
+        report = run_worker(specs, sweep_store, worker_id="w0")
+        assert report.units_computed == 1
+        assert report.units_cached == DEFAULT_TASK_UNITS - 1
+        assert report.tasks_claimed == 1
+        assert sweep_store.stats.corrupt == 2  # fast-forward + cached check
+        assert entry_bytes(sweep_store) == payload_bytes
+        run = merge_grid(grid, sweep_store)
+        assert run.report.computed == 0
+        assert grid_summary_json(run) == summary
 
     def test_wait_times_out(self, sweep_store):
         grid = make_small_grid()

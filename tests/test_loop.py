@@ -1,5 +1,6 @@
 """Control loop: execution semantics, hooks, summaries, history codec."""
 
+import base64
 import json
 
 import numpy as np
@@ -10,10 +11,13 @@ from repro.baselines import StaticAllocator
 from repro.core import ControlLoop, PEMAConfig, PEMAController
 from repro.core.loop import LoopHistory, LoopRecord, LoopResult
 from repro.metrics.export import (
+    MalformedHistoryError,
     loop_record_to_dict,
     loop_result_from_dict,
+    loop_result_from_packed,
     loop_result_to_csv,
     loop_result_to_dict,
+    loop_result_to_packed,
 )
 from repro.sim import AnalyticalEngine, NoiseModel
 from repro.sim.types import Allocation
@@ -271,3 +275,136 @@ class TestColumnarHistory:
         assert loop_result_from_dict(loop_result_to_dict(result)) == result
         for rec, total in zip(result.records, result.total_cpu.tolist()):
             assert rec.allocation.total() == total
+
+
+# -- the packed codec (the sweep store's at-rest form) ------------------------
+#: Values at the edges of what a history may hold: both zeros, the
+#: smallest subnormal, a subnormal, the smallest normal and the huge.
+_EDGE_VALUES = (0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e308)
+_packed_values = st.one_of(
+    st.sampled_from(_EDGE_VALUES),
+    st.floats(
+        min_value=0.0, max_value=1e308, allow_nan=False, allow_infinity=False
+    ),
+)
+
+
+@st.composite
+def loop_results(draw):
+    """Random histories: T 0-50, S 1-20, any (non-ASCII) service names."""
+    names = draw(
+        st.lists(
+            st.text(min_size=1, max_size=8), min_size=1, max_size=20,
+            unique=True,
+        )
+    )
+    n = draw(st.integers(min_value=0, max_value=50))
+
+    def column():
+        return draw(st.lists(_packed_values, min_size=n, max_size=n))
+
+    return LoopResult(
+        names,
+        step=draw(
+            st.lists(
+                st.integers(min_value=0, max_value=2**63 - 1),
+                min_size=n, max_size=n,
+            )
+        ),
+        time=column(),
+        workload=column(),
+        response=column(),
+        total_cpu=column(),
+        violated=draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+        slo=column(),
+        allocations=np.array(
+            draw(
+                st.lists(
+                    _packed_values,
+                    min_size=n * len(names), max_size=n * len(names),
+                )
+            ),
+            dtype=np.float64,
+        ).reshape(n, len(names)),
+    )
+
+
+def _through_json(packed):
+    return json.loads(json.dumps(packed, sort_keys=True))
+
+
+class TestPackedHistory:
+    @settings(max_examples=80, deadline=None)
+    @given(loop_results())
+    def test_round_trips_to_identical_records(self, result):
+        decoded = loop_result_from_packed(
+            _through_json(loop_result_to_packed(result))
+        )
+        assert _dumps(loop_result_to_dict(decoded)) == _dumps(
+            loop_result_to_dict(result)
+        )
+        assert decoded == result
+        assert decoded.service_names == result.service_names
+        # Bit-exact, signed zeros and subnormals included.
+        assert decoded.allocations.tobytes() == result.allocations.tobytes()
+        assert decoded.responses.tobytes() == result.responses.tobytes()
+
+    def test_edge_values_and_non_ascii_names(self):
+        names = ("größe", "α→β", "服务")
+        values = np.array(_EDGE_VALUES[:3] * 2 + _EDGE_VALUES[3:] * 2)
+        result = LoopResult(
+            names,
+            step=[0, 1, 2, 3],
+            time=values[:4],
+            workload=values[4:8],
+            response=values[8:],
+            total_cpu=values[:4],
+            violated=[True, False, True, False],
+            slo=values[4:8],
+            allocations=values.reshape(4, 3),
+        )
+        packed = _through_json(loop_result_to_packed(result))
+        assert packed["names"] == list(names)
+        decoded = loop_result_from_packed(packed)
+        assert _dumps(loop_result_to_dict(decoded)) == _dumps(
+            loop_result_to_dict(result)
+        )
+        assert np.signbit(decoded.workloads).tolist() == np.signbit(
+            values[4:8]
+        ).tolist()
+
+    def test_layout_is_little_endian_columns(self):
+        result = LoopResult(
+            ("a", "b"),
+            step=[3, 4],
+            time=[1.0, 2.0],
+            workload=[10.0, 20.0],
+            response=[0.1, 0.2],
+            total_cpu=[3.0, 7.0],
+            violated=[False, True],
+            slo=[0.5, 0.5],
+            allocations=[[1.0, 2.0], [3.0, 4.0]],
+        )
+        packed = loop_result_to_packed(result)
+        assert packed["n"] == 2 and packed["names"] == ["a", "b"]
+        decode = base64.b64decode
+        assert decode(packed["step"]) == np.array([3, 4], "<i8").tobytes()
+        assert decode(packed["violated"]) == bytes([0, 1])
+        assert decode(packed["values"]) == np.array(
+            [1.0, 2.0, 10.0, 20.0, 0.1, 0.2, 3.0, 7.0, 0.5, 0.5,
+             1.0, 2.0, 3.0, 4.0],
+            "<f8",
+        ).tobytes()
+
+    def test_empty_history(self):
+        for empty in (LoopResult(), LoopResult(("a", "b"))):
+            decoded = loop_result_from_packed(
+                _through_json(loop_result_to_packed(empty))
+            )
+            assert len(decoded) == 0
+            assert loop_result_to_dict(decoded) == {"records": []}
+
+    @pytest.mark.parametrize("data", [None, [], "x", {"n": 0}])
+    def test_non_mapping_or_incomplete_raises(self, data):
+        with pytest.raises(MalformedHistoryError):
+            loop_result_from_packed(data)

@@ -34,7 +34,7 @@ from repro.service import (
     service_session,
     service_state_key,
 )
-from repro.sweeps import SweepStore, canonical_key
+from repro.sweeps import SweepStore, canonical_key, run_sweep_cached
 from repro.sweeps.batched import classify_unit, run_units_batched
 
 
@@ -460,7 +460,18 @@ class TestStateStore:
         with service_session([spec], store=store) as runtime:
             runtime.drive()
         cached = SweepStore(str(tmp_path)).get_result(spec, 0)
-        assert dumps(cached) == dumps(_run_unit_worker(spec.to_dict(), 0))
+        assert dumps(cached.to_payload()) == dumps(
+            _run_unit_worker(spec.to_dict(), 0)
+        )
+        # The flushed entry is the very file an offline sweep writes.
+        flushed = SweepStore(str(tmp_path)).path_for(
+            SweepStore.unit_key(spec, 0)
+        ).read_bytes()
+        offline = SweepStore(str(tmp_path / "offline"))
+        run_sweep_cached([spec], store=offline)
+        assert offline.path_for(
+            SweepStore.unit_key(spec, 0)
+        ).read_bytes() == flushed
 
 
 class TestDrivers:

@@ -1,5 +1,6 @@
 """Sweep orchestration: grids, content-addressed store, scheduler, aggregates."""
 
+import base64
 import gc
 import io
 import json
@@ -19,7 +20,12 @@ from repro.experiments import (
     optimum_total,
 )
 from repro.experiments.runner import _run_unit_worker
-from repro.metrics.export import MalformedHistoryError, loop_result_from_dict
+from repro.metrics.export import (
+    MalformedHistoryError,
+    loop_result_from_dict,
+    loop_result_from_packed,
+    loop_result_to_dict,
+)
 from repro.sweeps import (
     METRIC_NAMES,
     GridRun,
@@ -40,9 +46,13 @@ from repro.sweeps import (
     run_units_batched,
     set_path,
 )
-from repro.sweeps.store import paused_gc
+from repro.sweeps.store import UNIT_FORMAT, UnitResult, paused_gc
 from tests.conftest import make_small_grid as small_grid
 from tests.conftest import make_sweep_spec as base_spec
+
+
+def dumps(obj):
+    return json.dumps(obj, sort_keys=True)
 
 
 class TestSetPath:
@@ -166,12 +176,18 @@ class TestSweepStore:
         store = SweepStore(tmp_path / "cache")
         spec = base_spec()
         assert store.get_result(spec, 0) is None
-        payload = {"records": [{"step": 0}]}
-        store.put_result(spec, 0, payload)
-        assert store.get_result(spec, 0) == payload
+        payload = _run_unit_worker(spec.to_dict(), 0)
+        path = store.put_result(spec, 0, payload)
+        unit = store.get_result(spec, 0)
+        assert isinstance(unit, UnitResult)
+        assert dumps(unit.to_payload()) == dumps(payload)
+        entry = json.loads(path.read_text())
+        assert entry["format"] == UNIT_FORMAT == 2
+        assert "records" not in entry["payload"]
         assert len(store) == 1
         assert store.stats.hits == 1 and store.stats.misses == 1
         assert store.stats.writes == 1
+        assert store.stats.corrupt == 0
 
     def test_keys_are_content_addressed(self, tmp_path):
         store = SweepStore(tmp_path)
@@ -194,13 +210,19 @@ class TestSweepStore:
     def test_truncated_entry_is_a_miss(self, tmp_path):
         store = SweepStore(tmp_path)
         spec = base_spec()
-        path = store.put_result(spec, 0, {"records": []})
-        path.write_text(path.read_text()[: 20])  # simulate a crashed writer
-        assert store.get_result(spec, 0) is None
-        assert store.stats.corrupt == 1
+        payload = _run_unit_worker(spec.to_dict(), 0)
+        path = store.put_result(spec, 0, payload)
+        good_bytes = path.read_bytes()
+        # A crashed writer: cut inside the header, and inside the
+        # packed history.
+        for cut in (20, len(good_bytes) // 2):
+            path.write_bytes(good_bytes[:cut])
+            assert store.get_result(spec, 0) is None
+        assert store.stats.corrupt == 2
         # Recompute-and-overwrite repairs the entry.
-        store.put_result(spec, 0, {"records": []})
-        assert store.get_result(spec, 0) == {"records": []}
+        store.put_result(spec, 0, payload)
+        assert path.read_bytes() == good_bytes
+        assert dumps(store.get_result(spec, 0).to_payload()) == dumps(payload)
 
     def test_foreign_json_is_a_miss(self, tmp_path):
         store = SweepStore(tmp_path)
@@ -230,7 +252,9 @@ class TestSweepStore:
     def test_concurrent_writers_do_not_clobber(self, tmp_path):
         store = SweepStore(tmp_path)
         spec = base_spec()
-        payload = {"records": [{"step": i} for i in range(50)]}
+        payload = UnitResult.from_payload(
+            _run_unit_worker(base_spec(n_steps=50).to_dict(), 0)
+        )
         errors = []
 
         def write(handle):
@@ -267,8 +291,10 @@ class TestSweepStore:
             json.dump(obj, buf, sort_keys=True, allow_nan=False)
             return buf.getvalue().encode()
 
-        def entry(key_obj, payload):
-            return streamed({"format": 1, "key": key_obj, "payload": payload})
+        def entry(key_obj, payload, entry_format=1):
+            return streamed(
+                {"format": entry_format, "key": key_obj, "payload": payload}
+            )
 
         store = SweepStore(tmp_path / "store")
         spec = base_spec(
@@ -279,9 +305,11 @@ class TestSweepStore:
         )
         run_sweep_cached([spec], store=store)
         key = store.unit_key(spec, 0)
-        payload = store.get_result(spec, 0)
-        assert payload["manager_state"] and payload["decision_trace"]
-        assert store.path_for(key).read_bytes() == entry(key, payload)
+        unit = store.get_result(spec, 0)
+        assert unit.channels["manager_state"] and unit.channels["decision_trace"]
+        payload = unit.to_entry()
+        assert set(payload) == {"history", "manager_state", "decision_trace"}
+        assert store.path_for(key).read_bytes() == entry(key, payload, 2)
         # Non-ASCII text in both the key and the payload.
         label = {"kind": "label", "name": "größe α→β"}
         noted = {**payload, "note": "naïve ✓"}
@@ -350,9 +378,112 @@ MALFORMED_RECORDS = {
 }
 
 
+# -- the packed (format 2) counterparts: mutate an entry payload -------------
+def _column(history, field, dtype):
+    return np.frombuffer(base64.b64decode(history[field]), dtype).copy()
+
+
+def _store_column(history, field, array):
+    history[field] = base64.b64encode(array.tobytes()).decode("ascii")
+
+
+def _set_packed_value(offset, value):
+    """Set ``values[offset(n, width)]`` (time, workload, response,
+    total_cpu, slo blocks of ``n``, then the allocation matrix)."""
+
+    def mutate(payload):
+        history = payload["history"]
+        values = _column(history, "values", "<f8")
+        values[offset(history["n"], len(history["names"]))] = value
+        _store_column(history, "values", values)
+    return mutate
+
+
+def _set_history(field, value):
+    def mutate(payload):
+        payload["history"][field] = value
+    return mutate
+
+
+def _negative_step(payload):
+    steps = _column(payload["history"], "step", "<i8")
+    steps[1] = -1
+    _store_column(payload["history"], "step", steps)
+
+
+def _violated_byte(payload):
+    flags = _column(payload["history"], "violated", "<u1")
+    flags[1] = 2
+    _store_column(payload["history"], "violated", flags)
+
+
+def _truncate_values(payload):
+    values = _column(payload["history"], "values", "<f8")
+    _store_column(payload["history"], "values", values[:-1])
+
+
+def _extra_step(payload):
+    payload["history"]["n"] += 1
+
+
+def _rename(index, name):
+    def mutate(payload):
+        payload["history"]["names"][index] = name
+    return mutate
+
+
+def _duplicate_name(payload):
+    names = payload["history"]["names"]
+    names[1] = names[0]
+
+
+def _drop_history(payload):
+    del payload["history"]
+
+
+def _drop_column(payload):
+    del payload["history"]["violated"]
+
+
+MALFORMED_PACKED = {
+    "missing_history": _drop_history,
+    "missing_column": _drop_column,
+    "bad_base64": _set_history("values", "not base64!"),
+    "non_string_column": _set_history("step", 7),
+    "short_values": _truncate_values,
+    "n_mismatch": _extra_step,
+    "n_bool": _set_history("n", True),
+    "n_negative": _set_history("n", -4),
+    "violated_byte": _violated_byte,
+    "empty_names": _set_history("names", []),
+    "duplicate_names": _duplicate_name,
+    "non_string_name": _rename(0, 7),
+    "empty_name": _rename(0, ""),
+    "negative_cpu": _set_packed_value(lambda n, w: 5 * n + w, -1.0),
+    "nan_cpu": _set_packed_value(lambda n, w: 5 * n + w, float("nan")),
+    "inf_workload": _set_packed_value(lambda n, w: n + 1, float("inf")),
+    "nan_response": _set_packed_value(lambda n, w: 2 * n + 1, float("nan")),
+    "negative_step": _negative_step,
+}
+
+
+def _write_entry(path, key, payload, entry_format):
+    """Write an entry as-is (NaN/inf literals included), the way a
+    foreign, hand-edited or older-format file would look."""
+    path.write_text(
+        json.dumps(
+            {"format": entry_format, "key": key, "payload": payload},
+            sort_keys=True,
+        )
+    )
+
+
 class TestMalformedEntries:
-    """A well-formed store entry whose records do not decode is a counted
-    miss: the unit is recomputed and its entry overwritten."""
+    """A store entry whose history does not decode is a counted miss:
+    the unit is recomputed and its entry overwritten.  Records-form
+    payloads can only reach the store as format-1 entries, which are
+    misses whatever they hold; the records codec itself still rejects
+    every malformed case."""
 
     @pytest.fixture(scope="class")
     def clean(self):
@@ -365,11 +496,13 @@ class TestMalformedEntries:
         spec, _ = clean
         store = SweepStore(tmp_path)
         run_sweep_cached([spec], store=store)
-        payload = store.get_result(spec, 0)
+        payload = loop_result_to_dict(store.get_result(spec, 0).result)
         MALFORMED_RECORDS[case](payload)
         with pytest.raises(ValueError) as raised:
             loop_result_from_dict(payload)
         assert raised.type is MalformedHistoryError
+        with pytest.raises(MalformedHistoryError):
+            store.put_result(spec, 0, payload)
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_RECORDS))
     def test_sweep_recomputes_malformed_entry(self, clean, case, tmp_path):
@@ -380,14 +513,47 @@ class TestMalformedEntries:
         key = store.unit_key(spec, 0)
         path = store.path_for(key)
         good_bytes = path.read_bytes()
-        payload = store.get_result(spec, 0)
+        payload = store.get_result(spec, 0).to_payload()
         MALFORMED_RECORDS[case](payload)
-        # Written as-is (NaN/inf literals included), the way a foreign
-        # or hand-edited file would look.
-        path.write_text(
-            json.dumps({"format": 1, "key": key, "payload": payload},
-                       sort_keys=True)
-        )
+        _write_entry(path, key, payload, 1)
+        fresh = SweepStore(tmp_path)
+        artifacts, report = run_sweep_cached(specs, store=fresh)
+        assert artifacts[0].to_json() == expected
+        assert fresh.stats.corrupt == 1
+        assert fresh.stats.hits == 1 and fresh.stats.misses == 1
+        assert report.cache_hits == 1 and report.computed == 1
+        assert path.read_bytes() == good_bytes
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_PACKED))
+    def test_packed_decoder_raises_typed_value_error(
+        self, clean, case, tmp_path
+    ):
+        spec, _ = clean
+        store = SweepStore(tmp_path)
+        run_sweep_cached([spec], store=store)
+        payload = store.get_result(spec, 0).to_entry()
+        MALFORMED_PACKED[case](payload)
+        with pytest.raises(ValueError) as raised:
+            UnitResult.from_entry(payload)
+        assert raised.type is MalformedHistoryError
+        if "history" in payload:
+            with pytest.raises(MalformedHistoryError):
+                loop_result_from_packed(payload["history"])
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_PACKED))
+    def test_sweep_recomputes_malformed_packed_entry(
+        self, clean, case, tmp_path
+    ):
+        spec, expected = clean
+        specs = [spec, base_spec(seed=3)]
+        store = SweepStore(tmp_path)
+        run_sweep_cached(specs, store=store)
+        key = store.unit_key(spec, 0)
+        path = store.path_for(key)
+        good_bytes = path.read_bytes()
+        payload = store.get_result(spec, 0).to_entry()
+        MALFORMED_PACKED[case](payload)
+        _write_entry(path, key, payload, UNIT_FORMAT)
         fresh = SweepStore(tmp_path)
         artifacts, report = run_sweep_cached(specs, store=fresh)
         assert artifacts[0].to_json() == expected
@@ -408,6 +574,82 @@ class TestMalformedEntries:
         )
         with pytest.raises(MalformedHistoryError):
             run_sweep_cached([base_spec()])
+
+
+class TestStoreFormat:
+    """Format-2 unit entries: v1 upgrade, size, and decode-once."""
+
+    def test_v1_entry_is_a_miss_rewritten_as_v2(self, tmp_path):
+        specs = [base_spec(repeats=2), base_spec(seed=5)]
+        expected = [a.to_json() for a in run_sweep_cached(specs)[0]]
+        store = SweepStore(tmp_path)
+        # The format-1 entries an older store holds: records payloads.
+        for spec in specs:
+            for repeat in range(spec.repeats):
+                store.put_raw(
+                    store.unit_key(spec, repeat),
+                    _run_unit_worker(spec.to_dict(), repeat),
+                )
+        fresh = SweepStore(tmp_path)
+        artifacts, report = run_sweep_cached(specs, store=fresh)
+        assert [a.to_json() for a in artifacts] == expected
+        assert fresh.stats.corrupt == 3 and fresh.stats.hits == 0
+        assert report.cache_hits == 0 and report.computed == 3
+        for path in fresh.entry_paths():
+            entry = json.loads(path.read_text())
+            assert entry["format"] == UNIT_FORMAT
+            assert "records" not in entry["payload"]
+        warm = SweepStore(tmp_path)
+        artifacts, report = run_sweep_cached(specs, store=warm, batch=True)
+        assert [a.to_json() for a in artifacts] == expected
+        assert report.cache_hits == 3 and warm.stats.corrupt == 0
+
+    def test_packed_entry_is_at_most_40_percent_of_records(self, tmp_path):
+        spec = base_spec(
+            workload={"kind": "wikipedia", "params": {
+                "low_rps": 300.0, "high_rps": 800.0, "seed": 3}},
+            n_steps=1080,
+        )
+        store = SweepStore(tmp_path)
+        run_sweep_cached([spec], store=store, batch=True)
+        key = store.unit_key(spec, 0)
+        packed = store.path_for(key).stat().st_size
+        payload = store.get_result(spec, 0).to_payload()
+        assert len(payload["records"]) == 1080
+        records = len(
+            dumps({"format": 1, "key": key, "payload": payload}).encode()
+        )
+        assert packed <= 0.40 * records
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_one_history_decode_per_unit(self, tmp_path, monkeypatch, batch):
+        import repro.experiments.artifact as artifact_mod
+        import repro.sweeps.store as store_mod
+
+        decodes = []
+
+        def counting(fn):
+            def wrapper(data):
+                decodes.append(fn.__name__)
+                return fn(data)
+            return wrapper
+
+        for module in (store_mod, artifact_mod):
+            for name in ("loop_result_from_dict", "loop_result_from_packed"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(
+                        module, name, counting(getattr(module, name))
+                    )
+        specs = [base_spec(repeats=2), base_spec(seed=5)]
+        store = SweepStore(tmp_path)
+        cold, report = run_sweep_cached(specs, store=store, batch=batch)
+        assert report.computed == 3
+        assert decodes == ["loop_result_from_dict"] * 3
+        decodes.clear()
+        warm, report = run_sweep_cached(specs, store=store, batch=batch)
+        assert report.cache_hits == 3
+        assert decodes == ["loop_result_from_packed"] * 3
+        assert [a.to_json() for a in warm] == [a.to_json() for a in cold]
 
 
 class TestPausedGc:
