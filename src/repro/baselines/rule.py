@@ -70,21 +70,25 @@ class RuleBasedAutoscaler:
 
     def decide(self, metrics: IntervalMetrics) -> Allocation:
         """Apply the scaling rule to every service independently."""
-        new_values: dict[str, float] = {}
         allocation = self._allocation
-        for name, current in zip(allocation.names, allocation.as_array().tolist()):
-            svc = metrics.services[name]
-            if self.mode == "utilization":
-                desired = (svc.usage_cores / self.target_utilization) * (
-                    1.0 + self.overprovision
-                )
-            else:  # vpa
-                desired = svc.usage_p90_cores * (1.0 + self.overprovision)
+        names = allocation.names
+        metrics = metrics.in_order(names)
+        if self.mode == "utilization":
+            desired_all = [
+                (usage / self.target_utilization) * (1.0 + self.overprovision)
+                for usage in metrics.usages
+            ]
+        else:  # vpa
+            desired_all = [
+                p90 * (1.0 + self.overprovision) for p90 in metrics.usages_p90
+            ]
+        new_values: list[float] = []
+        for desired, current in zip(desired_all, allocation.as_array().tolist()):
             if desired < current:
                 # HPA-style stabilization: bounded downscale per interval.
                 desired = max(desired, current * (1.0 - self.scale_down_limit))
-            new_values[name] = min(max(desired, self.min_cpu), self.max_cpu)
-        self._allocation = Allocation(new_values)
+            new_values.append(min(max(desired, self.min_cpu), self.max_cpu))
+        self._allocation = Allocation._from_list(names, new_values)
         return self._allocation
 
 

@@ -30,8 +30,8 @@ from repro.core.exploration import exploration_probability
 from repro.core.reduction import num_targets, reduction_fraction, reduction_signal
 from repro.core.rhdb import ResourceHistoryDB, RHDbRecord
 from repro.core.selection import (
-    eligible_services,
-    inclusion_probabilities,
+    eligible_positions,
+    position_probabilities,
     select_targets,
 )
 from repro.core.thresholds import ThresholdTracker
@@ -66,6 +66,20 @@ class StepResult:
     #: (service, p) pairs in controller build order; empty on steps that
     #: never reached selection (rollback/explore/early hold).
     probabilities: tuple[tuple[str, float], ...] = ()
+
+
+def decision_info(result: StepResult) -> dict:
+    """A step's causal record, as the ``decision_trace`` channel holds it."""
+    return pema_decision_info(
+        action=result.action.value,
+        violated=result.violated,
+        targets=result.targets,
+        n_targets=result.n_targets,
+        delta=result.delta,
+        signal=result.signal,
+        p_explore=result.p_explore,
+        probabilities=result.probabilities,
+    )
 
 
 class PEMAController:
@@ -143,7 +157,6 @@ class PEMAController:
 
         # Line 3: log the allocation that produced this interval.
         self._step += 1
-        util_snap, thr_snap = self.thresholds.snapshot()
         self.rhdb.insert(
             RHDbRecord(
                 step=self._step,
@@ -151,8 +164,6 @@ class PEMAController:
                 response=response,
                 workload=metrics.workload_rps,
                 slo=self.slo,
-                util_thresholds=util_snap,
-                throttle_thresholds=thr_snap,
             )
         )
         self._responses.append(response)
@@ -180,6 +191,10 @@ class PEMAController:
                 allocation=self.allocation,
                 violated=True,
             ))
+
+        # The threshold ratchet and selection read the metrics' columns by
+        # position, in this controller's service order.
+        metrics = metrics.in_order(self.services)
 
         # Line 6: exploration.
         p_explore = exploration_probability(
@@ -231,8 +246,14 @@ class PEMAController:
         # thresholds learned from earlier safe intervals; we therefore
         # ratchet at the end of the step.
         if self.config.use_bottleneck_filter:
-            eligible = eligible_services(metrics, self.thresholds)
-            probs = inclusion_probabilities(metrics, self.thresholds, eligible)
+            eligible = eligible_positions(metrics, self.thresholds)
+            names = self.services
+            probs = dict(
+                zip(
+                    [names[i] for i in eligible],
+                    position_probabilities(metrics, self.thresholds, eligible),
+                )
+            )
         else:
             # Ablation: uniform selection over all services, no filtering.
             probs = {name: 1.0 for name in self.services}
@@ -276,18 +297,7 @@ class PEMAController:
     def last_decision(self) -> dict | None:
         """The previous step's causal record (``decision_trace`` hook)."""
         result = self.last_result
-        if result is None:
-            return None
-        return pema_decision_info(
-            action=result.action.value,
-            violated=result.violated,
-            targets=result.targets,
-            n_targets=result.n_targets,
-            delta=result.delta,
-            signal=result.signal,
-            p_explore=result.p_explore,
-            probabilities=result.probabilities,
-        )
+        return None if result is None else decision_info(result)
 
     def _rollback_target(self, response: float) -> float:
         """Response ceiling for rollback candidates (§6 extension).
@@ -337,8 +347,7 @@ class PEMAController:
             rng=rng,
             cost_model=self.cost_model,
         )
-        util_snap, thr_snap = self.thresholds.snapshot()
-        child.thresholds.restore(util_snap, thr_snap)
+        child.thresholds.restore(*self.thresholds.snapshot())
         child.rhdb = self.rhdb.clone()
         child._step = self._step
         return child

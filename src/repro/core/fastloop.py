@@ -62,13 +62,14 @@ def _aggregate(subs: list[IntervalMetrics]) -> IntervalMetrics:
     """
     if not subs:
         raise ValueError("nothing to aggregate")
-    names = list(subs[0].services)
+    names = subs[0].names
+    subs = [s.in_order(names) for s in subs]
     services = {}
-    for name in names:
-        utils = [s.services[name].utilization for s in subs]
-        usages = [s.services[name].usage_cores for s in subs]
-        p90s = [s.services[name].usage_p90_cores for s in subs]
-        throttles = [s.services[name].throttle_seconds for s in subs]
+    for j, name in enumerate(names):
+        utils = [s.utilizations[j] for s in subs]
+        usages = [s.usages[j] for s in subs]
+        p90s = [s.usages_p90[j] for s in subs]
+        throttles = [s.throttles[j] for s in subs]
         services[name] = ServiceMetrics(
             utilization=float(np.mean(utils)),
             throttle_seconds=float(np.sum(throttles)),

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import PEMAConfig
-from repro.core.controller import PEMAController
+from repro.core.controller import PEMAController, StepResult, decision_info
 from repro.core.target import DynamicTarget, learn_slope
 from repro.core.workload_range import RangeTree, SplitEvent, WorkloadRange
 from repro.sim.types import Allocation, IntervalMetrics
@@ -93,7 +93,8 @@ class WorkloadAwarePEMA:
         self._initial_allocation = initial_allocation
         self._active: WorkloadRange | None = None
         self.history: list[ManagerStep] = []
-        self._last_pema: dict | None = None
+        #: The routed controller's result on a control step, else None.
+        self._last_result: StepResult | None = None
 
     # -- protocol ---------------------------------------------------------------
     @property
@@ -113,7 +114,7 @@ class WorkloadAwarePEMA:
                     self._bootstrap_workloads, self._bootstrap_responses
                 )
                 self.dynamic_target = DynamicTarget(slo=self.slo, slope=slope)
-            self._last_pema = None
+            self._last_result = None
             self._log(
                 phase="bootstrap",
                 leaf=None,
@@ -130,7 +131,7 @@ class WorkloadAwarePEMA:
         # controller step for this cross-over interval.
         if leaf is not self._active:
             self._active = leaf
-            self._last_pema = None
+            self._last_result = None
             self._log(
                 phase="switch",
                 leaf=leaf,
@@ -144,7 +145,7 @@ class WorkloadAwarePEMA:
         # Phase 3: normal control step with the dynamic target.
         target = self.dynamic_target.target(metrics.workload_rps, leaf.high)
         result = leaf.controller.step(metrics, reduction_target=target)
-        self._last_pema = leaf.controller.last_decision()
+        self._last_result = result
         split = self.tree.note_step(leaf, self.rng)
         if split is not None:
             # The active leaf was replaced by its children; re-resolve on
@@ -224,6 +225,7 @@ class WorkloadAwarePEMA:
         if not self.history:
             return None
         last = self.history[-1]
+        result = self._last_result
         return {
             "kind": "workload_aware_pema",
             "phase": last.phase,
@@ -232,7 +234,7 @@ class WorkloadAwarePEMA:
             "target": float(last.target),
             "action": last.action,
             "split": last.split is not None,
-            "pema": self._last_pema,
+            "pema": None if result is None else decision_info(result),
         }
 
     def _log(

@@ -18,6 +18,7 @@ slows down and finally stops — the QoS-conservative behaviour of §3.1.
 
 from __future__ import annotations
 
+import math
 from numbers import Real
 from typing import Sequence
 
@@ -80,7 +81,7 @@ def num_targets(n_services: int, signal: float) -> int:
         raise ValueError("n_services must be >= 1")
     if not 0 <= signal <= 1:
         raise ValueError(f"signal must be in [0, 1]: {signal}")
-    return int(np.floor(n_services * signal))
+    return math.floor(n_services * signal)
 
 
 def reduction_fraction(beta: float, signal: float) -> float:

@@ -13,8 +13,8 @@ response it produced.  Two queries matter:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -32,8 +32,6 @@ class RHDbRecord:
     response: float
     workload: float
     slo: float
-    util_thresholds: Mapping[str, float] = field(default_factory=dict)
-    throttle_thresholds: Mapping[str, float] = field(default_factory=dict)
 
     @property
     def violated(self) -> bool:
@@ -41,6 +39,8 @@ class RHDbRecord:
 
     @property
     def total_cpu(self) -> float:
+        # Allocation caches its total and hash, so the rollback and
+        # exploration scans pay for each allocation once.
         return self.allocation.total()
 
 

@@ -25,28 +25,34 @@ import numpy as np
 from repro.core.thresholds import ThresholdTracker
 from repro.sim.types import IntervalMetrics
 
-__all__ = ["eligible_services", "inclusion_probabilities", "select_targets"]
+__all__ = [
+    "eligible_positions",
+    "eligible_services",
+    "inclusion_probabilities",
+    "position_probabilities",
+    "select_targets",
+]
 
 _EPS = 1e-9
 
 
-def eligible_services(
+def eligible_positions(
     metrics: IntervalMetrics, thresholds: ThresholdTracker
-) -> tuple[str, ...]:
-    """I_t: services whose throttling time is within their threshold."""
-    return tuple(
-        name
-        for name, svc in metrics.services.items()
-        if svc.throttle_seconds <= thresholds.throttle_threshold(name) + _EPS
-    )
+) -> list[int]:
+    """I_t as column positions; ``metrics`` in the tracker's service order."""
+    return [
+        i
+        for i, (h, h_th) in enumerate(zip(metrics.throttles, thresholds.h_th))
+        if h <= h_th + _EPS
+    ]
 
 
-def inclusion_probabilities(
+def position_probabilities(
     metrics: IntervalMetrics,
     thresholds: ThresholdTracker,
-    eligible: tuple[str, ...],
-) -> dict[str, float]:
-    """Eqn. (5): inclusion probability per eligible service.
+    positions: list[int],
+) -> list[float]:
+    """Eqn. (5) for the services at ``positions`` (same order as above).
 
     Normalized utilizations ``u*`` are guaranteed <= 1 because the
     thresholds were ratcheted (Eqn. 6) before selection.  The coolest
@@ -56,22 +62,37 @@ def inclusion_probabilities(
     the coolest, so each one keeps probability 1, matching the limit of
     the formula as the utilizations approach each other.
     """
-    if not eligible:
-        return {}
-    u_star = {}
-    for name in eligible:
-        u_th = thresholds.util_threshold(name)
-        u = metrics.services[name].utilization
-        u_star[name] = min(u / max(u_th, _EPS), 1.0)
-    u_min = min(u_star.values())
+    if not positions:
+        return []
+    util, u_th = metrics.utilizations, thresholds.u_th
+    u_star = [min(util[i] / max(u_th[i], _EPS), 1.0) for i in positions]
+    u_min = min(u_star)
     denom = 1.0 - u_min
     if denom <= _EPS:
         # Zero range: everyone ties as the coolest service.
-        return {name: 1.0 for name in eligible}
-    return {
-        name: min(max(1.0 - (u_star[name] - u_min) / denom, 0.0), 1.0)
-        for name in eligible
-    }
+        return [1.0] * len(positions)
+    return [min(max(1.0 - (u - u_min) / denom, 0.0), 1.0) for u in u_star]
+
+
+def eligible_services(
+    metrics: IntervalMetrics, thresholds: ThresholdTracker
+) -> tuple[str, ...]:
+    """I_t: services whose throttling time is within their threshold."""
+    metrics = metrics.in_order(thresholds.services)
+    return tuple(metrics.names[i] for i in eligible_positions(metrics, thresholds))
+
+
+def inclusion_probabilities(
+    metrics: IntervalMetrics,
+    thresholds: ThresholdTracker,
+    eligible: tuple[str, ...],
+) -> dict[str, float]:
+    """Eqn. (5): inclusion probability per eligible service, by name."""
+    metrics = metrics.in_order(thresholds.services)
+    positions = [metrics.position(name) for name in eligible]
+    return dict(
+        zip(eligible, position_probabilities(metrics, thresholds, positions))
+    )
 
 
 def select_targets(
@@ -85,7 +106,7 @@ def select_targets(
     if n_targets == 0 or not probabilities:
         return ()
     names = list(probabilities)
-    draws = rng.random(len(names))
+    draws = rng.random(len(names)).tolist()
     included = [n for n, d in zip(names, draws) if d < probabilities[n]]
     if len(included) <= n_targets:
         return tuple(included)

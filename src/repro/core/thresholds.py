@@ -23,7 +23,12 @@ __all__ = ["ThresholdTracker"]
 
 
 class ThresholdTracker:
-    """Tracks U_th and H_th for every microservice."""
+    """Tracks U_th and H_th for every microservice.
+
+    ``u_th`` and ``h_th`` are lists in ``services`` order, so the ratchet
+    and the selection stage (:mod:`repro.core.selection`) read them by
+    position against an :class:`IntervalMetrics`' columns.
+    """
 
     def __init__(
         self,
@@ -38,38 +43,53 @@ class ThresholdTracker:
             raise ValueError(f"init_util must be in [0, 1]: {init_util}")
         if init_throttle < 0:
             raise ValueError(f"init_throttle must be >= 0: {init_throttle}")
-        self._util: dict[str, float] = {n: init_util for n in names}
-        self._throttle: dict[str, float] = {n: init_throttle for n in names}
+        self._names = names
+        self.u_th: list[float] = [init_util] * len(names)
+        self.h_th: list[float] = [init_throttle] * len(names)
 
     @property
     def services(self) -> tuple[str, ...]:
-        return tuple(self._util)
+        return self._names
 
     def util_threshold(self, name: str) -> float:
-        return self._util[name]
+        return self.u_th[self._position(name)]
 
     def throttle_threshold(self, name: str) -> float:
-        return self._throttle[name]
+        return self.h_th[self._position(name)]
+
+    def _position(self, name: str) -> int:
+        try:
+            return self._names.index(name)
+        except ValueError:
+            raise KeyError(name) from None
 
     def update(self, metrics: IntervalMetrics) -> None:
-        """Apply Eqns. (6)-(7) with the latest interval's observations."""
-        for name, svc in metrics.services.items():
-            if name not in self._util:
-                raise KeyError(f"unknown service in metrics: {name!r}")
-            if svc.utilization > self._util[name]:
-                self._util[name] = float(svc.utilization)
-            if svc.throttle_seconds > self._throttle[name]:
-                self._throttle[name] = float(svc.throttle_seconds)
+        """Apply Eqns. (6)-(7) with the latest interval's observations.
+
+        ``metrics`` must cover exactly the tracked services; columns in
+        another order are reordered first.
+        """
+        metrics = metrics.in_order(self._names)
+        self.u_th = [
+            float(u) if u > th else th
+            for u, th in zip(metrics.utilizations, self.u_th)
+        ]
+        self.h_th = [
+            float(h) if h > th else th
+            for h, th in zip(metrics.throttles, self.h_th)
+        ]
 
     def snapshot(self) -> tuple[Mapping[str, float], Mapping[str, float]]:
         """(utilization thresholds, throttling thresholds) copies."""
-        return dict(self._util), dict(self._throttle)
+        return dict(zip(self._names, self.u_th)), dict(
+            zip(self._names, self.h_th)
+        )
 
     def restore(
         self, util: Mapping[str, float], throttle: Mapping[str, float]
     ) -> None:
         """Overwrite thresholds (used when bootstrapping a child range)."""
-        if set(util) != set(self._util) or set(throttle) != set(self._throttle):
+        if set(util) != set(self._names) or set(throttle) != set(self._names):
             raise ValueError("threshold snapshot covers different services")
-        self._util = {k: float(v) for k, v in util.items()}
-        self._throttle = {k: float(v) for k, v in throttle.items()}
+        self.u_th = [float(util[name]) for name in self._names]
+        self.h_th = [float(throttle[name]) for name in self._names]

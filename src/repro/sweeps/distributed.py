@@ -290,11 +290,16 @@ def run_worker(
         _DIST_HEARTBEATS.inc()
         return renewed
 
-    def run_task(task: DistTask, lease: Lease) -> None:
+    def run_task(task: DistTask, lease: Lease, persisted: int) -> None:
+        # The claim check already found the first ``persisted`` units in
+        # the store and the next one absent; only the rest are probed.
+        report.units_cached += persisted
         pending: list[tuple[int, ExperimentSpec, int]] = []
-        for spec_index, repeat in task.units:
+        for k, (spec_index, repeat) in enumerate(task.units):
+            if k < persisted:
+                continue
             spec = specs[spec_index]
-            if store.get_result(spec, repeat) is not None:
+            if k > persisted and store.get_result(spec, repeat) is not None:
                 report.units_cached += 1
             else:
                 pending.append((spec_index, spec, repeat))
@@ -343,10 +348,8 @@ def run_worker(
             all_done = False
             if max_tasks is not None and report.tasks_claimed >= max_tasks:
                 continue
-            if all(
-                store.get_result(specs[i], r) is not None
-                for i, r in task.units
-            ):
+            persisted = _persisted_prefix(store, specs, task)
+            if persisted == len(task.units):
                 # Every unit already persisted (by us, a peer, or a past
                 # run): fast-forward the marker, no claim needed.
                 done.mark(
@@ -378,7 +381,7 @@ def run_worker(
                 _DIST_STEALS.inc()
             if on_task is not None:
                 on_task("claimed", task)
-            run_task(task, lease)
+            run_task(task, lease, persisted)
             done_seen.add(task.task_id)
             progress = True
         if all_done:
@@ -393,6 +396,20 @@ def run_worker(
         queue / "workers" / f"{worker}.json", report.to_dict()
     )
     return report
+
+
+def _persisted_prefix(
+    store: SweepStore, specs: Sequence[ExperimentSpec], task: DistTask
+) -> int:
+    """How many of ``task``'s units, in order, the store already holds.
+
+    Stops at the first absent (or corrupt) unit, so each unit is decoded
+    at most once between this check and the task run.
+    """
+    for k, (spec_index, repeat) in enumerate(task.units):
+        if store.get_result(specs[spec_index], repeat) is None:
+            return k
+    return len(task.units)
 
 
 # -- merge / coordination ------------------------------------------------------

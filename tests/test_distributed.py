@@ -312,8 +312,9 @@ class TestMergeAndWait:
 
     def test_worker_recomputes_corrupt_entry(self, tmp_path, sweep_store):
         """A corrupt entry with no done marker over it reads as absent:
-        a worker's fast-forward and cached-unit checks both see it, so
-        the worker computes exactly that unit and rewrites its entry."""
+        the worker's claim check decodes each unit once, stops at the
+        corrupt one, and the worker computes exactly that unit and
+        rewrites its entry."""
         grid = make_small_grid()
         specs = grid_specs(grid)
         summary, payload_bytes = serial_baseline(grid, tmp_path / "serial")
@@ -326,7 +327,7 @@ class TestMergeAndWait:
         assert report.units_computed == 1
         assert report.units_cached == DEFAULT_TASK_UNITS - 1
         assert report.tasks_claimed == 1
-        assert sweep_store.stats.corrupt == 2  # fast-forward + cached check
+        assert sweep_store.stats.corrupt == 1  # one probe per unit
         assert entry_bytes(sweep_store) == payload_bytes
         run = merge_grid(grid, sweep_store)
         assert run.report.computed == 0

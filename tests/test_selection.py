@@ -1,5 +1,7 @@
 """Bottleneck-avoiding selection: Eqn. (5) and Alg. 1 lines 8-10."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,9 @@ from repro.core.selection import (
     inclusion_probabilities,
     select_targets,
 )
+from repro.core import PEMAConfig, PEMAController
 from repro.core.thresholds import ThresholdTracker
+from repro.sim import Allocation, IntervalMetrics, ServiceMetrics
 from tests.conftest import make_metrics
 
 SERVICES = ("front", "logic", "db", "cache")
@@ -114,3 +118,92 @@ class TestSelectTargets:
             for name in select_targets(probs, 2, rng):
                 picks[name] += 1
         assert picks["cool"] > picks["hot"] * 3
+
+
+# -- closed form on three services -------------------------------------------
+# One observation fed to a tracker (Eqns. 6-7) or to selection (Eqn. 5).
+# Every value is a dyadic rational, so each expected figure below is
+# exact and computed by hand from the equations, not by the code.
+@dataclass
+class Interval:
+    utilization: tuple[float, float, float]
+    throttle: tuple[float, float, float]
+
+
+THREE = ("a", "b", "c")
+
+
+def interval_metrics(interval: Interval, latency: float = 0.01) -> IntervalMetrics:
+    return IntervalMetrics(
+        latency_p95=latency,
+        workload_rps=100.0,
+        services={
+            name: ServiceMetrics(u, h, u)
+            for name, u, h in zip(THREE, interval.utilization, interval.throttle)
+        },
+    )
+
+
+# ratchets a fresh tracker (U_th = 1/8, H_th = 0) through the intervals.
+def call_tracker(intervals: list[Interval]) -> ThresholdTracker:
+    tracker = ThresholdTracker(THREE, init_util=0.125, init_throttle=0.0)
+    for interval in intervals:
+        tracker.update(interval_metrics(interval))
+    return tracker
+
+
+RATCHET = [
+    Interval((0.25, 0.0625, 0.5), (0.0, 0.5, 0.0)),
+    Interval((0.125, 0.375, 0.25), (1.0, 0.25, 0.0)),
+]
+
+
+class TestClosedForm:
+    def test_eqns_6_7_running_max(self):
+        tracker = call_tracker(RATCHET)
+        # U_th_i = max(1/8, u_i over both intervals)
+        assert tracker.u_th == [0.25, 0.375, 0.5]
+        # H_th_i = max(0, h_i over both intervals)
+        assert tracker.h_th == [1.0, 0.5, 0.0]
+        assert tracker.snapshot() == (
+            {"a": 0.25, "b": 0.375, "c": 0.5},
+            {"a": 1.0, "b": 0.5, "c": 0.0},
+        )
+
+    def test_eqn_5_with_throttle_filter(self):
+        tracker = call_tracker(RATCHET)
+        m = interval_metrics(Interval((0.125, 0.1875, 0.375), (0.75, 0.75, 0.0)))
+        # h <= H_th: a (0.75 <= 1), c (0 <= 0); b is throttled (0.75 > 0.5).
+        assert eligible_services(m, tracker) == ("a", "c")
+        # u* = (1/8)/(1/4) = 1/2 for a, (3/8)/(1/2) = 3/4 for c; min 1/2,
+        # so p_a = 1 and p_c = 1 - (3/4 - 1/2)/(1 - 1/2) = 1/2.
+        assert inclusion_probabilities(m, tracker, ("a", "c")) == {
+            "a": 1.0,
+            "c": 0.5,
+        }
+
+    def test_eqn_5_all_eligible(self):
+        tracker = call_tracker(RATCHET)
+        m = interval_metrics(Interval((0.125, 0.1875, 0.375), (0.0, 0.0, 0.0)))
+        # u*_b = (3/16)/(3/8) = 1/2 ties with a as the coolest.
+        assert inclusion_probabilities(m, tracker, THREE) == {
+            "a": 1.0,
+            "b": 1.0,
+            "c": 0.5,
+        }
+
+    def test_controller_step_uses_the_same_closed_form(self):
+        # No exploration and a response far under the SLO: signal = 1,
+        # so n_t = 3 and the step selects with the Eqn-5 probabilities of
+        # the filtered test above, then ratchets Eqns. 6-7 last.
+        start = Allocation({"a": 1.0, "b": 1.0, "c": 1.0})
+        config = PEMAConfig(explore_a=0.0, explore_b=0.0, init_util_threshold=0.125)
+        ctl = PEMAController(THREE, 1.0, start, config, seed=3)
+        ctl.thresholds.restore(*call_tracker(RATCHET).snapshot())
+        selected = Interval((0.125, 0.1875, 0.375), (0.75, 0.75, 0.0))
+        result = ctl.step(interval_metrics(selected))
+        assert result.n_targets == 3
+        assert result.probabilities == (("a", 1.0), ("c", 0.5))
+        assert "b" not in result.targets
+        assert ctl.thresholds.u_th == [0.25, 0.375, 0.5]
+        assert ctl.thresholds.h_th == [1.0, 0.75, 0.0]
