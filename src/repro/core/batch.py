@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.core.reduction import _window_mean
 from repro.core.selection import select_targets
+from repro.obs.decision import pema_decision_info
 from repro.sim.batched import BatchObservation, DecisionBank
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -91,8 +92,8 @@ class PEMABatch(DecisionBank):
         self._windows: list[list[float]] = [[] for _ in range(n_cells)]
         self._tainted: list[set[bytes]] = [set() for _ in range(n_cells)]
         # Decision tracing: cells opted in via enable_decision_trace get
-        # exactly one pema_decision_info per step, mirroring the scalar
-        # controller's StepResult field-for-field (untraced cells pay
+        # exactly one pema_decision_info per step, with the arguments the
+        # scalar controller's StepResult carries (untraced cells pay
         # nothing).
         self._trace_cells: set[int] = set()
         self.decision_info: dict[int, list[dict]] = {}
@@ -232,22 +233,9 @@ class PEMABatch(DecisionBank):
                 if i in self._trace_cells:
                     # Scalar rollback returns before p_explore is even
                     # computed, so the record keeps the default 0.0.
-                    # Records here and below are inlined dict literals
-                    # matching pema_decision_info (the scalar path) key
-                    # for key — the function-call + coercion cost is too
-                    # hot for the batched per-step loop, and the
-                    # scalar-vs-batched byte-parity tests pin the shape.
-                    self.decision_info[i].append({
-                        "kind": "pema",
-                        "action": "rollback",
-                        "violated": True,
-                        "targets": [],
-                        "n_targets": 0,
-                        "delta": 0.0,
-                        "signal": 0.0,
-                        "p_explore": 0.0,
-                        "probabilities": [],
-                    })
+                    self.decision_info[i].append(
+                        pema_decision_info(action="rollback", violated=True)
+                    )
                 continue
 
             rng = self.rngs[i]
@@ -259,17 +247,11 @@ class PEMABatch(DecisionBank):
                     self.allocation[i] = self._hist_alloc[k][i]
                     window.clear()
                     if i in self._trace_cells:
-                        self.decision_info[i].append({
-                            "kind": "pema",
-                            "action": "explore",
-                            "violated": False,
-                            "targets": [],
-                            "n_targets": 0,
-                            "delta": 0.0,
-                            "signal": 0.0,
-                            "p_explore": p_explore_row[i],
-                            "probabilities": [],
-                        })
+                        self.decision_info[i].append(
+                            pema_decision_info(
+                                action="explore", p_explore=p_explore_row[i]
+                            )
+                        )
                     continue
 
             # Line 7: reduction sizing from the moving-average response.
@@ -284,17 +266,13 @@ class PEMABatch(DecisionBank):
                 if i in self._trace_cells:
                     # The scalar early-hold result leaves n_targets/delta
                     # at their defaults, so the record does too.
-                    self.decision_info[i].append({
-                        "kind": "pema",
-                        "action": "hold",
-                        "violated": False,
-                        "targets": [],
-                        "n_targets": 0,
-                        "delta": 0.0,
-                        "signal": float(signal),
-                        "p_explore": p_explore_row[i],
-                        "probabilities": [],
-                    })
+                    self.decision_info[i].append(
+                        pema_decision_info(
+                            action="hold",
+                            signal=signal,
+                            p_explore=p_explore_row[i],
+                        )
+                    )
                 continue
 
             # Lines 8-9: bottleneck filter + inclusion probabilities.
@@ -321,17 +299,17 @@ class PEMABatch(DecisionBank):
                     self._min_cpu[i], self.allocation[i, cols] * (1.0 - delta)
                 )
             if i in self._trace_cells:
-                self.decision_info[i].append({
-                    "kind": "pema",
-                    "action": "reduce" if targets else "hold",
-                    "violated": False,
-                    "targets": list(targets),
-                    "n_targets": n_t,
-                    "delta": float(delta),
-                    "signal": float(signal),
-                    "p_explore": p_explore_row[i],
-                    "probabilities": [[n, p] for n, p in probs.items()],
-                })
+                self.decision_info[i].append(
+                    pema_decision_info(
+                        action="reduce" if targets else "hold",
+                        targets=targets,
+                        n_targets=n_t,
+                        delta=delta,
+                        signal=signal,
+                        p_explore=p_explore_row[i],
+                        probabilities=probs.items(),
+                    )
+                )
 
         # Eqns. (6)-(7): ratchet thresholds on every SLO-satisfying cell
         # (the scalar controller updates after selection, so this step's

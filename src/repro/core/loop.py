@@ -130,6 +130,13 @@ class LoopResult:
 
     __hash__ = None  # type: ignore[assignment]
 
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        # Unpickled arrays (a result crossing a process pool) come back
+        # writeable; the columns stay read-only either way.
+        self.__dict__.update(state)
+        for column in (*self._columns(), self._allocations):
+            column.flags.writeable = False
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"{type(self).__name__}({len(self)} intervals, "

@@ -4,8 +4,9 @@ An :class:`ExperimentArtifact` pairs the spec that produced it with the
 per-seed :class:`~repro.core.LoopResult` histories and derives the
 summary statistics the paper's figures report (settled total CPU across
 seeds, violation rates).  Artifacts round-trip through JSON via the
-:mod:`repro.metrics.export` record codec, so a figure cell can be
-archived, diffed, and re-plotted without re-running anything.
+records form of :class:`~repro.metrics.export.UnitResult`, so a figure
+cell can be archived, diffed, and re-plotted without re-running
+anything.
 """
 
 from __future__ import annotations
@@ -19,7 +20,12 @@ import numpy as np
 
 from repro.core.loop import LoopResult
 from repro.experiments.spec import ExperimentSpec
-from repro.metrics.export import loop_result_from_dict, loop_result_to_dict
+# perfbench patches loop_result_to_dict and loop_result_from_dict here.
+from repro.metrics.export import (  # noqa: F401
+    UnitResult,
+    loop_result_from_dict,
+    loop_result_to_dict,
+)
 
 __all__ = ["ExperimentArtifact"]
 
@@ -132,38 +138,42 @@ class ExperimentArtifact:
 
     # -- construction ------------------------------------------------------------
     @classmethod
+    def from_units(
+        cls, spec: ExperimentSpec, units: Sequence[UnitResult]
+    ) -> "ExperimentArtifact":
+        """Assemble an artifact from per-repeat units (in repeat order).
+
+        Each captured channel the spec requested becomes one entry per
+        repeat; a unit missing a requested channel contributes None.
+        """
+
+        def channel(name: str) -> tuple[Any, ...]:
+            if name not in spec.capture:
+                return ()
+            return tuple(unit.channels.get(name) for unit in units)
+
+        return cls(
+            spec=spec,
+            results=tuple(unit.result for unit in units),
+            manager_states=channel("manager_state"),
+            decision_traces=channel("decision_trace"),
+        )
+
+    @classmethod
     def from_payloads(
         cls, spec: ExperimentSpec, payloads: Sequence[dict[str, Any]]
     ) -> "ExperimentArtifact":
-        """Assemble an artifact from per-repeat unit worker payloads.
-
-        ``payloads`` are ``loop_result_to_dict`` dicts (one per repeat, in
-        repeat order), each optionally carrying the ``manager_state`` and
-        ``decision_trace`` keys when the spec's ``capture`` requested
-        those channels — exactly what the unit workers return.  (The
-        sweep scheduler holds its units decoded and builds artifacts
-        directly; see :func:`repro.sweeps.build_artifacts`.)
-        """
-        return cls(
-            spec=spec,
-            results=tuple(loop_result_from_dict(p) for p in payloads),
-            manager_states=(
-                tuple(p.get("manager_state") for p in payloads)
-                if "manager_state" in spec.capture
-                else ()
-            ),
-            decision_traces=(
-                tuple(p.get("decision_trace") for p in payloads)
-                if "decision_trace" in spec.capture
-                else ()
-            ),
+        """Assemble an artifact from per-repeat records-form unit payloads
+        (what ``repro.experiments.runner._run_unit_worker`` returns)."""
+        return cls.from_units(
+            spec, [UnitResult.from_payload(p) for p in payloads]
         )
 
     # -- serialization -----------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
         data = {
             "spec": self.spec.to_dict(),
-            "results": [loop_result_to_dict(r) for r in self.results],
+            "results": [UnitResult(r).to_payload() for r in self.results],
             "summary": self.summary(),
         }
         # Present only when captured, so capture-free artifacts keep
@@ -179,7 +189,7 @@ class ExperimentArtifact:
         return cls(
             spec=ExperimentSpec.from_dict(data["spec"]),
             results=tuple(
-                loop_result_from_dict(r) for r in data["results"]
+                UnitResult.from_payload(r).result for r in data["results"]
             ),
             manager_states=tuple(data.get("manager_states", ())),
             decision_traces=tuple(data.get("decision_traces", ())),

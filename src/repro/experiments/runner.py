@@ -36,7 +36,12 @@ from repro.experiments.spec import (
     EngineSpec,
     ExperimentSpec,
 )
-from repro.metrics.export import loop_result_from_dict, loop_result_to_dict
+# perfbench patches loop_result_to_dict and loop_result_from_dict here.
+from repro.metrics.export import (  # noqa: F401
+    UnitResult,
+    loop_result_from_dict,
+    loop_result_to_dict,
+)
 from repro.obs.metrics import default_registry
 from repro.sim.environment import Environment
 from repro.workload.trace import WorkloadTrace
@@ -47,6 +52,7 @@ __all__ = [
     "capture_manager_state",
     "hooks_on_step",
     "run_unit",
+    "run_unit_result",
     "run_experiment",
     "run_comparison",
     "derive_rule_spec",
@@ -90,14 +96,6 @@ class ExperimentUnit:
     slo: float
     loop: ControlLoop
     result: LoopResult | None = None
-    manager_state: dict[str, Any] | None = None
-    """The autoscaler's post-run state snapshot, when the spec's
-    ``capture`` requested the ``manager_state`` channel (None otherwise,
-    and None for autoscalers that expose no snapshot)."""
-    decision_trace: list[dict[str, Any]] | None = None
-    """Per-step deterministic decision records, when the spec's
-    ``capture`` requested the ``decision_trace`` channel (None
-    otherwise)."""
 
 
 def build_unit(
@@ -205,43 +203,44 @@ def run_unit(
     *,
     trace: WorkloadTrace | None = None,
     on_step: OnStep | None = None,
+    decision_log: list[dict[str, Any]] | None = None,
     tracer: Any | None = None,
 ) -> ExperimentUnit:
     """Run one seed of ``spec`` (hooks dispatched, plus an extra callback).
 
-    ``tracer`` optionally times the run with a
-    :class:`repro.obs.Tracer` span (runtime profiling, independent of
-    the deterministic ``decision_trace`` capture channel).
+    ``decision_log`` collects one deterministic decision record per
+    step (see :meth:`ControlLoop.run`).  ``tracer`` optionally times
+    the run with a :class:`repro.obs.Tracer` span (runtime profiling,
+    independent of the ``decision_trace`` capture channel).
     """
     unit = build_unit(spec, repeat, trace=trace)
-    decision_log: list[dict[str, Any]] | None = (
-        [] if "decision_trace" in spec.capture else None
-    )
     unit.result = unit.loop.run(
         spec.n_steps,
         on_step=hooks_on_step(spec, on_step),
         decision_log=decision_log,
         tracer=tracer,
     )
-    unit.decision_trace = decision_log
-    if "manager_state" in spec.capture:
-        unit.manager_state = capture_manager_state(unit.autoscaler)
     return unit
 
 
-def _run_unit_worker(spec_data: dict[str, Any], repeat: int) -> dict[str, Any]:
-    # Module-level, plain-data in/out: pickles under any start method.
-    spec = ExperimentSpec.from_dict(spec_data)
-    unit = run_unit(spec, repeat)
+def run_unit_result(spec: ExperimentSpec, repeat: int = 0) -> UnitResult:
+    """Run one seed of ``spec`` as the scalar executor's :class:`UnitResult`."""
+    traced = "decision_trace" in spec.capture
+    decision_log: list[dict[str, Any]] = []
+    unit = run_unit(spec, repeat, decision_log=decision_log if traced else None)
     assert unit.result is not None
-    payload = loop_result_to_dict(unit.result)
-    # Channel keys only exist when requested, so capture-free unit
-    # payloads (and their sweep-store bytes) are unchanged.
-    if "manager_state" in spec.capture:
-        payload["manager_state"] = unit.manager_state
-    if "decision_trace" in spec.capture:
-        payload["decision_trace"] = unit.decision_trace
-    return payload
+    return UnitResult.computed(
+        unit.result,
+        spec.capture,
+        manager_state=lambda: capture_manager_state(unit.autoscaler),
+        decision_trace=lambda: decision_log,
+    )
+
+
+def _run_unit_worker(spec_data: dict[str, Any], repeat: int) -> dict[str, Any]:
+    """The records-form payload of one unit, from its serialized spec."""
+    spec = ExperimentSpec.from_dict(spec_data)
+    return run_unit_result(spec, repeat).to_payload()
 
 
 def run_experiment(

@@ -14,16 +14,18 @@ row, or plain-dict JSON.  Two JSON forms round-trip exactly:
   records gives the same bytes as the original records.
 
 Both decoders apply the same value rule and raise
-:class:`MalformedHistoryError` on anything they cannot decode.
+:class:`MalformedHistoryError` on anything they cannot decode;
+:class:`UnitResult`, one computed unit, applies it to fresh histories.
 """
 
 from __future__ import annotations
 
 import base64
 import csv
+from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Collection, Iterator
 
 import numpy as np
 
@@ -38,6 +40,7 @@ __all__ = [
     "loop_result_from_dict",
     "loop_result_to_packed",
     "loop_result_from_packed",
+    "UnitResult",
 ]
 
 
@@ -142,7 +145,7 @@ def loop_result_to_dict(result: "LoopResult") -> dict[str, Any]:
 
 
 class MalformedHistoryError(ValueError):
-    """A run-history dict that :func:`loop_result_from_dict` cannot decode."""
+    """A run history that does not decode or breaks the value rule."""
 
 
 _FLOAT_FIELDS = ("time", "workload", "response", "total_cpu", "slo")
@@ -160,6 +163,16 @@ def _check_values(values: np.ndarray, field: Callable[[int], str]) -> None:
         raise MalformedHistoryError(
             f"invalid {field(bad)} value {values[bad].item()!r}"
         )
+
+
+def _check_block(values: np.ndarray, step: np.ndarray, n: int) -> None:
+    """The value rule over one history: its ``values`` block and steps."""
+    scalars = len(_FLOAT_FIELDS) * n
+    _check_values(
+        values,
+        lambda i: _FLOAT_FIELDS[i // n] if i < scalars else "allocation",
+    )
+    _check_values(step, lambda i: "step")
 
 
 def loop_result_from_dict(data: dict[str, Any]) -> "LoopResult":
@@ -202,13 +215,9 @@ def loop_result_from_dict(data: dict[str, Any]) -> "LoopResult":
             + flat[1::2],
             dtype=np.float64,
         )
-        scalars = len(_FLOAT_FIELDS) * n
-        _check_values(
-            values,
-            lambda i: _FLOAT_FIELDS[i // n] if i < scalars else "allocation",
-        )
         step = np.array([rec["step"] for rec in records], dtype=np.int64)
-        _check_values(step, lambda i: "step")
+        _check_block(values, step, n)
+        scalars = len(_FLOAT_FIELDS) * n
         time, workload, response, total_cpu, slo = (
             values[start : start + n] for start in range(0, scalars, n)
         )
@@ -256,16 +265,10 @@ def _unpack(text: Any, dtype: np.dtype, count: int, field: str) -> np.ndarray:
     return np.frombuffer(raw, dtype=dtype)
 
 
-def loop_result_to_packed(result: "LoopResult") -> dict[str, Any]:
-    """The run history as packed columns (lossless; inverse below).
-
-    ``n`` intervals over ``names`` (stored once); ``step`` is ``int64``,
-    ``violated`` one ``uint8`` 0/1 per interval, and ``values`` one
-    ``float64`` block: ``n`` values each of time, workload, response,
-    total_cpu and slo, then the row-major ``(n, len(names))`` allocation
-    matrix.  Every array is little-endian and base64-encoded.
-    """
-    values = np.concatenate(
+def _values_block(result: "LoopResult") -> np.ndarray:
+    """Time, workload, response, total_cpu and slo, then the row-major
+    allocation matrix, as one float64 array."""
+    return np.concatenate(
         [
             result.times,
             result.workloads,
@@ -275,12 +278,23 @@ def loop_result_to_packed(result: "LoopResult") -> dict[str, Any]:
             result.allocations.ravel(),
         ]
     )
+
+
+def loop_result_to_packed(result: "LoopResult") -> dict[str, Any]:
+    """The run history as packed columns (lossless; inverse below).
+
+    ``n`` intervals over ``names`` (stored once); ``step`` is ``int64``,
+    ``violated`` one ``uint8`` 0/1 per interval, and ``values`` one
+    ``float64`` block: ``n`` values each of time, workload, response,
+    total_cpu and slo, then the row-major ``(n, len(names))`` allocation
+    matrix.  Every array is little-endian and base64-encoded.
+    """
     return {
         "n": len(result),
         "names": list(result.service_names),
         "step": _pack(result.steps, _STEP_DTYPE),
         "violated": _pack(result.violated, _VIOLATED_DTYPE),
-        "values": _pack(values, _VALUES_DTYPE),
+        "values": _pack(_values_block(result), _VALUES_DTYPE),
     }
 
 
@@ -317,11 +331,7 @@ def loop_result_from_packed(data: dict[str, Any]) -> "LoopResult":
         )
         if violated.size and violated.max() > 1:
             raise MalformedHistoryError("violated flags must be 0 or 1")
-        _check_values(
-            values,
-            lambda i: _FLOAT_FIELDS[i // n] if i < scalars else "allocation",
-        )
-        _check_values(step, lambda i: "step")
+        _check_block(values, step, n)
         time, workload, response, total_cpu, slo = values[:scalars].reshape(
             len(_FLOAT_FIELDS), n
         )
@@ -340,3 +350,70 @@ def loop_result_from_packed(data: dict[str, Any]) -> "LoopResult":
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedHistoryError(f"malformed packed history: {exc!r}") from exc
+
+
+# -- one computed unit ------------------------------------------------------
+@dataclass(frozen=True)
+class UnitResult:
+    """One (spec, repeat) unit: its history plus capture channels.
+
+    ``channels`` holds the requested capture channels
+    (``manager_state``, ``decision_trace``) by name.  Every executor
+    returns units in this form, the store keeps them packed
+    (:meth:`to_entry`) and artifacts take the :class:`LoopResult` as is;
+    :meth:`to_payload` is the records form, built only where a unit
+    leaves as JSON.
+    """
+
+    result: "LoopResult"
+    channels: dict[str, Any] = field(default_factory=dict)
+
+    @classmethod
+    def computed(
+        cls,
+        result: "LoopResult",
+        capture: Collection[str],
+        *,
+        manager_state: Callable[[], Any],
+        decision_trace: Callable[[], Any],
+    ) -> "UnitResult":
+        """A freshly computed unit, as every executor builds it.
+
+        The history must pass the decoders' value rule (every value
+        finite and >= 0), or :class:`MalformedHistoryError` is raised:
+        a unit that could not be read back is never produced.  Each
+        channel is present exactly when ``capture`` names it, and its
+        producer is called only then.
+        """
+        _check_block(_values_block(result), result.steps, len(result))
+        channels: dict[str, Any] = {}
+        if "manager_state" in capture:
+            channels["manager_state"] = manager_state()
+        if "decision_trace" in capture:
+            channels["decision_trace"] = decision_trace()
+        return cls(result, channels)
+
+    @classmethod
+    def from_payload(cls, payload: dict[str, Any]) -> "UnitResult":
+        """Decode a records-form unit payload (one history decode)."""
+        result = loop_result_from_dict(payload)
+        return cls(result, {k: v for k, v in payload.items() if k != "records"})
+
+    def to_payload(self) -> dict[str, Any]:
+        """The records-form unit payload (the JSON boundary's encoding)."""
+        return {**loop_result_to_dict(self.result), **self.channels}
+
+    @classmethod
+    def from_entry(cls, payload: Any) -> "UnitResult":
+        """Decode a format-2 store entry payload (one history decode).
+
+        Raises :class:`MalformedHistoryError` when it does not decode.
+        """
+        if not isinstance(payload, dict) or "history" not in payload:
+            raise MalformedHistoryError("unit entry holds no packed history")
+        result = loop_result_from_packed(payload["history"])
+        return cls(result, {k: v for k, v in payload.items() if k != "history"})
+
+    def to_entry(self) -> dict[str, Any]:
+        """The format-2 store entry payload: packed history plus channels."""
+        return {"history": loop_result_to_packed(self.result), **self.channels}

@@ -32,7 +32,7 @@ from repro.experiments.runner import (
 )
 from repro.experiments.spec import ExperimentSpec
 from repro.faults import reorder_window_for, stream_fault_entries
-from repro.metrics.export import loop_result_to_dict
+from repro.metrics.export import UnitResult, loop_result_to_dict  # noqa: F401
 from repro.obs.decision import decision_record  # noqa: F401
 from repro.service.rescaler import Rescaler
 from repro.service.telemetry import (
@@ -217,23 +217,23 @@ class Guardian:
         self._fail_at[int(step)] = (kind, float(seconds))
 
     # -- introspection -----------------------------------------------------------
-    def result_payload(self) -> dict[str, Any]:
-        """The decision history in the offline unit-worker encoding.
+    def result(self) -> UnitResult:
+        """The decision history so far as the unit an offline run returns.
 
-        Byte-identical (under canonical JSON dumping) to what
-        ``repro.experiments.runner._run_unit_worker`` returns for the
-        same (spec, repeat) once the run is complete — including the
-        ``manager_state`` channel key exactly when the spec requested
-        it.
+        Once the run is complete it equals what
+        :func:`repro.experiments.runner.run_unit_result` returns for the
+        same (spec, repeat), capture channels included.
         """
-        payload = loop_result_to_dict(self.history.build())
-        if "manager_state" in self.spec.capture:
-            payload["manager_state"] = capture_manager_state(
-                self.unit.autoscaler
-            )
-        if self._capture_trace:
-            payload["decision_trace"] = list(self.trace_records)
-        return payload
+        return UnitResult.computed(
+            self.history.build(),
+            self.spec.capture,
+            manager_state=lambda: capture_manager_state(self.unit.autoscaler),
+            decision_trace=lambda: list(self.trace_records),
+        )
+
+    def result_payload(self) -> dict[str, Any]:
+        """:meth:`result` in the records form (the JSON boundary)."""
+        return self.result().to_payload()
 
     def state(self) -> dict[str, Any]:
         """The ``/state`` endpoint's payload for this app."""

@@ -6,7 +6,7 @@ snapshots plus final histories through a pluggable *backend* — any
 object with the content-addressed ``get_raw(key)``/``put_raw(key,
 payload)`` surface that :class:`repro.sweeps.store.JsonDirectoryStore`
 defines, plus :class:`~repro.sweeps.SweepStore`'s ``put_result(spec,
-repeat, payload)`` for completed units.  Two backends ship, resolved
+repeat, unit)`` for completed units.  Two backends ship, resolved
 through the :data:`STATE_STORES` registry:
 
 ``memory``
@@ -31,6 +31,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from repro.experiments.registry import Registry
+from repro.metrics.export import UnitResult
 from repro.sweeps.store import StoreStats, SweepStore, canonical_key
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -75,9 +76,10 @@ class MemoryBackend:
         self.stats.writes += 1
         return digest
 
-    def put_result(self, spec: Any, repeat: int, payload: Any) -> str:
-        """Keep a completed unit's payload under its sweep unit key."""
-        return self.put_raw(SweepStore.unit_key(spec, repeat), payload)
+    def put_result(self, spec: Any, repeat: int, result: UnitResult) -> str:
+        """Keep a completed unit's store entry under its sweep unit key."""
+        key = SweepStore.unit_key(spec, repeat)
+        return self.put_raw(key, result.to_entry())
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -206,9 +208,7 @@ class ServiceStateStore:
                 self.snapshot(guardian)
                 if guardian.complete and guardian.error is None:
                     self.backend.put_result(
-                        guardian.spec,
-                        guardian.repeat,
-                        guardian.result_payload(),
+                        guardian.spec, guardian.repeat, guardian.result()
                     )
                     self.unit_entries += 1
                     entry["unit_entry"] = True

@@ -14,9 +14,11 @@ import math
 from dataclasses import replace
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.sim.des.simulator import MicroserviceSimulator, SimConfig
 from repro.sim.des.tracing import TraceLog
-from repro.sim.types import Allocation, IntervalMetrics, ServiceMetrics
+from repro.sim.types import Allocation, IntervalMetrics
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.apps.spec import AppSpec
@@ -97,17 +99,9 @@ class DESEngine:
         """Simulate a slice of the interval and report rescaled metrics."""
         if workload_rps <= 0:
             # A silent application: zero latency, idle services.
-            services = {
-                name: ServiceMetrics(
-                    utilization=0.0,
-                    throttle_seconds=0.0,
-                    usage_cores=0.0,
-                    usage_p90_cores=0.0,
-                )
-                for name in self._app.service_names
-            }
-            return IntervalMetrics(
-                latency_p95=0.0, workload_rps=0.0, services=services
+            idle = np.zeros(len(self._app.service_names))
+            return IntervalMetrics.from_arrays(
+                self._app.service_names, 0.0, 0.0, idle, idle, idle, idle
             )
         self._calls += 1
         sim = self._simulator_cls(
@@ -124,19 +118,14 @@ class DESEngine:
         self.last_started = sim.window.started
         self.last_events = sim.events
         scale = interval / duration
-        services = {
-            name: ServiceMetrics(
-                utilization=m.utilization,
-                throttle_seconds=m.throttle_seconds * scale,
-                usage_cores=m.usage_cores,
-                usage_p90_cores=m.usage_p90_cores,
-            )
-            for name, m in raw.services.items()
-        }
-        return IntervalMetrics(
-            latency_p95=raw.latency_p95,
-            workload_rps=workload_rps,
-            services=services,
+        return IntervalMetrics.from_arrays(
+            raw.names,
+            raw.latency_p95,
+            workload_rps,
+            np.asarray(raw.utilizations),
+            np.asarray(raw.throttles) * scale,
+            np.asarray(raw.usages),
+            np.asarray(raw.usages_p90),
             latency_mean=raw.latency_mean,
             completed_requests=raw.completed_requests,
         )

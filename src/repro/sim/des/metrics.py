@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sim.des.server import ServiceServer
-from repro.sim.types import IntervalMetrics, ServiceMetrics
+from repro.sim.types import IntervalMetrics
 
 __all__ = ["MeasurementWindow"]
 
@@ -41,7 +41,6 @@ class MeasurementWindow:
         if duration <= 0:
             raise ValueError("duration must be positive")
         scale = 1.0 if scale_to_interval is None else scale_to_interval / duration
-        services: dict[str, ServiceMetrics] = {}
         total_periods = max(int(round(duration / next(iter(servers.values())).period)), 1) if servers else 1
         # One vectorized fold across services: stack every server's
         # period samples into a zero-padded matrix (idle periods produce
@@ -76,24 +75,22 @@ class MeasurementWindow:
                     for s in server_list
                 ]
             )
-        for i, server in enumerate(server_list):
-            usage_cores = server.usage_seconds / duration
-            services[server.name] = ServiceMetrics(
-                utilization=min(usage_cores / server.alloc, 1.0),
-                throttle_seconds=server.throttle_seconds * scale,
-                usage_cores=usage_cores,
-                usage_p90_cores=min(float(p90s[i]), server.alloc),
-            )
+        usage = np.asarray([s.usage_seconds for s in server_list]) / duration
+        alloc = np.asarray([s.alloc for s in server_list])
         if self.latencies:
             arr = np.asarray(self.latencies)
             p95 = float(np.percentile(arr, 95))
             mean = float(arr.mean())
         else:
             p95 = mean = 0.0
-        return IntervalMetrics(
-            latency_p95=p95,
-            workload_rps=workload_rps,
-            services=services,
+        return IntervalMetrics.from_arrays(
+            [s.name for s in server_list],
+            p95,
+            workload_rps,
+            np.minimum(usage / alloc, 1.0),
+            np.asarray([s.throttle_seconds for s in server_list]) * scale,
+            usage,
+            np.minimum(p90s, alloc),
             latency_mean=mean,
             completed_requests=self.completed,
         )

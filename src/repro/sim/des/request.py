@@ -11,7 +11,7 @@ live in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.apps.spec import AppSpec, RequestClass
@@ -77,7 +77,6 @@ class RequestState:
     arrived_at: float
     stage_index: int = -1
     entries_pending: int = 0
-    spans: list = field(default_factory=list)
 
     def sample_stage_entries(
         self, next_uniform: Callable[[], float]

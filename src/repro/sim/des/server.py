@@ -25,7 +25,6 @@ class CpuJob:
     job_id: int
     remaining: float
     visit_ref: object = field(default=None, repr=False)
-    started_at: float = 0.0
 
 
 class ServiceServer:

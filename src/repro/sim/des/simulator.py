@@ -301,7 +301,6 @@ class _SimCore:
             job_id=self._next_job_id,
             remaining=demand,
             visit_ref=visit,
-            started_at=now,
         )
         self._next_job_id += 1
         was_idle = not server.jobs
@@ -799,7 +798,7 @@ class MicroserviceSimulator(_SimCore):
             return
         job_id = self._next_job_id
         self._next_job_id = job_id + 1
-        self._admit(self.servers[service], now, CpuJob(job_id, demand, visit, now))
+        self._admit(self.servers[service], now, CpuJob(job_id, demand, visit))
 
     def _finish_cpu_phase(self, visit: _Visit) -> None:
         # Inlined ``_sample_wait`` plus a direct WAIT_DONE push.

@@ -370,6 +370,7 @@ class IntervalMetrics:
         usage_cores: np.ndarray,
         usage_p90_cores: np.ndarray,
         latency_mean: float = 0.0,
+        completed_requests: int = 0,
     ) -> "IntervalMetrics":
         """Metrics from per-service arrays in ``names`` order.
 
@@ -381,7 +382,7 @@ class IntervalMetrics:
             float(latency_p95),
             float(workload_rps),
             float(latency_mean),
-            0,
+            int(completed_requests),
             tuple(names),
             tuple(utilization.tolist()),
             tuple(throttle_seconds.tolist()),

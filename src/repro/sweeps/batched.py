@@ -17,10 +17,10 @@ callables, fired against a per-cell view of the batched engine and bank.
 
 Byte-identity: every per-cell float operation and random draw is
 replicated in the scalar order (see the bit-exactness notes in
-:mod:`repro.sim.batched` and :mod:`repro.core.batch`), so the payload
-dicts returned here are exactly what
-``repro.experiments.runner._run_unit_worker`` returns for the same unit —
-the same JSON bytes land in the sweep store either way.
+:mod:`repro.sim.batched` and :mod:`repro.core.batch`), so the
+:class:`~repro.metrics.export.UnitResult` objects returned here equal
+what ``repro.experiments.runner.run_unit_result`` returns for the same
+unit — the same bytes land in the sweep store either way.
 
 Cells that :func:`batch_key` cannot place in a group (DES engine,
 non-noise engine params, unknown autoscalers/hooks, params the registry
@@ -46,8 +46,8 @@ from repro.experiments.registry import AUTOSCALERS, HOOKS, WORKLOADS
 from repro.experiments.runner import capture_manager_state, hooks_on_step
 from repro.experiments.spec import ExperimentSpec
 from repro.faults import ENGINE_FAULT_KINDS, STREAM_FAULT_KINDS
-from repro.metrics.export import loop_result_to_dict
-from repro.obs.decision import capture_decision_info
+from repro.metrics.export import UnitResult
+from repro.obs.decision import capture_decision_info, decision_record
 from repro.sim.batched import (
     BatchObservation,
     BatchedAnalyticalEngine,
@@ -390,15 +390,15 @@ def _generous_batch(app, rates: np.ndarray, headrooms: np.ndarray) -> np.ndarray
 
 def run_units_batched(
     units: Sequence[tuple[ExperimentSpec, int]],
-) -> list[dict[str, Any]]:
+) -> list[UnitResult]:
     """Run one compatible group of (spec, repeat) units as a single batch.
 
-    Returns one ``loop_result_to_dict``-shaped payload per unit, in
-    input order, byte-identical to the scalar worker's payloads.
+    Returns one :class:`UnitResult` per unit, in input order, equal to
+    the scalar runner's.
 
     The cyclic garbage collector is paused for the duration: a batch run
-    allocates tens of thousands of record/trace dicts, all acyclic trees
-    freed by refcounting, and letting generational GC rescan them mid-run
+    allocates tens of thousands of trace dicts, all acyclic trees freed
+    by refcounting, and letting generational GC rescan them mid-run
     costs more than the whole decision-trace channel (it dominated the
     obs gate's measured tracing overhead before this pause).
     """
@@ -408,7 +408,7 @@ def run_units_batched(
 
 def _run_units_batched(
     units: Sequence[tuple[ExperimentSpec, int]],
-) -> list[dict[str, Any]]:
+) -> list[UnitResult]:
     if not units:
         return []
     specs = [spec for spec, _ in units]
@@ -496,13 +496,12 @@ def _run_units_batched(
         bank.step(obs, step_totals)
     violated = resp > slo_rec
 
-    # Post-final-decide totals: step s's next_total_cpu is step s+1's
-    # recorded total; the last step reads the loop-exit allocation (the
-    # same row-sum the scalar loop's final ``allocation.total()`` takes).
+    # The loop-exit totals: the last step's ``next_total_cpu`` (the same
+    # row-sum the scalar loop's final ``allocation.total()`` takes).
     final_totals = bank.allocation.sum(axis=1)
 
     steps = np.arange(n_steps)
-    payloads: list[dict[str, Any]] = []
+    results: list[UnitResult] = []
     for i, spec in enumerate(specs):
         history = LoopResult(
             names,
@@ -515,38 +514,51 @@ def _run_units_batched(
             slo=slo_rec[:, i],
             allocations=alloc_hist[:, i],
         )
-        payload = loop_result_to_dict(history)
-        # The capture channels, mirroring the scalar worker: each key is
-        # present exactly when the spec requested it.
-        if "manager_state" in spec.capture:
-            payload["manager_state"] = bank.manager_state(i)
-        if "decision_trace" in spec.capture:
-            infos = bank.decision_trace(i)
-            work_col = history.workloads.tolist()
-            resp_col = history.responses.tolist()
-            slo_col = history.slos.tolist()
-            viol_col = history.violated.tolist()
-            total_col = history.total_cpu.tolist()
-            # Inline ``decision_record`` dict shape: the columns are
-            # already plain Python floats/bools (``.tolist()`` above), so
-            # the per-record coercion layer would only cost time here —
-            # this is the hot path the obs gate's overhead bound covers.
-            next_col = total_col[1:] + [float(final_totals[i])]
-            payload["decision_trace"] = [
-                {
-                    "step": step,
-                    "workload": work_col[step],
-                    "response": resp_col[step],
-                    "slo": slo_col[step],
-                    "violated": viol_col[step],
-                    "total_cpu": total_col[step],
-                    "next_total_cpu": next_col[step],
-                    "decision": infos[step] if infos is not None else None,
-                }
-                for step in range(n_steps)
-            ]
-        payloads.append(payload)
-    return payloads
+        results.append(
+            UnitResult.computed(
+                history,
+                spec.capture,
+                manager_state=lambda: bank.manager_state(i),
+                decision_trace=lambda: _decision_trace(
+                    history, bank.decision_trace(i), float(final_totals[i])
+                ),
+            )
+        )
+    return results
+
+
+def _decision_trace(
+    history: LoopResult, infos: list | None, final_total: float
+) -> list[dict[str, Any]]:
+    """One cell's ``decision_trace`` channel from its history columns.
+
+    Step ``s``'s ``next_total_cpu`` is step ``s+1``'s recorded total; the
+    last step reads the loop-exit allocation's total.
+    """
+    totals = history.total_cpu.tolist()
+    return [
+        decision_record(
+            step=step,
+            workload=workload,
+            response=response,
+            slo=slo,
+            violated=violated,
+            total_cpu=total,
+            next_total_cpu=next_total,
+            decision=infos[step] if infos is not None else None,
+        )
+        for step, (workload, response, slo, violated, total, next_total) in
+        enumerate(
+            zip(
+                history.workloads.tolist(),
+                history.responses.tolist(),
+                history.slos.tolist(),
+                history.violated.tolist(),
+                totals,
+                totals[1:] + [final_total],
+            )
+        )
+    ]
 
 
 def _build_bank(
@@ -580,13 +592,3 @@ def _build_bank(
             bind(_CellEnvironment(engine, i))
         controllers.append(controller)
     return _BANKS[kind](app, controllers, slos)
-
-
-def _run_batch_worker(units_data: Sequence[Sequence[Any]]) -> list[dict]:
-    """Module-level worker: plain-data in/out so it pickles anywhere."""
-    return run_units_batched(
-        [
-            (ExperimentSpec.from_dict(spec_data), int(repeat))
-            for spec_data, repeat in units_data
-        ]
-    )

@@ -20,10 +20,11 @@ from the same grid:
   persisted are skipped, and a task whose units are all present is
   fast-forwarded to done without being claimed; a corrupt entry reads
   as absent, so the worker recomputes and rewrites it;
-* **byte-identity** — workers run the exact scalar/batched unit workers
-  the local scheduler uses, so the merged artifacts, aggregate summary,
-  and store entries are byte-identical to a serial ``run_sweep_cached``
-  no matter how many workers ran, died, or raced.
+* **byte-identity** — workers compute units through the local
+  scheduler's own :func:`~repro.sweeps.scheduler.compute_units`, so the
+  merged artifacts, aggregate summary, and store entries are
+  byte-identical to a serial ``run_sweep_cached`` no matter how many
+  workers ran, died, or raced.
 
 Leases bound *wasted* work, they do not guard correctness: in the worst
 interleavings two workers both compute a unit, and both write the same
@@ -42,21 +43,22 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.experiments.artifact import ExperimentArtifact
-from repro.experiments.runner import _run_unit_worker
 from repro.experiments.spec import ExperimentSpec
+from repro.metrics.export import UnitResult
 from repro.obs.metrics import default_registry
 from repro.sweeps.grid import SweepCell, SweepGrid
 from repro.sweeps.scheduler import (
     GridRun,
     SweepReport,
     _partition_chunk,
+    _sweep_report,
     build_artifacts,
+    compute_units,
 )
 from repro.sweeps.store import (
     Lease,
     LeaseNamespace,
     SweepStore,
-    UnitResult,
     _write_json_replace,
     canonical_key,
 )
@@ -307,21 +309,15 @@ def run_worker(
             pending, batch, 1, report.fallbacks
         ):
             lease = heartbeat(lease)
+            units = compute_units(
+                batched, [(spec, repeat) for _, spec, repeat in group]
+            )
             if batched:
-                from repro.sweeps.batched import _run_batch_worker
-
-                payloads = _run_batch_worker(
-                    [[spec.to_dict(), repeat] for _, spec, repeat in group]
-                )
                 report.units_batched += len(group)
             else:
-                payloads = [
-                    _run_unit_worker(spec.to_dict(), repeat)
-                    for _, spec, repeat in group
-                ]
                 report.units_scalar += len(group)
-            for (_, spec, repeat), payload in zip(group, payloads):
-                store.put_result(spec, repeat, payload)
+            for (_, spec, repeat), unit in zip(group, units):
+                store.put_result(spec, repeat, unit)
                 report.units_computed += 1
                 if on_task is not None:
                     on_task("unit", task)
@@ -465,9 +461,7 @@ def _merge_specs(
         for repeat in range(spec.repeats):
             unit, corrupt = _probe(store, spec, repeat)
             if corrupt:
-                unit = UnitResult.from_payload(
-                    _run_unit_worker(spec.to_dict(), repeat)
-                )
+                (unit,) = compute_units(False, [(spec, repeat)])
                 store.put_result(spec, repeat, unit)
                 repaired += 1
             if unit is None:
@@ -481,23 +475,14 @@ def _merge_specs(
             f"(e.g. {preview}) — are workers still running?"
         )
     artifacts = build_artifacts(specs, results)
-    units = sum(spec.repeats for spec in specs)
-    report = SweepReport(
-        specs=len(specs),
-        units=units,
-        cache_hits=units - repaired,
+    report = _sweep_report(
+        specs,
+        results,
+        cache_hits=len(results) - repaired,
         computed=repaired,
         chunks=0,
         seconds=seconds,
         scalar_units=repaired,
-        replay_units=sum(
-            spec.repeats for spec in specs if spec.workload.kind == "replay"
-        ),
-        manager_states=sum(
-            1
-            for unit in results.values()
-            if unit.channels.get("manager_state") is not None
-        ),
     )
     return artifacts, report
 

@@ -16,18 +16,19 @@ groups (same app, autoscaler kind, and horizon — see
 NumPy-vectorized batch inside a single worker call; units no group can
 hold (DES engine, custom engine params, unknown hooks) fall back to the
 scalar worker, with per-reason counts reported in
-``SweepReport.fallbacks``.  Batched and scalar execution produce byte-identical
-payloads, so a store is freely shared between the two modes.
+``SweepReport.fallbacks``.  Batched and scalar execution produce equal
+unit results, so a store is freely shared between the two modes.
 
 Every unit rebuilds its components from the serialized spec whether it
-runs inline, in a worker, or comes back from the cache (histories
-round-trip losslessly through the records payload and the store's
-packed columns), so serial, parallel, cold, resumed, and batched runs
-all produce byte-identical artifacts.  Each unit's history is decoded
-once per sweep — by ``get_result`` for a cached unit, on receipt for a
-computed one — and that one :class:`~repro.sweeps.store.UnitResult`
-feeds both the store write and the artifact.  A corrupt cached entry is
-a miss like any other: the unit is recomputed and its entry rewritten.
+runs inline or in a worker (:func:`compute_units`), and a cached unit's
+history round-trips losslessly through the store's packed columns, so
+serial, parallel, cold, resumed, and batched runs all produce
+byte-identical artifacts.  Each unit is one
+:class:`~repro.metrics.export.UnitResult` from the moment it exists —
+returned by the executor, or decoded once by ``get_result`` for a
+cached unit — and that one object feeds both the store write and the
+artifact.  A corrupt cached entry is a miss like any other: the unit is
+recomputed and its entry rewritten.
 """
 
 from __future__ import annotations
@@ -39,20 +40,22 @@ from typing import Any, Callable, Iterable, Sequence
 
 from repro.experiments.artifact import ExperimentArtifact
 from repro.experiments.runner import (
-    _run_unit_worker,
     optimum_cache_info,
     optimum_store,
+    run_unit_result,
 )
 from repro.experiments.spec import ExperimentSpec
+from repro.metrics.export import UnitResult
 from repro.obs.metrics import Histogram, default_registry
 from repro.sweeps.grid import SweepCell, SweepGrid
-from repro.sweeps.store import SweepStore, UnitResult
+from repro.sweeps.store import SweepStore
 
 __all__ = [
     "SweepProgress",
     "SweepReport",
     "GridRun",
     "build_artifacts",
+    "compute_units",
     "run_sweep_cached",
     "run_grid",
 ]
@@ -172,6 +175,28 @@ class SweepReport:
         }
 
 
+def _sweep_report(
+    specs: Sequence[ExperimentSpec],
+    results: dict[tuple[int, int], UnitResult],
+    **counts: Any,
+) -> SweepReport:
+    """The report of a finished sweep: totals read from ``specs`` and
+    every unit's ``results``, plus the executor's own ``counts``."""
+    return SweepReport(
+        specs=len(specs),
+        units=len(results),
+        replay_units=sum(
+            spec.repeats for spec in specs if spec.workload.kind == "replay"
+        ),
+        manager_states=sum(
+            1
+            for unit in results.values()
+            if unit.channels.get("manager_state") is not None
+        ),
+        **counts,
+    )
+
+
 def _chunked(items: Sequence, size: int) -> Iterable[Sequence]:
     for start in range(0, len(items), size):
         yield items[start : start + size]
@@ -185,30 +210,17 @@ def build_artifacts(
 
     The one aggregation step every execution mode funnels through —
     serial, process-parallel, batched, and the distributed merge
-    (:mod:`repro.sweeps.distributed`).  Units arrive decoded, so the
-    artifacts take each :class:`LoopResult` as is: however a unit was
-    produced or cached, identical histories yield identical artifacts.
+    (:mod:`repro.sweeps.distributed`).  The artifacts take each unit's
+    :class:`LoopResult` as is: however a unit was produced or cached,
+    identical histories yield identical artifacts.
     """
-    artifacts = []
-    for spec_index, spec in enumerate(specs):
-        units = [
-            results[(spec_index, repeat)] for repeat in range(spec.repeats)
-        ]
-
-        def channel(name: str) -> tuple[Any, ...]:
-            if name not in spec.capture:
-                return ()
-            return tuple(unit.channels.get(name) for unit in units)
-
-        artifacts.append(
-            ExperimentArtifact(
-                spec=spec,
-                results=tuple(unit.result for unit in units),
-                manager_states=channel("manager_state"),
-                decision_traces=channel("decision_trace"),
-            )
+    return [
+        ExperimentArtifact.from_units(
+            spec,
+            [results[(spec_index, repeat)] for repeat in range(spec.repeats)],
         )
-    return artifacts
+        for spec_index, spec in enumerate(specs)
+    ]
 
 
 def _partition_chunk(
@@ -249,25 +261,32 @@ def _partition_chunk(
     return tasks
 
 
-def _run_sweep_task(task: dict[str, Any]) -> dict[str, Any]:
-    """Worker entry point: one scalar unit or one batched group of units.
+def compute_units(
+    batched: bool, units: Sequence[tuple[ExperimentSpec, int]]
+) -> list[UnitResult]:
+    """Compute ``units``: one batched group, or scalar units one by one.
 
-    Returns ``{"payloads": [...], "seconds": ...}`` — one payload per
-    unit in task order, plus the worker-side wall-clock of the task
-    (plain data in/out, so it pickles under any start method; the
-    seconds feed the scheduler's profile, never the payloads).
+    The one compute step of every executor — the scheduler's tasks, a
+    distributed worker's, and the merge's repair.  Each unit runs from
+    its serialized spec, exactly as a worker process would see it, so
+    inline and pooled runs are identical.
     """
-    started = perf_counter()
-    units = task["units"]
-    if task["batched"]:
-        from repro.sweeps.batched import _run_batch_worker
+    units = [(ExperimentSpec.from_dict(s.to_dict()), int(r)) for s, r in units]
+    if batched:
+        from repro.sweeps import batched as batched_runner
 
-        payloads = _run_batch_worker(units)
-    else:
-        payloads = [
-            _run_unit_worker(spec_data, repeat) for spec_data, repeat in units
-        ]
-    return {"payloads": payloads, "seconds": perf_counter() - started}
+        return batched_runner.run_units_batched(units)
+    return [run_unit_result(spec, repeat) for spec, repeat in units]
+
+
+def _run_sweep_task(
+    batched: bool, units: Sequence[tuple[ExperimentSpec, int]]
+) -> tuple[list[UnitResult], float]:
+    """Worker entry point: :func:`compute_units` plus its wall-clock
+    seconds (which feed the scheduler's profile, never the results)."""
+    started = perf_counter()
+    results = compute_units(batched, units)
+    return results, perf_counter() - started
 
 
 def run_sweep_cached(
@@ -312,8 +331,8 @@ def run_sweep_cached(
         "persist": 0.0,
         "aggregate": 0.0,
     }
-    # Every unit stays decoded from the moment it arrives: a cached one
-    # is decoded by ``get_result``, a computed payload once on receipt.
+    # Every unit is a UnitResult from the moment it exists: a cached one
+    # is decoded by ``get_result``, a computed one returned as such.
     results: dict[tuple[int, int], UnitResult] = {}
     pending: list[tuple[int, ExperimentSpec, int]] = []
     unit_counts = [spec.repeats for spec in specs]
@@ -373,34 +392,28 @@ def run_sweep_cached(
         for chunk_index, chunk in enumerate(chunks, start=1):
             chunk_started = perf_counter()
             worker_tasks = _partition_chunk(chunk, batch, parallel, fallbacks)
-            task_data = [
-                {
-                    "batched": batched,
-                    "units": [
-                        [spec.to_dict(), repeat] for _, spec, repeat in units
-                    ],
-                }
+            task_args = [
+                (batched, [(spec, repeat) for _, spec, repeat in units])
                 for batched, units in worker_tasks
             ]
             if pool is None:
-                raw = [_run_sweep_task(task) for task in task_data]
+                done = [_run_sweep_task(*args) for args in task_args]
             else:
                 futures = [
-                    pool.submit(_run_sweep_task, task) for task in task_data
+                    pool.submit(_run_sweep_task, *args) for args in task_args
                 ]
-                raw = [future.result() for future in futures]
-            for (batched, units), result in zip(worker_tasks, raw):
-                payloads = result["payloads"]
-                task_seconds = float(result["seconds"])
+                done = [future.result() for future in futures]
+            for (batched, units), (unit_results, task_seconds) in zip(
+                worker_tasks, done
+            ):
                 if batched:
                     batched_seconds += task_seconds
                 else:
                     scalar_seconds += task_seconds
                 per_cell = task_seconds / max(len(units), 1)
-                for (spec_index, spec, repeat), payload in zip(
-                    units, payloads
+                for (spec_index, spec, repeat), unit in zip(
+                    units, unit_results
                 ):
-                    unit = UnitResult.from_payload(payload)
                     persist_started = perf_counter()
                     if store is not None:
                         store.put_result(spec, repeat, unit)
@@ -442,9 +455,9 @@ def run_sweep_cached(
     artifacts = build_artifacts(specs, results)
     phases["aggregate"] = perf_counter() - aggregate_started
     optimum_after = optimum_cache_info()
-    report = SweepReport(
-        specs=len(specs),
-        units=len(tasks),
+    report = _sweep_report(
+        specs,
+        results,
         cache_hits=cached,
         computed=computed,
         chunks=len(chunks),
@@ -452,14 +465,6 @@ def run_sweep_cached(
         batched_units=batched_units,
         scalar_units=scalar_units,
         fallbacks=dict(sorted(fallbacks.items())),
-        replay_units=sum(
-            spec.repeats for spec in specs if spec.workload.kind == "replay"
-        ),
-        manager_states=sum(
-            1
-            for unit in results.values()
-            if unit.channels.get("manager_state") is not None
-        ),
         optimum={
             counter: optimum_after[counter] - optimum_before[counter]
             for counter in ("hits", "misses", "store_hits", "solved")

@@ -48,17 +48,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator, TYPE_CHECKING
 
-from repro.metrics.export import (
-    MalformedHistoryError,
-    loop_result_from_dict,
-    loop_result_from_packed,
-    loop_result_to_dict,
-    loop_result_to_packed,
-)
+from repro.metrics.export import MalformedHistoryError, UnitResult
 from repro.obs.metrics import default_registry
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.loop import LoopResult
     from repro.experiments.spec import ExperimentSpec
 
 __all__ = [
@@ -464,47 +457,6 @@ class LeaseNamespace:
         except FileNotFoundError:
             pass
         return True
-
-
-@dataclass(frozen=True)
-class UnitResult:
-    """One decoded (spec, repeat) unit: its history plus capture channels.
-
-    ``channels`` holds the unit payload's other keys (``manager_state``,
-    ``decision_trace``) exactly as present, so :meth:`to_payload` gives
-    back the records-form payload the unit workers return, byte for
-    byte under canonical dumping.  A sweep keeps each unit in this form
-    from the moment it arrives: the store write packs its columns and
-    the artifact takes its :class:`LoopResult` as is.
-    """
-
-    result: "LoopResult"
-    channels: dict[str, Any] = field(default_factory=dict)
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "UnitResult":
-        """Decode a records-form unit payload (one history decode)."""
-        result = loop_result_from_dict(payload)
-        return cls(result, {k: v for k, v in payload.items() if k != "records"})
-
-    def to_payload(self) -> dict[str, Any]:
-        """The records-form unit payload."""
-        return {**loop_result_to_dict(self.result), **self.channels}
-
-    @classmethod
-    def from_entry(cls, payload: Any) -> "UnitResult":
-        """Decode a format-2 entry payload (one history decode).
-
-        Raises :class:`MalformedHistoryError` when it does not decode.
-        """
-        if not isinstance(payload, dict) or "history" not in payload:
-            raise MalformedHistoryError("unit entry holds no packed history")
-        result = loop_result_from_packed(payload["history"])
-        return cls(result, {k: v for k, v in payload.items() if k != "history"})
-
-    def to_entry(self) -> dict[str, Any]:
-        """The format-2 entry payload: packed history plus the channels."""
-        return {"history": loop_result_to_packed(self.result), **self.channels}
 
 
 @dataclass

@@ -49,7 +49,7 @@ def assert_units_byte_identical(units: list[tuple[ExperimentSpec, int]]):
         assert key is not None, f"{unit[0]} unexpectedly un-batchable"
         groups.setdefault(key, []).append(unit)
     for group in groups.values():
-        batched = run_units_batched(group)
+        batched = [u.to_payload() for u in run_units_batched(group)]
         for (s, repeat), payload in zip(group, batched):
             expected = scalar_payload(s, repeat)
             assert json.dumps(payload, sort_keys=True) == json.dumps(
@@ -320,7 +320,7 @@ class TestClassificationMatchesScalar:
             assert reason == f"autoscaler_params:{autoscaler['kind']}"
             return
         assert key is not None, reason
-        (payload,) = run_units_batched([(s, 0)])
+        (payload,) = [u.to_payload() for u in run_units_batched([(s, 0)])]
         assert json.dumps(payload, sort_keys=True) == json.dumps(
             expected, sort_keys=True
         )

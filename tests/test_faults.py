@@ -238,7 +238,7 @@ class TestThreeModeParity:
         key, reason = classify_unit(spec)
         assert key is not None, f"faulted unit fell back: {reason}"
         scalar = dumps(_run_unit_worker(spec.to_dict(), 0))
-        batched = dumps(run_units_batched([(spec, 0)])[0])
+        batched = dumps(run_units_batched([(spec, 0)])[0].to_payload())
         streamed = dumps(streamed_payload(spec))
         assert scalar == batched
         assert scalar == streamed

@@ -108,5 +108,5 @@ class TestGoldenPayloads:
 
     def test_batched(self, label):
         spec, golden = CASES[label]
-        (payload,) = run_units_batched([(spec, 0)])
-        assert digest(payload) == golden
+        (unit,) = run_units_batched([(spec, 0)])
+        assert digest(unit.to_payload()) == golden

@@ -2,6 +2,7 @@
 
 import base64
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -265,6 +266,18 @@ class TestColumnarHistory:
     def test_columns_are_read_only(self, tiny_app):
         result = make_loop(tiny_app).run(3)
         for column in (result.total_cpu, result.violated, result.allocations):
+            with pytest.raises(ValueError):
+                column[0] = column[0]
+
+    @pytest.mark.parametrize("protocol", [4, 5])
+    def test_columns_stay_read_only_when_unpickled(self, tiny_app, protocol):
+        # Units cross the sweep's process pool as pickled LoopResults.
+        result = make_loop(tiny_app).run(3)
+        unpickled = pickle.loads(pickle.dumps(result, protocol=protocol))
+        assert unpickled == result
+        for column in (
+            unpickled.total_cpu, unpickled.violated, unpickled.allocations
+        ):
             with pytest.raises(ValueError):
                 column[0] = column[0]
 

@@ -350,7 +350,7 @@ class TestDecisionTraceDeterminism:
         execution strategies, identical bytes."""
         spec = make_spec(seed=seed, workload=workload, repeats=2)
         scalar = _run_unit_worker(spec.to_dict(), repeat)
-        batched = run_units_batched([(spec, repeat)])[0]
+        batched = run_units_batched([(spec, repeat)])[0].to_payload()
         streamed = streamed_payload(spec, repeat)
         assert dumps(batched) == dumps(scalar)
         assert dumps(streamed) == dumps(scalar)

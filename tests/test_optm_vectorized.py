@@ -302,7 +302,9 @@ class TestOptimumSweepUnits:
 
         specs = [s for s in self.specs() if s.app == "sockshop"]
         clear_optimum_cache()
-        batched = run_units_batched([(spec, 0) for spec in specs])
+        batched = [
+            u.to_payload() for u in run_units_batched([(s, 0) for s in specs])
+        ]
         clear_optimum_cache()
         scalar = [
             _run_unit_worker(spec.to_dict(), 0) for spec in specs

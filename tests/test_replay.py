@@ -336,7 +336,7 @@ class TestReplayBatching:
     def test_batched_equals_scalar_including_manager_state(self):
         spec = manager_replay_spec()
         scalar = _run_unit_worker(spec.to_dict(), 0)
-        (batched,) = run_units_batched([(spec, 0)])
+        (batched,) = [u.to_payload() for u in run_units_batched([(spec, 0)])]
         assert json.dumps(scalar, sort_keys=True) == json.dumps(
             batched, sort_keys=True
         )
@@ -360,7 +360,9 @@ class TestReplayBatching:
         make = manager_replay_spec if manager else replay_spec
         specs = [make(seed=s, n_steps=n_steps) for s in seeds]
         scalar = [_run_unit_worker(s.to_dict(), 0) for s in specs]
-        batched = run_units_batched([(s, 0) for s in specs])
+        batched = [
+            u.to_payload() for u in run_units_batched([(s, 0) for s in specs])
+        ]
         assert json.dumps(scalar, sort_keys=True) == json.dumps(
             batched, sort_keys=True
         )

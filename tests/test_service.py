@@ -196,7 +196,8 @@ class TestRegistryParity:
             assert reason and reason.strip() == reason
         else:
             assert reason is None
-            assert dumps(run_units_batched([(spec, 0)])[0]) == dumps(offline)
+            (unit,) = run_units_batched([(spec, 0)])
+            assert dumps(unit.to_payload()) == dumps(offline)
 
     @pytest.mark.parametrize("kind", HOOKS.names())
     def test_every_hook_batches_or_names_itself(self, kind):
@@ -215,7 +216,8 @@ class TestRegistryParity:
             assert reason == f"hook:{kind}"
         else:
             assert reason is None
-            assert dumps(run_units_batched([(spec, 0)])[0]) == dumps(offline)
+            (unit,) = run_units_batched([(spec, 0)])
+            assert dumps(unit.to_payload()) == dumps(offline)
 
 
 class TestGuardian:

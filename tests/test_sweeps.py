@@ -12,6 +12,7 @@ import pytest
 
 import repro.baselines
 import repro.experiments.runner as runner_mod
+from repro.core.loop import LoopResult
 from repro.experiments import (
     ExperimentArtifact,
     clear_optimum_cache,
@@ -563,17 +564,48 @@ class TestMalformedEntries:
         assert path.read_bytes() == good_bytes
 
     def test_malformed_fresh_payload_still_raises(self, monkeypatch):
-        """Only cached entries are repaired; a worker producing an
-        undecodable payload is a bug and surfaces as the typed error."""
+        """Only cached entries are repaired; a producer whose history
+        breaks the value rule is a bug and surfaces as the typed error."""
+        run_unit = runner_mod.run_unit
 
-        def broken_worker(spec_data, repeat):
-            return {"records": [{"step": 0}]}
+        def broken_run_unit(spec, repeat=0, **kwargs):
+            unit = run_unit(spec, repeat, **kwargs)
+            history = unit.result
+            response = history.responses.copy()
+            response[0] = float("nan")
+            unit.result = LoopResult(
+                history.service_names,
+                step=history.steps,
+                time=history.times,
+                workload=history.workloads,
+                response=response,
+                total_cpu=history.total_cpu,
+                violated=history.violated,
+                slo=history.slos,
+                allocations=history.allocations,
+            )
+            return unit
 
-        monkeypatch.setattr(
-            "repro.sweeps.scheduler._run_unit_worker", broken_worker
-        )
-        with pytest.raises(MalformedHistoryError):
+        monkeypatch.setattr(runner_mod, "run_unit", broken_run_unit)
+        with pytest.raises(MalformedHistoryError, match="response"):
             run_sweep_cached([base_spec()])
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_nan_rate_spec_raises(self, tmp_path, batch):
+        """A constant ``rps: NaN`` spec runs, but its history breaks the
+        value rule, so no executor returns the unit."""
+        spec = base_spec(
+            workload={"kind": "constant", "params": {"rps": float("nan")}}
+        )
+        with pytest.raises(MalformedHistoryError, match="workload"):
+            run_sweep_cached([spec], batch=batch)
+        # With a store the unit key (canonical JSON, NaN not allowed)
+        # already fails to hash at the cache probe: still a ValueError,
+        # and nothing is written.
+        store = SweepStore(tmp_path)
+        with pytest.raises(ValueError):
+            run_sweep_cached([spec], store=store, batch=batch)
+        assert store.entry_paths() == []
 
 
 class TestStoreFormat:
@@ -623,33 +655,40 @@ class TestStoreFormat:
 
     @pytest.mark.parametrize("batch", [False, True])
     def test_one_history_decode_per_unit(self, tmp_path, monkeypatch, batch):
-        import repro.experiments.artifact as artifact_mod
-        import repro.sweeps.store as store_mod
+        """A cold sweep never builds or decodes the records form; a warm
+        one decodes each unit's packed entry once."""
+        import repro.metrics.export as export_mod
 
-        decodes = []
+        calls = []
 
         def counting(fn):
             def wrapper(data):
-                decodes.append(fn.__name__)
+                calls.append(fn.__name__)
                 return fn(data)
             return wrapper
 
-        for module in (store_mod, artifact_mod):
-            for name in ("loop_result_from_dict", "loop_result_from_packed"):
-                if hasattr(module, name):
-                    monkeypatch.setattr(
-                        module, name, counting(getattr(module, name))
-                    )
+        for name in (
+            "loop_result_to_dict",
+            "loop_result_from_dict",
+            "loop_result_from_packed",
+        ):
+            monkeypatch.setattr(
+                export_mod, name, counting(getattr(export_mod, name))
+            )
         specs = [base_spec(repeats=2), base_spec(seed=5)]
         store = SweepStore(tmp_path)
         cold, report = run_sweep_cached(specs, store=store, batch=batch)
         assert report.computed == 3
-        assert decodes == ["loop_result_from_dict"] * 3
-        decodes.clear()
+        assert calls == []
         warm, report = run_sweep_cached(specs, store=store, batch=batch)
         assert report.cache_hits == 3
-        assert decodes == ["loop_result_from_packed"] * 3
+        assert calls == ["loop_result_from_packed"] * 3
+        assert [a.summary_json() for a in warm] == [
+            a.summary_json() for a in cold
+        ]
+        calls.clear()
         assert [a.to_json() for a in warm] == [a.to_json() for a in cold]
+        assert calls == ["loop_result_to_dict"] * 6
 
 
 class TestPausedGc:
