@@ -4,12 +4,6 @@ Commands
 --------
 ``apps``
     List the registered prototype applications.
-``run``
-    Run PEMA against a simulated deployment and print the trajectory.
-``optimum``
-    Find the OPTM allocation for an app/workload (paper §4.2 definition).
-``compare``
-    PEMA vs OPTM vs RULE at one operating point (a Fig. 15 cell).
 ``experiment``
     Run declarative :class:`~repro.experiments.ExperimentSpec` JSON files
     (a single file, a directory, or a glob) — the spec-driven entry point
@@ -32,9 +26,10 @@ Commands
     its one-line description — the discoverability surface behind the
     spec files.
 
-``run``, ``compare``, ``experiment`` and ``sweep`` all execute through
-the shared experiment runner, so the same spec reproduces the same
-numbers from any entry point.
+``experiment``, ``sweep`` and ``serve`` all execute specs through the
+shared experiment runner, so the same spec reproduces the same numbers
+from any entry point.  A Fig. 15 cell is ``experiment --compare``, and
+an OPTM allocation is a spec whose autoscaler kind is ``optimum``.
 """
 
 from __future__ import annotations
@@ -44,21 +39,10 @@ import glob as _glob
 import json
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.apps import app_names, build_app
-from repro.baselines import OptimumSearch
-from repro.core import FastReactionLoop
-from repro.experiments import (
-    AutoscalerSpec,
-    ExperimentSpec,
-    WorkloadSpec,
-    build_unit,
-    run_comparison,
-    run_experiment,
-    run_unit,
-)
-from repro.sim import AnalyticalEngine
+from repro.experiments import ExperimentSpec, run_comparison, run_experiment
 
 __all__ = ["main", "build_parser"]
 
@@ -71,37 +55,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("apps", help="list the prototype applications")
+    sub.add_parser(
+        "apps", help="list the prototype applications"
+    ).set_defaults(handler=_cmd_apps)
 
     desc = sub.add_parser("describe", help="show one application's topology")
     desc.add_argument("--app", default="sockshop", choices=app_names())
     desc.add_argument("--plan", default=None,
                       help="also show one request class's execution plan")
-
-    run = sub.add_parser("run", help="run PEMA on a simulated deployment")
-    _common_args(run)
-    run.add_argument("--iterations", type=int, default=70)
-    run.add_argument("--alpha", type=float, default=0.5)
-    run.add_argument("--beta", type=float, default=0.3)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--every", type=int, default=5,
-                     help="print every Nth interval")
-    run.add_argument("--fast", action="store_true",
-                     help="enable sub-interval violation mitigation (§6)")
-
-    opt = sub.add_parser("optimum", help="search the OPTM allocation")
-    _common_args(opt)
-    opt.add_argument("--restarts", type=int, default=2)
-    opt.add_argument("--deep", action="store_true",
-                     help="enable pairwise redistribution beyond the "
-                     "paper's single-coordinate definition")
-
-    cmp_ = sub.add_parser("compare", help="PEMA vs OPTM vs RULE")
-    _common_args(cmp_)
-    cmp_.add_argument("--iterations", type=int, default=60)
-    cmp_.add_argument("--seed", type=int, default=0)
-    cmp_.add_argument("--repeats", type=int, default=1,
-                      help="PEMA seeds to average (Fig. 15 uses 3)")
+    desc.set_defaults(handler=_cmd_describe)
 
     exp = sub.add_parser(
         "experiment", help="run declarative experiment specs (JSON files)"
@@ -118,6 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--compare", action="store_true",
                      help="also report the OPTM and RULE baselines "
                      "(a Fig. 15 cell)")
+    exp.set_defaults(handler=_cmd_experiment)
 
     swp = sub.add_parser(
         "sweep", help="run a sweep grid through the resumable scheduler"
@@ -181,6 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--profile", action="store_true",
                      help="print the per-phase wall-clock profile and "
                      "per-cell latency percentiles after the sweep")
+    swp.set_defaults(handler=_cmd_sweep)
 
     trc = sub.add_parser(
         "trace",
@@ -209,6 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     trc.add_argument("--jsonl", action="store_true",
                      help="emit matching records as JSON lines instead "
                      "of the table")
+    trc.set_defaults(handler=_cmd_trace)
 
     srv = sub.add_parser(
         "serve", help="run the always-on autoscaling control plane"
@@ -251,6 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--out", default=None,
                      help="write the service run summary (status rows "
                      "+ flush report) to this JSON file")
+    srv.set_defaults(handler=_cmd_serve)
 
     reg = sub.add_parser(
         "registry",
@@ -262,85 +228,16 @@ def build_parser() -> argparse.ArgumentParser:
                      help="restrict the listing to one registry")
     reg.add_argument("--json", action="store_true",
                      help="emit the listing as JSON instead of a table")
+    reg.set_defaults(handler=_cmd_registry)
     return parser
 
 
-def _common_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--app", default="sockshop", choices=app_names())
-    sub.add_argument("--workload", type=float, default=None,
-                     help="requests per second (default: the app's "
-                     "reference workload)")
-
-
-def _cmd_apps() -> int:
+def _cmd_apps(args: argparse.Namespace) -> int:
     print(f"{'app':20s} {'services':>8s} {'SLO_ms':>7s} {'ref_rps':>8s}")
     for name in app_names():
         app = build_app(name)
         print(f"{name:20s} {app.n_services:8d} {app.slo * 1000:7.0f} "
               f"{app.reference_workload:8.0f}")
-    return 0
-
-
-def _run_spec(args: argparse.Namespace) -> ExperimentSpec:
-    """The PEMA spec described by ``run``/``compare`` arguments."""
-    app = build_app(args.app)
-    workload = args.workload or app.reference_workload
-    return ExperimentSpec(
-        app=args.app,
-        workload=WorkloadSpec.constant(workload),
-        n_steps=args.iterations,
-        autoscaler=AutoscalerSpec(
-            "pema",
-            {"alpha": getattr(args, "alpha", 0.5),
-             "beta": getattr(args, "beta", 0.3)},
-        ),
-        seed=args.seed,
-        repeats=getattr(args, "repeats", 1),
-    )
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    spec = _run_spec(args)
-    app = build_app(args.app)
-    if args.fast:
-        unit = build_unit(spec)
-        loop = FastReactionLoop(unit.engine, unit.autoscaler, unit.trace,
-                                interval=spec.interval)
-        result = loop.run(spec.n_steps)
-    else:
-        unit = run_unit(spec)
-        result = unit.result
-    workload = spec.workload.params["rps"]
-    print(f"# {args.app} @ {workload:.0f} rps, SLO {app.slo * 1000:.0f} ms, "
-          f"alpha={args.alpha} beta={args.beta}"
-          + (" (fast monitor)" if args.fast else ""))
-    print("iter  total_cpu  p95_ms  violated")
-    for record in result.records[:: max(args.every, 1)]:
-        print(f"{record.step:4d}  {record.total_cpu:9.2f}  "
-              f"{record.response * 1000:6.0f}  "
-              f"{'x' if record.violated else ''}")
-    print(f"\nsettled total CPU : {result.settled_total():.2f}")
-    print(f"violations        : {result.violation_count()}"
-          f"/{len(result)} intervals")
-    if args.fast:
-        print(f"violation exposure: {result.violation_exposure() * 100:.1f}% "
-              f"of wall-clock time ({result.mitigations} fast mitigations)")
-    return 0
-
-
-def _cmd_optimum(args: argparse.Namespace) -> int:
-    app = build_app(args.app)
-    workload = args.workload or app.reference_workload
-    engine = AnalyticalEngine(app)
-    search = OptimumSearch(engine, restarts=args.restarts, deep=args.deep)
-    result = search.find(workload)
-    print(f"# OPTM for {args.app} @ {workload:.0f} rps "
-          f"({result.evaluations} evaluations)")
-    for name in app.service_names:
-        print(f"  {name:20s} {result.allocation[name]:6.2f}")
-    print(f"total CPU : {result.total_cpu:.2f}")
-    print(f"latency   : {result.latency * 1000:.1f} ms "
-          f"(SLO {app.slo * 1000:.0f} ms)")
     return 0
 
 
@@ -353,32 +250,57 @@ def _print_comparison(cell: dict[str, float], app_name: str) -> None:
           f"(PEMA saves {cell['pema_savings_vs_rule'] * 100:.0f}%)")
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
-    _print_comparison(run_comparison(_run_spec(args)), args.app)
-    return 0
+class _SpecError(Exception):
+    """``(reason[, path])`` of a ``--spec`` that does not load (exit 2)."""
 
 
-def _error(reason: object) -> int:
-    print(f"error: {reason}", file=sys.stderr)
-    return 2
+def _error(reason: object, path: Path | str | None = None, *,
+           status: int = 2) -> int:
+    """Print ``error: [<path>: ]<reason>`` to stderr; return ``status``."""
+    if isinstance(reason, KeyError) and reason.args:
+        reason = reason.args[0]  # KeyError's str() wraps it in quotes
+    where = "" if path is None else f"{path}: "
+    print(f"error: {where}{reason}", file=sys.stderr)
+    return status
 
 
-def _spec_paths(pattern: str) -> list[Path]:
-    """Expand ``--spec``: a file, a directory of specs, or a glob."""
-    path = Path(pattern)
-    if path.is_dir():
-        return sorted(path.glob("*.json"))
-    if any(ch in pattern for ch in "*?["):
-        return [
-            Path(match)
-            for match in sorted(_glob.glob(pattern, recursive=True))
-        ]
-    return [path]
+def _load_specs(pattern: str) -> list[tuple[Path, ExperimentSpec]]:
+    """``--spec``: a file, a directory of specs, or a glob, each validated.
+
+    Raises :class:`_SpecError` when nothing matches or a file does not
+    load, naming the offending file.
+    """
+    root = Path(pattern)
+    if root.is_dir():
+        paths = sorted(root.glob("*.json"))
+    elif any(ch in pattern for ch in "*?["):
+        paths = [Path(m) for m in sorted(_glob.glob(pattern, recursive=True))]
+    else:
+        paths = [root]
+    if not paths:
+        raise _SpecError(f"no spec files match {pattern!r}")
+    specs = []
+    for path in paths:
+        try:
+            spec = ExperimentSpec.from_json(path.read_text()).validate()
+        except (OSError, TypeError, ValueError, KeyError) as exc:
+            raise _SpecError(exc, path) from None
+        specs.append((path, spec))
+    return specs
 
 
-def _run_one_experiment(
-    spec: ExperimentSpec, args: argparse.Namespace, out: Path | None
-) -> int:
+def _unique_names(names: Iterable[str]) -> list[str]:
+    """``name``, ``name-2``, ``name-3``, ... so equal names never collide."""
+    used: dict[str, int] = {}
+    unique = []
+    for name in names:
+        n = used[name] = used.get(name, 0) + 1
+        unique.append(name if n == 1 else f"{name}-{n}")
+    return unique
+
+
+def _run_one_experiment(path: Path, spec: ExperimentSpec,
+                        args: argparse.Namespace, out: Path | None) -> int:
     try:
         artifact = run_experiment(spec, parallel=max(args.parallel, 1))
         summary = artifact.summary()
@@ -392,35 +314,25 @@ def _run_one_experiment(
             )
     except LookupError as exc:
         # E.g. a run with no SLO-satisfying interval has no settled total.
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc, status=1)
+    except (TypeError, ValueError) as exc:
+        # A valid spec whose components reject their parameters.
+        return _error(exc, path)
     if out is not None:
-        path = artifact.write(out)
-        print(f"artifact written to {path}")
+        print(f"artifact written to {artifact.write(out)}")
     return 0
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    paths = _spec_paths(args.spec)
-    if not paths:
-        return _error(f"no spec files match {args.spec!r}")
-    specs: list[ExperimentSpec] = []
-    for path in paths:
-        try:
-            spec = ExperimentSpec.from_json(Path(path).read_text())
-            spec.validate()
-        except (OSError, TypeError, ValueError, KeyError) as exc:
-            # KeyError's str() wraps its message in quotes; unwrap.
-            reason = (
-                exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-            )
-            return _error(f"{path}: {reason}")
+    specs = _load_specs(args.spec)
+    for path, spec in specs:
         if args.compare and spec.autoscaler.kind != "pema":
-            return _error(f"{path}: --compare needs a pema spec")
-        specs.append(spec)
-    # With several specs, --out names a directory of per-spec artifacts.
-    out_dir: Path | None = None
+            return _error("--compare needs a pema spec", path)
+    outs: list[Path | None] = [None] * len(specs)
     if args.out and (len(specs) > 1 or Path(args.out).is_dir()):
+        # With several specs, --out names a directory of per-spec
+        # artifacts; same-stem specs from different directories must not
+        # clobber each other's.
         out_dir = Path(args.out)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
@@ -429,22 +341,35 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                 f"--out {args.out!r} must be a directory when --spec "
                 f"matches several files"
             )
+        names = _unique_names(path.stem for path, _ in specs)
+        outs = [out_dir / f"{name}.artifact.json" for name in names]
+    elif args.out:
+        outs = [Path(args.out)]
     status = 0
-    used_names: dict[str, int] = {}
-    for path, spec in zip(paths, specs):
-        out: Path | None = None
-        if args.out:
-            if out_dir is not None:
-                # Same-stem specs from different directories must not
-                # clobber each other's artifacts.
-                stem = Path(path).stem
-                n = used_names[stem] = used_names.get(stem, 0) + 1
-                name = stem if n == 1 else f"{stem}-{n}"
-                out = out_dir / f"{name}.artifact.json"
-            else:
-                out = Path(args.out)
-        status = max(status, _run_one_experiment(spec, args, out))
+    for (path, spec), out in zip(specs, outs):
+        status = max(status, _run_one_experiment(path, spec, args, out))
     return status
+
+
+def _print_fallbacks(fallbacks: dict[str, int]) -> None:
+    if fallbacks:
+        print("batch fallbacks: " + ", ".join(
+            f"{reason} x{count}" for reason, count in sorted(fallbacks.items())
+        ))
+
+
+def _write_sweep_outputs(args: argparse.Namespace, report: dict) -> None:
+    """``--metrics-out`` and ``--report``, for a worker or a merged run."""
+    if args.metrics_out:
+        from repro.obs import default_registry
+
+        Path(args.metrics_out).write_text(default_registry().render())
+        print(f"metrics written to {args.metrics_out}")
+    if args.report:
+        Path(args.report).write_text(
+            json.dumps(report, indent=2, sort_keys=True) + "\n"
+        )
+        print(f"report written to {args.report}")
 
 
 def _sweep_worker(args: argparse.Namespace, cells, store, batch: bool) -> int:
@@ -454,10 +379,6 @@ def _sweep_worker(args: argparse.Namespace, cells, store, batch: bool) -> int:
     if args.out:
         return _error("--out needs the merged run: use --coordinator "
                       "(workers only compute and persist units)")
-    lease_ttl = (
-        args.lease_ttl if args.lease_ttl is not None else DEFAULT_LEASE_TTL
-    )
-
     def on_task(stage, task) -> None:
         if stage != "unit":
             print(f"[{stage}] {task.task_id} ({len(task.units)} units)",
@@ -467,7 +388,7 @@ def _sweep_worker(args: argparse.Namespace, cells, store, batch: bool) -> int:
         [cell.spec for cell in cells],
         store,
         worker_id=args.worker_id,
-        lease_ttl=lease_ttl,
+        lease_ttl=args.lease_ttl or DEFAULT_LEASE_TTL,
         chunk_size=args.chunk_size,
         batch=batch,
         on_task=on_task,
@@ -476,22 +397,8 @@ def _sweep_worker(args: argparse.Namespace, cells, store, batch: bool) -> int:
           f"({report.tasks_stolen} stolen), {report.units_computed} "
           f"computed, {report.units_cached} cached, {report.heartbeats} "
           f"heartbeat(s) in {report.seconds:.2f}s")
-    if report.fallbacks:
-        reasons = ", ".join(
-            f"{reason} x{count}"
-            for reason, count in sorted(report.fallbacks.items())
-        )
-        print(f"batch fallbacks: {reasons}")
-    if args.metrics_out:
-        from repro.obs import default_registry
-
-        Path(args.metrics_out).write_text(default_registry().render())
-        print(f"metrics written to {args.metrics_out}")
-    if args.report:
-        Path(args.report).write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
-        print(f"report written to {args.report}")
+    _print_fallbacks(report.fallbacks)
+    _write_sweep_outputs(args, report.to_dict())
     return 0
 
 
@@ -504,16 +411,13 @@ def _sweep_coordinate(args: argparse.Namespace, grid, cells, store,
         wait_for_grid,
     )
 
-    lease_ttl = (
-        args.lease_ttl if args.lease_ttl is not None else DEFAULT_LEASE_TTL
-    )
     if args.workers:
         run, reports = run_distributed(
             grid,
             store,
             workers=args.workers,
             batch=batch,
-            lease_ttl=lease_ttl,
+            lease_ttl=args.lease_ttl or DEFAULT_LEASE_TTL,
             chunk_size=args.chunk_size,
             cells=cells,
         )
@@ -560,8 +464,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for cell in cells:
             cell.spec.validate()
     except (OSError, TypeError, ValueError, KeyError) as exc:
-        reason = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        return _error(reason)
+        return _error(exc, args.grid)
     if args.resume and not args.cache:
         return _error("--resume needs --cache")
     if args.parallel < 1:
@@ -585,9 +488,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(f"# sweep {grid.name}: {len(cells)} cells, {units} units"
           + (", batched" if batch else "")
           + (f", cache {store.root}" if store is not None else ""))
-
-    if args.worker:
-        return _sweep_worker(args, cells, store, batch)
 
     from repro.experiments import optimum_cache_info
 
@@ -619,6 +519,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
               flush=True)
 
     try:
+        if args.worker:
+            return _sweep_worker(args, cells, store, batch)
         if args.coordinator:
             run = _sweep_coordinate(args, grid, cells, store, batch)
         else:
@@ -635,12 +537,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print()
         print(cells_table(run))
         summary_json = grid_summary_json(run)
-    except TimeoutError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except LookupError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (TimeoutError, LookupError) as exc:
+        return _error(exc, status=1)
+    except (TypeError, ValueError) as exc:
+        # A valid grid whose components reject their parameters.
+        return _error(exc, args.grid)
     report = run.report
     split = (
         f" ({report.batched_units} batched, {report.scalar_units} scalar)"
@@ -649,12 +550,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(f"\n{report.units} units: {report.cache_hits} cached, "
           f"{report.computed} computed{split} in {report.chunks} chunk(s), "
           f"{report.seconds:.2f}s ({report.units_per_sec:.2f} units/s)")
-    if report.fallbacks:
-        reasons = ", ".join(
-            f"{reason} x{count}"
-            for reason, count in report.fallbacks.items()
-        )
-        print(f"batch fallbacks: {reasons}")
+    _print_fallbacks(report.fallbacks)
     if report.replay_units or report.manager_states:
         print(f"replay: {report.replay_units} trace-replay unit(s), "
               f"{report.manager_states} manager-state payload(s) captured")
@@ -679,52 +575,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             print(f"per-cell latency: p50 {cell['p50'] * 1000:.1f} ms, "
                   f"p95 {cell['p95'] * 1000:.1f} ms "
                   f"({cell['count']} computed cells)")
-    if args.metrics_out:
-        from repro.obs import default_registry
-
-        Path(args.metrics_out).write_text(default_registry().render())
-        print(f"metrics written to {args.metrics_out}")
     if args.out:
         Path(args.out).write_text(summary_json + "\n")
         print(f"aggregate written to {args.out}")
-    if args.report:
-        payload = report.to_dict()
-        if store is not None:
-            payload["store"] = store.stats.to_dict()
-        Path(args.report).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"report written to {args.report}")
+    payload = report.to_dict()
+    if store is not None:
+        payload["store"] = store.stats.to_dict()
+    _write_sweep_outputs(args, payload)
     return 0
-
-
-def _load_service_specs(
-    pattern: str,
-) -> list[tuple[str, ExperimentSpec]] | int:
-    """``serve --spec`` expansion: validated (app_id, spec) pairs.
-
-    App ids come from the spec's name (or the file stem for unnamed
-    specs); same-id collisions get ``-2``/``-3`` suffixes so every
-    matched file registers.
-    """
-    paths = _spec_paths(pattern)
-    if not paths:
-        return _error(f"no spec files match {pattern!r}")
-    apps: list[tuple[str, ExperimentSpec]] = []
-    used: dict[str, int] = {}
-    for path in paths:
-        try:
-            spec = ExperimentSpec.from_json(Path(path).read_text())
-            spec.validate()
-        except (OSError, TypeError, ValueError, KeyError) as exc:
-            reason = (
-                exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-            )
-            return _error(f"{path}: {reason}")
-        base = spec.name or Path(path).stem
-        n = used[base] = used.get(base, 0) + 1
-        apps.append((base if n == 1 else f"{base}-{n}", spec))
-    return apps
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -736,9 +594,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ServiceStateStore,
     )
 
-    apps = _load_service_specs(args.spec)
-    if isinstance(apps, int):
-        return apps
+    specs = _load_specs(args.spec)
+    # App ids come from the spec's name, or the file stem for unnamed specs.
+    app_ids = _unique_names(spec.name or path.stem for path, spec in specs)
     if args.queue_size < 1:
         return _error("--queue-size must be >= 1")
     if args.snapshot_every < 0:
@@ -756,8 +614,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         else:
             backend = STATE_STORES.build(store_kind)
     except (KeyError, TypeError, ValueError) as exc:
-        reason = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        return _error(reason)
+        return _error(exc)
 
     runtime = ServiceRuntime(
         store=ServiceStateStore(backend, snapshot_every=args.snapshot_every),
@@ -770,9 +627,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except OSError as exc:  # e.g. port already bound
         return _error(exc)
     try:
-        for app_id, spec in apps:
-            runtime.register(spec, app_id=app_id)
-        print(f"# repro.service: {len(apps)} app(s)"
+        for app_id, (path, spec) in zip(app_ids, specs):
+            try:
+                runtime.register(spec, app_id=app_id)
+            except (TypeError, ValueError) as exc:
+                # A valid spec whose components reject their parameters.
+                raise ServiceError(f"{path}: {exc}") from exc
+        print(f"# repro.service: {len(specs)} app(s)"
               + (f", listening on {runtime.url}" if runtime.url else ""))
         try:
             submitted = runtime.drive(
@@ -843,7 +704,10 @@ def _load_trace_records(args: argparse.Namespace) -> list[dict]:
             raise ValueError("--store needs --spec to name the unit")
         from repro.sweeps import SweepStore
 
-        spec = ExperimentSpec.from_json(Path(args.spec).read_text())
+        specs = _load_specs(args.spec)
+        if len(specs) != 1:
+            raise ValueError(f"--spec matches {len(specs)} files, not one")
+        spec = specs[0][1]
         unit = SweepStore(args.store).get_result(spec, args.repeat)
         if unit is None:
             raise LookupError(
@@ -910,9 +774,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     try:
         lo, hi = _parse_step_range(args.steps)
         records = _load_trace_records(args)
-    except (OSError, ValueError, LookupError, KeyError, TypeError) as exc:
-        reason = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        return _error(reason)
+    except (OSError, ValueError, LookupError, TypeError) as exc:
+        return _error(exc)
     selected = []
     for record in records:
         step = record.get("step")
@@ -1005,27 +868,10 @@ def _cmd_describe(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "apps":
-        return _cmd_apps()
-    if args.command == "describe":
-        return _cmd_describe(args)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "optimum":
-        return _cmd_optimum(args)
-    if args.command == "compare":
-        return _cmd_compare(args)
-    if args.command == "experiment":
-        return _cmd_experiment(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "registry":
-        return _cmd_registry(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    try:
+        return args.handler(args)
+    except _SpecError as exc:
+        return _error(*exc.args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -14,8 +14,7 @@ gets ``seed_r`` and the engine gets ``seed_r + engine.seed_offset``.
 
 ``run_comparison`` evaluates one Fig. 15 cell — PEMA (averaged over the
 spec's repeats) vs the noiseless optimum vs the rule-based baseline —
-from a single PEMA spec, and is the one code path behind both the CLI
-``compare`` command and the benchmark drivers.
+from a single PEMA spec; ``repro experiment --compare`` prints it.
 """
 
 from __future__ import annotations
@@ -73,9 +72,8 @@ OnStep = Callable[[int, ControlLoop], None]
 # so open-ended sweeps cannot grow it without limit, and optionally backed
 # by a persistent sweep store (see ``optimum_store``) so searches survive
 # across processes and runs.  Cache values are full result payloads
-# (total, allocation, evaluations, latency); legacy store entries that
-# only carry ``total_cpu`` still serve ``optimum_total`` and are upgraded
-# in place the first time the full allocation is needed.
+# (total, allocation, evaluations, latency); a store entry without an
+# allocation is a miss, re-solved and rewritten in full.
 OPTIMUM_CACHE_SIZE = 256
 _OPTM_CACHE: OrderedDict[tuple[str, float, int], dict[str, Any]] = OrderedDict()
 _OPTM_STATS = {"hits": 0, "misses": 0, "store_hits": 0, "solved": 0}
@@ -98,26 +96,14 @@ class ExperimentUnit:
     result: LoopResult | None = None
 
 
-def build_unit(
-    spec: ExperimentSpec,
-    repeat: int = 0,
-    *,
-    trace: WorkloadTrace | None = None,
-) -> ExperimentUnit:
-    """Materialize repeat ``repeat`` of ``spec`` without running it.
-
-    ``trace`` overrides the declarative workload with an arbitrary
-    :class:`WorkloadTrace` object — the escape hatch for benchmark
-    scenarios whose traces have no registry encoding (the spec's
-    workload is ignored, everything else applies).
-    """
+def build_unit(spec: ExperimentSpec, repeat: int = 0) -> ExperimentUnit:
+    """Materialize repeat ``repeat`` of ``spec`` without running it."""
     if not 0 <= repeat < spec.repeats:
         raise ValueError(f"repeat must be in [0, {spec.repeats}): {repeat}")
     spec.validate()
     seed = spec.seed + repeat
     app = build_app(spec.app)
-    if trace is None:
-        trace = WORKLOADS.build(spec.workload.kind, **spec.workload.params)
+    trace = WORKLOADS.build(spec.workload.kind, **spec.workload.params)
     engine = ENGINES.build(
         spec.engine.kind,
         app,
@@ -201,7 +187,6 @@ def run_unit(
     spec: ExperimentSpec,
     repeat: int = 0,
     *,
-    trace: WorkloadTrace | None = None,
     on_step: OnStep | None = None,
     decision_log: list[dict[str, Any]] | None = None,
     tracer: Any | None = None,
@@ -213,7 +198,7 @@ def run_unit(
     the run with a :class:`repro.obs.Tracer` span (runtime profiling,
     independent of the ``decision_trace`` capture channel).
     """
-    unit = build_unit(spec, repeat, trace=trace)
+    unit = build_unit(spec, repeat)
     unit.result = unit.loop.run(
         spec.n_steps,
         on_step=hooks_on_step(spec, on_step),
@@ -258,7 +243,7 @@ def run_experiment(
 
 # -- baseline comparison (Fig. 15 cells) ---------------------------------------
 def set_optimum_store(store: Any | None) -> Any | None:
-    """Back ``optimum_total`` with a persistent sweep store (or None).
+    """Back the OPTM cache with a persistent sweep store (or None).
 
     ``store`` is any object with the :class:`repro.sweeps.SweepStore`
     ``get_raw``/``put_raw``/``optimum_key`` surface.  Returns the
@@ -288,14 +273,10 @@ def _optimum_cache_put(
         _OPTM_CACHE.popitem(last=False)
 
 
-def _optimum_lookup(
-    key: tuple[str, float, int], *, need_allocation: bool
-) -> dict[str, Any] | None:
+def _optimum_lookup(key: tuple[str, float, int]) -> dict[str, Any] | None:
     """One cell's payload from the LRU cache or the store, with stats."""
     payload = _OPTM_CACHE.get(key)
-    if payload is not None and (
-        not need_allocation or "allocation" in payload
-    ):
+    if payload is not None:
         _OPTM_STATS["hits"] += 1
         _OPTM_CACHE.move_to_end(key)
         return payload
@@ -305,11 +286,7 @@ def _optimum_lookup(
         raw = _OPTM_STORE.get_raw(
             _OPTM_STORE.optimum_key(app_name, workload, restarts)
         )
-        if (
-            isinstance(raw, dict)
-            and "total_cpu" in raw
-            and (not need_allocation or "allocation" in raw)
-        ):
+        if isinstance(raw, dict) and "allocation" in raw:
             _OPTM_STATS["store_hits"] += 1
             _optimum_cache_put(key, raw)
             return raw
@@ -374,7 +351,7 @@ def optimum_results(
     resolved: dict[tuple[str, float, int], dict[str, Any]] = {}
     missing: list[tuple[tuple[str, float, int], float]] = []
     for key, workload in order:
-        payload = _optimum_lookup(key, need_allocation=True)
+        payload = _optimum_lookup(key)
         if payload is not None:
             resolved[key] = payload
         else:
@@ -407,13 +384,9 @@ def optimum_total(
     app_name: str, workload: float, *, restarts: int = 2
 ) -> float:
     """Cached OPTM total CPU for (app, workload) on the noiseless model."""
-    key = (app_name, round(float(workload), 6), int(restarts))
-    # Legacy store entries carrying only ``total_cpu`` still satisfy this
-    # query, so don't demand the full allocation.
-    payload = _optimum_lookup(key, need_allocation=False)
-    if payload is None:
-        payload = _optimum_solve(app_name, [(key, float(workload))])[0]
-    return float(payload["total_cpu"])
+    return float(
+        optimum_result(app_name, workload, restarts=restarts)["total_cpu"]
+    )
 
 
 def reset_optimum_cache_info() -> None:
@@ -462,29 +435,25 @@ default_registry().add_collector(_publish_optimum_metrics)
 
 
 def derive_rule_spec(
-    spec: ExperimentSpec,
-    *,
-    n_steps: int = 30,
-    mode: str = "utilization",
-    seed: int = 0,
+    spec: ExperimentSpec, *, n_steps: int = 30
 ) -> ExperimentSpec:
     """The rule-based counterpart of a PEMA spec (same app and workload).
 
-    RULE converges to a fixed point, so it runs once (``repeats=1``) for
-    ``n_steps`` intervals under a cell-independent seed (the benchmark
-    suite pins it to 0); its engine observes an independent noise stream
-    (historical offset +2000) so PEMA and RULE never share measurements.
+    RULE (utilization mode) converges to a fixed point, so it runs once
+    (``repeats=1``) for ``n_steps`` intervals under the cell-independent
+    seed 0; its engine observes an independent noise stream (historical
+    offset +2000) so PEMA and RULE never share measurements.
     """
     return spec.with_(
         name=f"{spec.name}-rule" if spec.name else "rule",
-        autoscaler=AutoscalerSpec("rule", {"mode": mode}),
+        autoscaler=AutoscalerSpec("rule", {"mode": "utilization"}),
         engine=EngineSpec(
             kind=spec.engine.kind,
             seed_offset=2000,
             params=spec.engine.params,
         ),
         n_steps=n_steps,
-        seed=seed,
+        seed=0,
         repeats=1,
         hooks=(),
     )
@@ -494,15 +463,14 @@ def run_comparison(
     spec: ExperimentSpec,
     *,
     rule_steps: int = 30,
-    rule_mode: str = "utilization",
-    restarts: int = 2,
     pema_artifact: ExperimentArtifact | None = None,
 ) -> dict[str, float]:
     """One Fig. 15 cell from a single PEMA spec: PEMA vs OPTM vs RULE.
 
-    Returns settled totals (PEMA averaged over the spec's repeats) plus
-    the derived ratios the paper reports.  Callers that already ran the
-    spec pass its artifact via ``pema_artifact`` to skip the re-run.
+    Returns settled totals (PEMA averaged over the spec's repeats, OPTM
+    with the default two restarts) plus the derived ratios the paper
+    reports.  Callers that already ran the spec pass its artifact via
+    ``pema_artifact`` to skip the re-run.
     """
     if pema_artifact is not None and pema_artifact.spec != spec:
         raise ValueError("pema_artifact was produced by a different spec")
@@ -512,9 +480,9 @@ def run_comparison(
     if pema_artifact is None:
         pema_artifact = run_experiment(spec)
     pema = pema_artifact.mean_settled_total()
-    optm = optimum_total(spec.app, workload, restarts=restarts)
+    optm = optimum_total(spec.app, workload)
     rule = run_experiment(
-        derive_rule_spec(spec, n_steps=rule_steps, mode=rule_mode)
+        derive_rule_spec(spec, n_steps=rule_steps)
     ).mean_settled_total()
     return {
         "workload_rps": float(workload),

@@ -16,6 +16,7 @@ to the registered factory.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
@@ -48,6 +49,24 @@ SPEC_FIELDS = frozenset({
     "name", "app", "workload", "autoscaler", "engine", "n_steps",
     "interval", "slo", "headroom", "seed", "repeats", "hooks", "capture",
 })
+
+
+def _finite_number(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {token} in spec JSON")
+    return value
+
+
+def loads_finite(text: str) -> Any:
+    """``json.loads`` that rejects non-finite numbers with a ``ValueError``.
+
+    No spec field accepts ``NaN``, ``Infinity`` or an overflowing literal
+    such as ``1e999``.
+    """
+    return json.loads(
+        text, parse_constant=_finite_number, parse_float=_finite_number
+    )
 
 
 def _frozen_params(params: Mapping[str, Any] | None) -> dict[str, Any]:
@@ -293,4 +312,4 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(loads_finite(text))

@@ -24,7 +24,7 @@ from difflib import get_close_matches
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
 
-from repro.experiments.spec import SPEC_FIELDS, ExperimentSpec
+from repro.experiments.spec import SPEC_FIELDS, ExperimentSpec, loads_finite
 
 __all__ = [
     "SweepAxis",
@@ -324,7 +324,7 @@ class SweepGrid:
 
     @classmethod
     def from_json(cls, text: str) -> "SweepGrid":
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(loads_finite(text))
 
     def write(self, path: str | Path) -> Path:
         path = Path(path)

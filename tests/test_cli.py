@@ -5,7 +5,15 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.experiments import ExperimentSpec
+from repro.experiments import ExperimentSpec, optimum_total
+
+
+def _write_spec(path, **fields):
+    path.write_text(json.dumps(
+        {"app": "hotelreservation", "workload": 400.0, "n_steps": 8,
+         **fields}
+    ))
+    return path
 
 
 class TestParser:
@@ -15,13 +23,21 @@ class TestParser:
 
     def test_unknown_app_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "--app", "nope"])
+            build_parser().parse_args(["describe", "--app", "nope"])
 
     def test_defaults(self):
-        args = build_parser().parse_args(["run"])
+        args = build_parser().parse_args(["describe"])
         assert args.app == "sockshop"
-        assert args.workload is None
-        assert not args.fast
+        assert args.plan is None
+
+    def test_only_spec_era_commands(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--help"])
+        out = capsys.readouterr().out
+        assert "{apps,describe,experiment,sweep,trace,serve,registry}" in out
+        for retired in ("run", "optimum", "compare"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([retired])
 
 
 class TestCommands:
@@ -31,34 +47,110 @@ class TestCommands:
         for name in ("sockshop", "trainticket", "hotelreservation"):
             assert name in out
 
-    def test_run(self, capsys):
-        assert main(
-            ["run", "--app", "sockshop", "--iterations", "8", "--every", "4"]
-        ) == 0
+    def test_compare(self, tmp_path, capsys):
+        """A Fig. 15 cell: ``experiment --compare`` on a PEMA spec."""
+        spec = _write_spec(tmp_path / "cell.json")
+        assert main(["experiment", "--spec", str(spec), "--compare"]) == 0
         out = capsys.readouterr().out
-        assert "settled total CPU" in out
-        assert "violations" in out
-
-    def test_run_fast(self, capsys):
-        assert main(
-            ["run", "--app", "sockshop", "--iterations", "6", "--fast"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "violation exposure" in out
-
-    def test_optimum(self, capsys):
-        assert main(["optimum", "--app", "hotelreservation"]) == 0
-        out = capsys.readouterr().out
-        assert "total CPU" in out
-        assert "frontend" in out
-
-    def test_compare(self, capsys):
-        assert main(
-            ["compare", "--app", "sockshop", "--iterations", "20"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "OPTM" in out and "PEMA" in out and "RULE" in out
+        assert "# hotelreservation @ 400 rps" in out
+        for line in ("OPTM :", "PEMA :", "RULE :"):
+            assert line in out
         assert "saves" in out
+
+    def test_experiment_compare_rejects_non_pema(self, tmp_path, capsys):
+        spec = _write_spec(tmp_path / "rule.json", autoscaler={"kind": "rule"})
+        assert main(["experiment", "--spec", str(spec), "--compare"]) == 2
+        assert "--compare needs a pema spec" in capsys.readouterr().err
+
+    def test_optimum(self, tmp_path, capsys):
+        """An OPTM allocation: a spec whose autoscaler kind is optimum."""
+        spec = _write_spec(
+            tmp_path / "optm.json", autoscaler={"kind": "optimum"}
+        )
+        out_file = tmp_path / "optm.artifact.json"
+        assert main(
+            ["experiment", "--spec", str(spec), "--out", str(out_file)]
+        ) == 0
+        assert "x optimum (analytical engine" in capsys.readouterr().out
+        final = json.loads(out_file.read_text())["results"][0]["records"][-1]
+        assert final["total_cpu"] == optimum_total("hotelreservation", 400.0)
+        assert final["allocation"][0][0] == "frontend"
+
+    def test_run(self, tmp_path, capsys):
+        """A PEMA trajectory: ``experiment --out``, then ``trace --in``."""
+        spec = _write_spec(
+            tmp_path / "pema.json", capture=["decision_trace"]
+        )
+        out_file = tmp_path / "pema.artifact.json"
+        assert main(
+            ["experiment", "--spec", str(spec), "--out", str(out_file)]
+        ) == 0
+        capsys.readouterr()
+        assert main(["trace", "--in", str(out_file)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("# 8/8 decision record(s)")
+
+
+class TestBadSpecFiles:
+    """A spec file that does not load or run ends in an ``error:`` line."""
+
+    @pytest.mark.parametrize(
+        "rps, reason",
+        [("NaN", "non-finite number NaN"),
+         ("-Infinity", "non-finite number -Infinity"),
+         ("1e999", "non-finite number 1e999"),
+         ("-5", "rps must be >= 0"),
+         ('"x"', "not supported between")],
+    )
+    @pytest.mark.parametrize("command", ["experiment", "serve"])
+    def test_bad_rate_is_an_error_line(
+        self, tmp_path, capsys, command, rps, reason
+    ):
+        spec = tmp_path / "bad.json"
+        spec.write_text(
+            '{"app": "hotelreservation", "n_steps": 4, "workload": '
+            '{"kind": "constant", "params": {"rps": %s}}}' % rps
+        )
+        argv = [command, "--spec", str(spec)]
+        if command == "serve":
+            argv += ["--no-http"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {spec}: ")
+        assert reason in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "rps, reason",
+        [("NaN", "non-finite number NaN"), ("-5", "rps must be >= 0"),
+         ("600.0", None)],
+    )
+    @pytest.mark.parametrize("worker", [False, True])
+    def test_sweep_grid(self, tmp_path, capsys, rps, reason, worker):
+        grid = tmp_path / "grid.json"
+        grid.write_text(
+            '{"name": "g", "base": {"app": "sockshop", "n_steps": 4, '
+            '"workload": {"kind": "constant", "params": {"rps": 700.0}}}, '
+            '"axes": [{"name": "rps", "path": "workload.params.rps", '
+            '"values": [700.0, %s]}]}' % rps
+        )
+        argv = ["sweep", "--grid", str(grid)]
+        if worker:
+            argv += ["--cache", str(tmp_path / "cache"), "--worker"]
+        status = main(argv)
+        err = capsys.readouterr().err
+        if reason is None:
+            assert (status, err) == (0, "")
+        else:
+            assert status == 2
+            assert err.startswith(f"error: {grid}: ")
+            assert reason in err
+
+    def test_nan_written_by_to_json_is_rejected_on_read(self):
+        spec = ExperimentSpec(app="sockshop", workload=float("nan"),
+                              n_steps=2)
+        with pytest.raises(ValueError, match="non-finite number NaN"):
+            ExperimentSpec.from_json(spec.to_json())
 
 
 class TestExperimentSpecs:

@@ -23,7 +23,7 @@ from repro.experiments import (
     optimum_total,
     reset_optimum_cache_info,
 )
-from repro.experiments.runner import _run_unit_worker
+from repro.experiments.runner import _run_unit_worker, run_unit
 from repro.experiments.spec import ExperimentSpec
 from repro.obs import (
     Counter,
@@ -556,6 +556,24 @@ class TestTraceCLI:
             "--spec", str(spec_path), "--jsonl",
         ]) == 0
         assert capsys.readouterr().out == from_artifact
+
+    def test_documented_tracer_flow(self, tmp_path, capsys):
+        # docs/observability.md: run_unit(spec, tracer=Tracer()), then
+        # tracer.write(...), then ``repro trace --in`` on the JSONL.
+        spec = make_spec(n_steps=6)
+        tracer = Tracer()
+        run_unit(spec, repeat=0, tracer=tracer)
+        path = tracer.write(tmp_path / "trace.jsonl")
+        assert main(["trace", "--in", str(path), "--jsonl"]) == 0
+        printed = [
+            json.loads(line) for line in capsys.readouterr().out.splitlines()
+        ]
+        spans = [r for r in printed if r.get("type") == "span"]
+        assert [r["name"] for r in spans] == ["control_loop.run"]
+        decisions = [r for r in printed if r.get("type") != "span"]
+        channel = _run_unit_worker(spec.to_dict(), 0)["decision_trace"]
+        assert len(decisions) == spec.n_steps
+        assert decisions == channel
 
     def test_errors_are_reported_not_raised(self, tmp_path, capsys):
         empty = tmp_path / "empty.json"

@@ -194,21 +194,23 @@ class TestOptimumRouting:
         # the duplicate is a cache hit, not a third solve
         assert info["solved"] == 2 and info["hits"] == 1
 
-    def test_legacy_store_entry_serves_total_then_upgrades(self, tmp_path):
+    def test_total_only_store_entry_is_a_miss_rewritten_in_full(
+        self, tmp_path
+    ):
         store = SweepStore(tmp_path)
-        store.put_raw(
-            store.optimum_key("sockshop", 700.0, 2), {"total_cpu": 9.25}
-        )
+        key = store.optimum_key("sockshop", 700.0, 2)
+        store.put_raw(key, {"total_cpu": 9.25})
+        engine = AnalyticalEngine(build_app("sockshop"))
+        ref = OptimumSearch(engine, restarts=2).find(700.0)
         with optimum_store(store):
-            assert optimum_total("sockshop", 700.0) == 9.25
-            assert optimum_cache_info()["store_hits"] == 1
-            clear_optimum_cache()
-            # the full payload is not in the legacy entry: re-solve and
-            # upgrade the store entry in place
-            payload = optimum_result("sockshop", 700.0)
-            assert "allocation" in payload
-        upgraded = store.get_raw(store.optimum_key("sockshop", 700.0, 2))
-        assert "allocation" in upgraded
+            assert optimum_total("sockshop", 700.0) == ref.total_cpu
+            info = optimum_cache_info()
+            assert (info["store_hits"], info["misses"], info["solved"]) == (
+                0, 1, 1
+            )
+        rewritten = store.get_raw(key)
+        assert rewritten["total_cpu"] == ref.total_cpu
+        assert dict(rewritten["allocation"]) == dict(ref.allocation)
 
 
 class TestOptimumAllocator:
