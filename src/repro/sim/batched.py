@@ -1,44 +1,53 @@
-"""Batched analytical engine: one vectorized observation for many cells.
+"""The analytical engine: one vectorized observation for many cells.
 
-The scalar :class:`~repro.sim.engine.AnalyticalEngine` evaluates one
-(allocation, workload) pair per call; a large sweep therefore pays the
-full NumPy/scipy call overhead once per *cell* per control interval.
-:class:`BatchedAnalyticalEngine` stacks ``B`` compatible cells of the same
-application into ``(B, S)`` arrays and runs the identical closed forms
-(Gamma concurrency → throttling/overload → visit latency → end-to-end
-aggregation) once per *batch* per interval.
+:class:`BatchedAnalyticalEngine` is the one implementation of the
+closed-form observation (Gamma concurrency → throttling/overload → visit
+latency → end-to-end aggregation, plus measurement noise) and of its
+operating-condition channels (CPU speed, the fault-injection capacity
+and demand scales, the brownout service level).  It stacks ``B``
+compatible cells of the same application into ``(B, S)`` arrays and
+evaluates them once per control interval.
 
-Bit-exactness contract: every deterministic operation is the same IEEE
-float64 operation in the same order as the scalar engine, applied
-elementwise across the batch (scipy's incomplete-gamma ufuncs and NumPy's
-arithmetic/``exp``/``power`` kernels are value-deterministic regardless of
-array shape), and every *stochastic* draw comes from a dedicated per-cell
-``np.random.default_rng(seed)`` stream consumed in exactly the scalar
-call order (latency noise factor first, then the per-service usage
-normals).  Row ``i`` of a batched observation is therefore byte-identical
-to what a scalar engine seeded like cell ``i`` would observe —
-``tests/test_batched.py`` enforces this cell by cell.
+:class:`EngineCell` is one row of such a batch behind the scalar setter
+signatures.  Registered hooks and brownout's dimmer drive a sweep cell
+through it, and the scalar :class:`~repro.sim.engine.AnalyticalEngine`
+*is* one: the only cell of a 1-row batch it owns.  A scalar observation
+is therefore row 0 of a batched one by construction.
+
+Row independence: every deterministic operation is elementwise across
+the batch (scipy's incomplete-gamma ufuncs and NumPy's
+arithmetic/``exp``/``power`` kernels are value-deterministic regardless
+of array shape), and every *stochastic* draw comes from a dedicated
+per-cell ``np.random.default_rng(seed)`` stream, consumed in a fixed
+order (latency noise factor first, then the per-service usage normals).
+Row ``i`` of a batched observation is therefore byte-identical to what
+a 1-row engine seeded like cell ``i`` observes, whatever else shares the
+batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.sim.cfs import CFSModel
 from repro.sim.latency import LatencyParams, NoiselessLatencyKernel
 from repro.sim.noise import NoiseModel
+from repro.sim.types import IntervalMetrics
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a package import cycle
     from repro.apps.spec import AppSpec
 
-__all__ = ["BatchObservation", "BatchedAnalyticalEngine", "DecisionBank"]
+__all__ = [
+    "BatchObservation",
+    "BatchedAnalyticalEngine",
+    "DecisionBank",
+    "EngineCell",
+]
 
 
-@dataclass(frozen=True)
-class BatchObservation:
+class BatchObservation(NamedTuple):
     """One monitoring interval observed for a whole batch of cells.
 
     The batched counterpart of ``B`` :class:`~repro.sim.types.IntervalMetrics`
@@ -56,6 +65,24 @@ class BatchObservation:
     @property
     def n_cells(self) -> int:
         return self.latency_p95.shape[0]
+
+    def metrics(self, cell: int, names: Sequence[str]) -> IntervalMetrics:
+        """Row ``cell`` as the :class:`IntervalMetrics` a controller reads.
+
+        ``names`` is the app's service order.  The analytical engine
+        reports no mean latency of its own: it is the p95 over 1.6.
+        """
+        latency = float(self.latency_p95[cell])
+        return IntervalMetrics.from_arrays(
+            names,
+            latency,
+            self.workload_rps[cell],
+            self.utilization[cell],
+            self.throttle_seconds[cell],
+            self.usage_cores[cell],
+            self.usage_p90_cores[cell],
+            latency_mean=latency / 1.6,
+        )
 
 
 class DecisionBank:
@@ -110,11 +137,13 @@ class BatchedAnalyticalEngine:
     app:
         The (shared) application specification.
     seeds:
-        One measurement-noise seed per cell; cell ``i`` observes the same
-        noise stream as ``AnalyticalEngine(app, seed=seeds[i])``.
+        One measurement-noise seed per cell.  Two cells with the same
+        seed observe identical noise — sweeps reuse seeds for paired
+        comparisons.
     latency_params, cfs, noise:
         Model tunables, shared across the batch (cells whose engine params
-        differ belong in different batches).
+        differ belong in different batches); the defaults reproduce the
+        paper's phenomenology.
     """
 
     def __init__(
@@ -135,12 +164,8 @@ class BatchedAnalyticalEngine:
         self._rngs = [np.random.default_rng(int(s)) for s in seeds]
         self._kernel = NoiselessLatencyKernel(app, params=self.latency_params)
         self.cpu_speed = np.ones(len(self._rngs), dtype=np.float64)
-        # Scalar-engine replica: ``AnalyticalEngine._model_workload`` maps
-        # each (round(workload, 9), cpu_speed) key to the first workload
-        # seen, so two workloads equal to 9 decimals but one ulp apart
-        # observe the *first* one's model.  Each cell keeps the same
-        # canonical-workload mapping so those collisions resolve
-        # identically here (bit-exactness).
+        # Per cell, each (round(workload, 9), cpu_speed) key maps to the
+        # first workload seen (see canonical_workload).
         self._canonical_workloads: list[dict[tuple[float, float], float]] = [
             {} for _ in self._rngs
         ]
@@ -163,15 +188,18 @@ class BatchedAnalyticalEngine:
     def n_cells(self) -> int:
         return len(self._rngs)
 
+    # -- operating conditions ----------------------------------------------------
     def set_cpu_speed(self, cell: int, speed: float) -> None:
-        """Change one cell's CPU clock (the Fig. 19 ``set_cpu_speed`` hook)."""
+        """Change one cell's relative CPU clock (Fig. 19's 1.8→1.6/2.0 GHz).
+
+        The speed enters the concurrency model, so the cell's
+        canonical-workload map is cleared.
+        """
         if speed <= 0:
             raise ValueError(f"speed must be positive: {speed}")
         self.cpu_speed[cell] = float(speed)
-        # The scalar engine clears its canonical-workload map here.
         self._canonical_workloads[cell].clear()
 
-    # -- fault-injection channels (repro.faults) ---------------------------------
     def _service_index(self, service: str | None) -> int | slice:
         if service is None:
             return slice(None)
@@ -185,10 +213,12 @@ class BatchedAnalyticalEngine:
     def set_capacity_scale(
         self, cell: int, scale: float, service: str | None = None
     ) -> None:
-        """One cell's effective-capacity scale (``service_crash``).
+        """Scale one cell's *effective* capacity (``service_crash``).
 
-        Mirrors :meth:`AnalyticalEngine.set_capacity_scale`: capacity does
-        not enter the concurrency model, so no cache invalidation.
+        The allocation the controller chose is recorded unchanged; the
+        engine behaves as if only ``scale`` of it were usable.  Capacity
+        does not enter the concurrency model, so the canonical-workload
+        map stays valid.
         """
         if scale < 0:
             raise ValueError(f"capacity scale must be >= 0: {scale}")
@@ -198,11 +228,10 @@ class BatchedAnalyticalEngine:
     def set_demand_scale(
         self, cell: int, scale: float, service: str | None = None
     ) -> None:
-        """One cell's CPU-demand scale (``calibration_drift``).
+        """Scale one cell's calibrated CPU demand (``calibration_drift``).
 
-        Demands enter the concurrency model: the cell's canonical-workload
-        map is cleared, exactly as the scalar engine clears its model
-        cache.
+        Demands enter the concurrency model, so the cell's
+        canonical-workload map is cleared, as :meth:`set_cpu_speed` does.
         """
         if scale <= 0:
             raise ValueError(f"demand scale must be positive: {scale}")
@@ -211,13 +240,42 @@ class BatchedAnalyticalEngine:
         self._canonical_workloads[cell].clear()
 
     def set_service_level(self, cell: int, level: float) -> None:
-        """One cell's app-wide service-level dimmer (brownout actuation)."""
+        """Set one cell's app-wide service-level dimmer (brownout actuation).
+
+        ``level`` multiplies every service's CPU demand — serving a
+        degraded (cheaper) response — and clears the canonical-workload
+        map like :meth:`set_demand_scale`.
+        """
         if not 0 < level <= 1.0:
             raise ValueError(f"service level must be in (0, 1]: {level}")
         self._service_level[cell] = float(level)
         self._faulted = True
         self._canonical_workloads[cell].clear()
 
+    def canonical_workload(self, cell: int, workload_rps: float) -> float:
+        """The workload ``cell``'s concurrency model is evaluated at.
+
+        Workloads equal to 9 decimals share one model per CPU speed: the
+        first one seen, until a speed, demand or service-level change
+        clears the map (those change the model).  The recorded and
+        observed workload stays exact.
+        """
+        seen = self._canonical_workloads[cell]
+        key = (round(workload_rps, 9), float(self.cpu_speed[cell]))
+        canonical = seen.get(key)
+        if canonical is None:
+            if len(seen) > 4096:
+                seen.clear()
+            canonical = seen[key] = workload_rps
+        return canonical
+
+    def demand_scale(self) -> np.ndarray | None:
+        """The ``(B, S)`` demand multiplier the faults impose (None: clean)."""
+        if not self._faulted:
+            return None
+        return self._demand_scale * self._service_level[:, None]
+
+    # -- observation ---------------------------------------------------------------
     def observe(
         self,
         alloc: np.ndarray,
@@ -236,50 +294,40 @@ class BatchedAnalyticalEngine:
             raise ValueError("workload must be >= 0")
         if np.any(interval <= 0):
             raise ValueError("interval must be positive")
-        if self._faulted:
-            # Same rebinding as the scalar engine: the recorded allocation
-            # stays the controller's; everything downstream sees the
-            # effective capacity.
-            alloc = alloc * self._capacity_scale
+        return self._observe(alloc, workload, interval)
 
-        # Deterministic closed forms: the shared noiseless kernel, which
-        # the scalar engine evaluates on a 1-row batch.  The model workload
-        # is canonicalized through the scalar engine's round-to-9-decimals
-        # key first (the recorded/observed workload stays exact).
-        model_workload = workload.copy()
-        for i, seen in enumerate(self._canonical_workloads):
-            key = (round(float(workload[i]), 9), float(self.cpu_speed[i]))
-            canonical = seen.get(key)
-            if canonical is None:
-                if len(seen) > 4096:  # the scalar cache's size bound
-                    seen.clear()
-                seen[key] = float(workload[i])
-            else:
-                model_workload[i] = canonical
+    def _observe(
+        self, alloc: np.ndarray, workload: np.ndarray, interval: np.ndarray
+    ) -> BatchObservation:
+        """:meth:`observe` on float64 arrays already validated."""
         if self._faulted:
-            demand_scale = self._demand_scale * self._service_level[:, None]
-            sig = self._kernel.evaluate(
-                alloc, model_workload, self.cpu_speed, demand_scale, p90=True
-            )
-        else:
-            sig = self._kernel.evaluate(
-                alloc, model_workload, self.cpu_speed, p90=True
-            )
+            # A crashed service *behaves* as a fraction of its nominal
+            # capacity; the recorded allocation stays the controller's,
+            # everything downstream sees the effective one.
+            alloc = alloc * self._capacity_scale
+        model_workload = np.array(
+            [
+                self.canonical_workload(i, w)
+                for i, w in enumerate(workload.tolist())
+            ]
+        )
+        sig = self._kernel.evaluate(
+            alloc, model_workload, self.cpu_speed, self.demand_scale(), p90=True
+        )
         excess_arr = sig.overload * np.maximum(alloc, 1e-12)
         frac = self.cfs.throttled_fraction(sig.exceed, excess_arr, alloc)
         thr_seconds = frac * interval[:, None]
         thr_seconds[thr_seconds < self.cfs.zero_floor] = 0.0
-        latency = sig.latency
 
-        # Stochastic draws, per cell, in the scalar engine's exact order:
-        # the latency-noise factor, then the per-service usage normals.
+        # Stochastic draws, per cell: the latency-noise factor, then the
+        # per-service usage normals.
         n_services = alloc.shape[1]
         factors = np.empty(len(self._rngs), dtype=np.float64)
         normals = np.empty_like(alloc)
         for i, rng in enumerate(self._rngs):
             factors[i] = self.noise.sample(rng)
             normals[i] = rng.normal(0.0, 0.03, size=n_services)
-        latency = latency * factors
+        latency = sig.latency * factors
 
         usage = np.minimum(sig.mean, alloc)
         svc_noise = np.exp(normals)
@@ -295,3 +343,33 @@ class BatchedAnalyticalEngine:
             usage_cores=usage_noisy,
             usage_p90_cores=p90,
         )
+
+
+class EngineCell:
+    """One row of a :class:`BatchedAnalyticalEngine` as a scalar engine.
+
+    Exposes the scalar setter signatures for ``cell``, so registered
+    hooks (CPU speed, the engine-fault schedule) and actuating
+    controllers (brownout's service-level dimmer) drive a batch row
+    through exactly the calls they make against a scalar engine.
+    """
+
+    def __init__(self, engine: BatchedAnalyticalEngine, cell: int) -> None:
+        self._engine = engine
+        self._cell = cell
+
+    def set_cpu_speed(self, speed: float) -> None:
+        """Change the relative CPU clock (see the batched engine)."""
+        self._engine.set_cpu_speed(self._cell, speed)
+
+    def set_capacity_scale(self, scale: float, service: str | None = None) -> None:
+        """Scale the effective capacity (``service_crash``)."""
+        self._engine.set_capacity_scale(self._cell, scale, service=service)
+
+    def set_demand_scale(self, scale: float, service: str | None = None) -> None:
+        """Scale the calibrated CPU demand (``calibration_drift``)."""
+        self._engine.set_demand_scale(self._cell, scale, service=service)
+
+    def set_service_level(self, level: float) -> None:
+        """Set the app-wide service-level dimmer (brownout actuation)."""
+        self._engine.set_service_level(self._cell, level)

@@ -53,9 +53,7 @@ from repro.sweeps.aggregate import (
 )
 from repro.sweeps.batched import (
     BATCHABLE_AUTOSCALERS,
-    batch_fallback_reason,
     batch_from_env,
-    batch_key,
     classify_unit,
     run_units_batched,
 )
@@ -127,8 +125,6 @@ __all__ = [
     "worker_reports",
     "BATCHABLE_AUTOSCALERS",
     "batch_from_env",
-    "batch_key",
-    "batch_fallback_reason",
     "classify_unit",
     "run_units_batched",
     "SweepProgress",

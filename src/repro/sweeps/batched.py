@@ -15,20 +15,22 @@ fixed-allocation banks below) is built from the cells' ``AUTOSCALERS``
 controllers, and each cell's hooks are the registered ``HOOKS``
 callables, fired against a per-cell view of the batched engine and bank.
 
-Byte-identity: every per-cell float operation and random draw is
-replicated in the scalar order (see the bit-exactness notes in
-:mod:`repro.sim.batched` and :mod:`repro.core.batch`), so the
-:class:`~repro.metrics.export.UnitResult` objects returned here equal
-what ``repro.experiments.runner.run_unit_result`` returns for the same
-unit — the same bytes land in the sweep store either way.
+Byte-identity: the scalar engine is a 1-row batched engine, so each
+row of the batched observation is the scalar observation (see
+:mod:`repro.sim.batched`), and every bank replays its scalar
+controller's float operations and random draws in order (see
+:mod:`repro.core.batch`).  The :class:`~repro.metrics.export.UnitResult`
+objects returned here therefore equal what
+``repro.experiments.runner.run_unit_result`` returns for the same unit —
+the same bytes land in the sweep store either way.
 
-Cells that :func:`batch_key` cannot place in a group (DES engine,
+Cells that :func:`classify_unit` cannot place in a group (DES engine,
 non-noise engine params, unknown autoscalers/hooks, params the registry
 factory rejects) run through the scalar worker unchanged — a fallback,
-never an error.  Each fallback carries a machine-readable reason slug
-(:func:`batch_fallback_reason`), which the scheduler tallies into
-``SweepReport.fallbacks`` so batch coverage is visible instead of
-silently degrading.
+never an error.  Each fallback carries the machine-readable reason slug
+:func:`classify_unit` returns in place of a key, which the scheduler
+tallies into ``SweepReport.fallbacks`` so batch coverage is visible
+instead of silently degrading.
 """
 
 from __future__ import annotations
@@ -52,17 +54,16 @@ from repro.sim.batched import (
     BatchObservation,
     BatchedAnalyticalEngine,
     DecisionBank,
+    EngineCell,
 )
 from repro.sim.concurrency import gamma_quantile
 from repro.sim.noise import NoiseModel
-from repro.sim.types import Allocation, IntervalMetrics
+from repro.sim.types import Allocation
 from repro.sweeps.store import paused_gc
 from repro.workload.replay import rate_schedule
 
 __all__ = [
     "BATCHABLE_AUTOSCALERS",
-    "batch_key",
-    "batch_fallback_reason",
     "batch_from_env",
     "classify_unit",
     "run_units_batched",
@@ -182,20 +183,6 @@ def _probe_start(app_name: str) -> tuple[Any, Allocation]:
     return app, Allocation.from_array(names, np.ones(len(names)))
 
 
-def batch_key(spec: ExperimentSpec) -> tuple[Hashable, ...] | None:
-    """The compatibility-group key of ``spec``, or None if un-batchable.
-
-    The key/reason split lives in :func:`classify_unit`; this is its
-    key-only view.
-    """
-    return classify_unit(spec)[0]
-
-
-def batch_fallback_reason(spec: ExperimentSpec) -> str | None:
-    """Why ``spec`` runs scalar under ``batch=True`` (None: it batches)."""
-    return classify_unit(spec)[1]
-
-
 class _OptimumBank(DecisionBank):
     """Vectorized :class:`~repro.baselines.OptimumAllocator` bank.
 
@@ -237,37 +224,6 @@ class _OptimumBank(DecisionBank):
         return self.allocation
 
 
-class _CellEnvironment:
-    """One batch row presented through the scalar engine's channel API.
-
-    Exposes the scalar :class:`~repro.sim.engine.AnalyticalEngine` setter
-    signatures for a single cell of a batched engine, so registered hooks
-    (CPU speed, the engine-fault schedule) and actuating controllers
-    (brownout's service-level dimmer) drive the batched engine through
-    exactly the calls they make against a scalar one.
-    """
-
-    def __init__(self, engine: BatchedAnalyticalEngine, cell: int) -> None:
-        self._engine = engine
-        self._cell = cell
-
-    def set_cpu_speed(self, speed: float) -> None:
-        self._engine.set_cpu_speed(self._cell, speed)
-
-    def set_capacity_scale(
-        self, scale: float, service: str | None = None
-    ) -> None:
-        self._engine.set_capacity_scale(self._cell, scale, service=service)
-
-    def set_demand_scale(
-        self, scale: float, service: str | None = None
-    ) -> None:
-        self._engine.set_demand_scale(self._cell, scale, service=service)
-
-    def set_service_level(self, level: float) -> None:
-        self._engine.set_service_level(self._cell, level)
-
-
 class _CellLoop:
     """One batch cell as the ``ControlLoop`` a registered hook expects:
     ``environment`` is the cell's engine row, ``autoscaler.set_slo`` its
@@ -276,7 +232,7 @@ class _CellLoop:
     def __init__(
         self, engine: BatchedAnalyticalEngine, bank: DecisionBank, cell: int
     ) -> None:
-        self.environment = _CellEnvironment(engine, cell)
+        self.environment = EngineCell(engine, cell)
         self.autoscaler = self
         self._bank = bank
         self._cell = cell
@@ -294,12 +250,12 @@ class _ManagerBank(DecisionBank):
     brownout baselines are tiny per-cell feedback laws, so, in the
     :class:`_OptimumBank` style, the bank keeps one *scalar* controller
     per cell and only the engine observation is vectorized.  Each step
-    rebuilds the exact :class:`~repro.sim.types.IntervalMetrics` the
-    scalar control loop would pass (row ``i`` of a batched observation
-    is bit-identical to the scalar engine's), so every controller
-    consumes the same floats and the same private RNG stream as its
-    scalar run — decisions, range splits, dimmer writes, and captured
-    manager state included.
+    hands cell ``i`` the :class:`~repro.sim.types.IntervalMetrics` of
+    its observation row (:meth:`BatchObservation.metrics`, the scalar
+    engine's own conversion), so every controller consumes the same
+    floats and the same private RNG stream as its scalar run —
+    decisions, range splits, dimmer writes, and captured manager state
+    included.
     """
 
     def __init__(self, app, managers: Sequence[Any], slos) -> None:
@@ -321,19 +277,8 @@ class _ManagerBank(DecisionBank):
 
     def step(self, obs: BatchObservation, totals: np.ndarray) -> np.ndarray:
         rows = []
-        latency = obs.latency_p95.tolist()
-        workload = obs.workload_rps.tolist()
         for i, manager in enumerate(self._managers):
-            metrics = IntervalMetrics.from_arrays(
-                self.services,
-                latency[i],
-                workload[i],
-                obs.utilization[i],
-                obs.throttle_seconds[i],
-                obs.usage_cores[i],
-                obs.usage_p90_cores[i],
-                latency_mean=latency[i] / 1.6,
-            )
+            metrics = obs.metrics(i, self.services)
             rows.append(manager.decide(metrics).as_array(self.services))
             if i in self._trace_cells:
                 self.decision_info[i].append(capture_decision_info(manager))
@@ -589,6 +534,6 @@ def _build_bank(
         )
         bind = getattr(controller, "bind_environment", None)
         if callable(bind):
-            bind(_CellEnvironment(engine, i))
+            bind(EngineCell(engine, i))
         controllers.append(controller)
     return _BANKS[kind](app, controllers, slos)

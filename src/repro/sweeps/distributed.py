@@ -36,6 +36,7 @@ SIGKILL with nothing to clean up or roll back.
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import socket
 import os
 import time
@@ -548,11 +549,22 @@ def wait_for_grid(
 
 
 def _worker_entry(
-    specs_data: list[dict[str, Any]], store_root: str, kwargs: dict[str, Any]
+    specs_data: list[dict[str, Any]],
+    store_root: str,
+    kwargs: dict[str, Any],
+    errors: Any,
 ) -> None:
     # Module-level, plain-data arguments: works under fork and spawn.
-    specs = [ExperimentSpec.from_dict(data) for data in specs_data]
-    run_worker(specs, SweepStore(store_root), **kwargs)
+    try:
+        specs = [ExperimentSpec.from_dict(data) for data in specs_data]
+        run_worker(specs, SweepStore(store_root), **kwargs)
+    except (TypeError, ValueError) as exc:
+        # A cell whose components reject their parameters: the sweep
+        # cannot finish anywhere, so hand the reason to the coordinator
+        # (which reports it as ``repro sweep --worker`` would) instead of
+        # printing a traceback.
+        errors.put((isinstance(exc, TypeError), str(exc)))
+        raise SystemExit(2) from None
 
 
 def worker_reports(
@@ -590,6 +602,13 @@ def run_distributed(
     shared store, so killing one (tests, the dist gate) exercises the
     real lease-recovery path.  Returns the merged run plus the persisted
     worker reports.
+
+    A cell whose components reject their parameters raises that
+    worker's ``ValueError``/``TypeError`` here, once, after the other
+    workers are stopped.  Workers that die for any other reason are
+    named with their exit codes in a ``LookupError`` when units are left
+    missing; if the survivors healed the sweep, the codes are appended
+    to the reports instead.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -599,8 +618,9 @@ def run_distributed(
     specs_data = [spec.to_dict() for spec in specs]
     plan = plan_tasks(specs, chunk_size)
     ctx = mp_context or multiprocessing.get_context()
-    procs = [
-        ctx.Process(
+    errors = ctx.SimpleQueue()
+    procs = {
+        f"{worker_prefix}{index}": ctx.Process(
             target=_worker_entry,
             args=(
                 specs_data,
@@ -611,15 +631,37 @@ def run_distributed(
                     chunk_size=chunk_size,
                     batch=batch,
                 ),
+                errors,
             ),
         )
         for index in range(workers)
-    ]
-    for proc in procs:
+    }
+    for proc in procs.values():
         proc.start()
-    for proc in procs:
-        proc.join()
-    failed = [p.exitcode for p in procs if p.exitcode != 0]
+    running = {proc.sentinel: proc for proc in procs.values()}
+    try:
+        while running and errors.empty():
+            for sentinel in multiprocessing.connection.wait(list(running)):
+                running.pop(sentinel).join()
+        if not errors.empty():
+            # A rejected cell fails every worker that reaches it: stop
+            # the rest instead of letting them wait out its lease first.
+            for proc in running.values():
+                proc.terminate()
+                proc.join()
+            is_type_error, reason = errors.get()
+            raise (TypeError if is_type_error else ValueError)(reason)
+    finally:
+        errors.close()
+    failed = {
+        name: proc.exitcode for name, proc in procs.items() if proc.exitcode
+    }
+    if failed and missing_units(specs, store):
+        raise LookupError(
+            "worker(s) died before the grid finished: "
+            + ", ".join(f"{name} (exit code {code})"
+                        for name, code in failed.items())
+        )
     run = merge_grid(
         grid, store, cells=cells, seconds=time.time() - started
     )
@@ -627,5 +669,5 @@ def run_distributed(
     if failed:
         # The merge succeeded, so the sweep healed around the failures;
         # surface them in the reports instead of raising.
-        reports.append({"worker_exit_codes": failed})
+        reports.append({"worker_exit_codes": list(failed.values())})
     return run, reports

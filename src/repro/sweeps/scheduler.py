@@ -12,7 +12,7 @@ only the units that never completed.
 
 ``batch=True`` additionally partitions every chunk into compatible
 groups (same app, autoscaler kind, and horizon — see
-:func:`repro.sweeps.batched.batch_key`) and evaluates each group as one
+:func:`repro.sweeps.batched.classify_unit`) and evaluates each group as one
 NumPy-vectorized batch inside a single worker call; units no group can
 hold (DES engine, custom engine params, unknown hooks) fall back to the
 scalar worker, with per-reason counts reported in
@@ -135,7 +135,7 @@ class SweepReport:
     scalar_units: int = 0
     fallbacks: dict[str, int] = field(default_factory=dict)
     """Why computed units ran scalar under ``batch=True``: reason slug →
-    unit count (see :func:`repro.sweeps.batched.batch_fallback_reason`).
+    unit count (see :func:`repro.sweeps.batched.classify_unit`).
     Empty when every unit batched, or when batching was off."""
     replay_units: int = 0
     """Units whose workload is the ``replay`` kind (trace-replay cells)."""

@@ -25,8 +25,6 @@ from repro.sim.latency import end_to_end_latency, end_to_end_latency_batch
 from repro.sweeps import (
     SweepGrid,
     SweepStore,
-    batch_fallback_reason,
-    batch_key,
     classify_unit,
     grid_summary_json,
     run_grid,
@@ -45,7 +43,7 @@ def assert_units_byte_identical(units: list[tuple[ExperimentSpec, int]]):
     """Batched payloads must serialize to the scalar payloads' bytes."""
     groups: dict[tuple, list[tuple[ExperimentSpec, int]]] = {}
     for unit in units:
-        key = batch_key(unit[0])
+        key = classify_unit(unit[0])[0]
         assert key is not None, f"{unit[0]} unexpectedly un-batchable"
         groups.setdefault(key, []).append(unit)
     for group in groups.values():
@@ -195,16 +193,16 @@ class TestUnitEquivalence:
 
 class TestBatchKey:
     def test_groups_by_app_autoscaler_horizon(self):
-        assert batch_key(spec()) == ("sockshop", "pema", 4, None)
-        assert batch_key(spec(app="trainticket", workload=225.0)) == (
+        assert classify_unit(spec())[0] == ("sockshop", "pema", 4, None)
+        assert classify_unit(spec(app="trainticket", workload=225.0))[0] == (
             "trainticket", "pema", 4, None
         )
-        assert batch_key(spec(autoscaler={"kind": "rule"})) == (
+        assert classify_unit(spec(autoscaler={"kind": "rule"}))[0] == (
             "sockshop", "rule", 4, None
         )
         # Workload/seed/interval/slo/params differences stay in-group.
-        assert batch_key(spec(workload=600.0, seed=9, interval=60.0)) == \
-            batch_key(spec(slo=0.3, headroom=4.0))
+        assert classify_unit(spec(workload=600.0, seed=9, interval=60.0))[0] == \
+            classify_unit(spec(slo=0.3, headroom=4.0))[0]
 
     def test_noise_override_batches_by_model(self):
         # A noise engine override joins a batch group keyed by its model;
@@ -215,77 +213,76 @@ class TestBatchKey:
         key, reason = classify_unit(noisy)
         assert reason is None
         assert key[:3] == ("sockshop", "pema", 4)
-        assert key == batch_key(
+        assert key == classify_unit(
             spec(engine={"kind": "analytical",
                          "params": {"noise": {"sigma": 0.0}}},
                  workload=600.0)
-        )
-        assert key != batch_key(spec())
+        )[0]
+        assert key != classify_unit(spec())[0]
         # Static cells with a pinned bottleneck allocation batch too.
         pinned = spec(
             autoscaler={"kind": "static",
                         "params": {"bottleneck_rps": 500.0, "scale": 1.2}}
         )
-        assert batch_key(pinned) == ("sockshop", "static", 4, None)
+        assert classify_unit(pinned)[0] == ("sockshop", "static", 4, None)
 
     def test_unbatchable_kinds_fall_back(self):
-        assert batch_key(spec(engine={"kind": "des"})) is None
-        assert batch_key(
+        assert classify_unit(spec(engine={"kind": "des"}))[0] is None
+        assert classify_unit(
             spec(engine={"kind": "analytical", "params": {"p_crit": 0.9}})
-        ) is None
-        assert batch_key(
+        )[0] is None
+        assert classify_unit(
             spec(autoscaler={"kind": "rule", "params": {"mode": "nope"}})
-        ) is None
-        assert batch_key(
+        )[0] is None
+        assert classify_unit(
             spec(autoscaler={"kind": "static", "params": {"x": 1}})
-        ) is None
+        )[0] is None
         # set_slo drives PEMAController.set_slo — a rule cell would crash
         # the scalar path too, so it must not enter a batch.
-        assert batch_key(
+        assert classify_unit(
             spec(autoscaler={"kind": "rule"},
                  hooks=[{"kind": "set_slo", "params": {"at": 1, "slo": 0.2}}])
-        ) is None
-        assert batch_key(
+        )[0] is None
+        assert classify_unit(
             spec(hooks=[{"kind": "set_slo", "params": {"at": 1}}])
-        ) is None  # invalid hook params: probe fails, scalar raises
+        )[0] is None  # invalid hook params: probe fails, scalar raises
 
     def test_fallback_reason_slugs(self):
-        assert batch_fallback_reason(spec()) is None
-        assert batch_fallback_reason(
+        assert classify_unit(spec())[1] is None
+        assert classify_unit(
             spec(engine={"kind": "des"})
-        ) == "engine:des"
-        assert batch_fallback_reason(
+        )[1] == "engine:des"
+        assert classify_unit(
             spec(engine={"kind": "analytical", "params": {"p_crit": 0.9}})
-        ) == "engine_params"
-        assert batch_fallback_reason(
+        )[1] == "engine_params"
+        assert classify_unit(
             spec(autoscaler={"kind": "fast_pema"})
-        ) == "autoscaler:fast_pema"
-        assert batch_fallback_reason(
+        )[1] == "autoscaler:fast_pema"
+        assert classify_unit(
             spec(autoscaler={"kind": "rule", "params": {"mode": "nope"}})
-        ) == "autoscaler_params:rule"
-        assert batch_fallback_reason(
+        )[1] == "autoscaler_params:rule"
+        assert classify_unit(
             spec(autoscaler={"kind": "rule"},
                  hooks=[{"kind": "set_slo", "params": {"at": 1, "slo": 0.2}}])
-        ) == "set_slo_without_pema"
-        assert batch_fallback_reason(
+        )[1] == "set_slo_without_pema"
+        assert classify_unit(
             spec(hooks=[{"kind": "set_slo", "params": {"at": 1}}])
-        ) == "hook_params:set_slo"
-        assert batch_fallback_reason(
+        )[1] == "hook_params:set_slo"
+        assert classify_unit(
             spec(n_steps=100_001)
-        ) == "pema_horizon"
-        assert batch_fallback_reason(
+        )[1] == "pema_horizon"
+        assert classify_unit(
             spec(engine={"kind": "analytical",
                          "params": {"noise": {"sigma": -1.0}}})
-        ) == "engine_params:noise"
-        assert batch_fallback_reason(
+        )[1] == "engine_params:noise"
+        assert classify_unit(
             spec(autoscaler={"kind": "static", "params": {"scale": 0.5}})
-        ) == "autoscaler_params:static"  # scale needs bottleneck_rps
+        )[1] == "autoscaler_params:static"  # scale needs bottleneck_rps
 
     def test_classify_is_key_plus_reason(self):
         for s in (spec(), spec(engine={"kind": "des"})):
             key, reason = classify_unit(s)
-            assert key == batch_key(s)
-            assert reason == batch_fallback_reason(s)
+            assert classify_unit(s) == (key, reason)
             assert (key is None) == (reason is not None)
 
 
@@ -463,8 +460,6 @@ class TestGridEquivalence:
         # Every shipped grid batches — including fig10, whose cells carry
         # static bottleneck params + engine noise overrides (batched by
         # noise model since the noise-aware key).
-        from repro.sweeps.batched import batch_key
-
         for name in (
             "fig10_workload_response",
             "fig11_pema_sockshop",
@@ -472,7 +467,7 @@ class TestGridEquivalence:
         ):
             grid = SweepGrid.read(f"benchmarks/grids/{name}.json")
             grid.validate()
-            keys = {batch_key(cell.spec) for cell in grid.cells()}
+            keys = {classify_unit(cell.spec)[0] for cell in grid.cells()}
             assert None not in keys, name
 
     def test_fig10_noise_and_static_grid_byte_identical(self):

@@ -419,6 +419,24 @@ class TestRunDistributed:
         assert sum(r["tasks_done"] for r in by_worker.values()) >= 4
         assert run.report.units == 8 and run.report.cache_hits == 8
 
+    def test_dead_workers_are_named_by_exit_code(
+        self, sweep_store, monkeypatch
+    ):
+        # Forked workers inherit the patch: each dies before any unit.
+        monkeypatch.setattr(
+            "repro.sweeps.distributed.run_worker",
+            lambda *args, **kwargs: os._exit(3),
+        )
+        with pytest.raises(LookupError) as info:
+            run_distributed(
+                make_small_grid(), sweep_store, workers=2,
+                mp_context=multiprocessing.get_context("fork"),
+            )
+        assert str(info.value) == (
+            "worker(s) died before the grid finished: "
+            "worker-0 (exit code 3), worker-1 (exit code 3)"
+        )
+
 
 def _victim_entry(specs_data, store_root, flag_path, kwargs):
     """A worker that freezes after its second claim (module-level for mp).
@@ -606,3 +624,20 @@ class TestCliValidation:
         capsys.readouterr()
         summary = json.loads((tmp_path / "run.json").read_text())
         assert len(summary["cells"]) == 4
+
+    def test_coordinator_reports_a_rejected_cell(self, tmp_path, capfd):
+        # Same ending as ``--worker`` on this grid: the cell's error
+        # against the grid file, exit status 2, no worker traceback.
+        grid = tmp_path / "grid.json"
+        grid.write_text(
+            '{"name": "g", "base": {"app": "hotelreservation", "n_steps": 4, '
+            '"workload": {"kind": "constant", "params": {"rps": 400.0}}}, '
+            '"axes": [{"name": "rps", "path": "workload.params.rps", '
+            '"values": [400.0, -5.0]}]}'
+        )
+        code = main(["sweep", "--grid", str(grid),
+                     "--cache", str(tmp_path / "cache"),
+                     "--coordinator", "--workers", "2"])
+        err = capfd.readouterr().err
+        assert code == 2
+        assert err == f"error: {grid}: rps must be >= 0\n"

@@ -35,6 +35,15 @@ class TestProtocol:
         with pytest.raises(ValueError):
             tiny_engine.observe(tiny_app.generous_allocation(100.0), -5.0)
 
+    def test_bad_scalar_inputs_are_named(self, tiny_engine, tiny_app):
+        alloc = tiny_app.generous_allocation(100.0)
+        with pytest.raises(ValueError, match=r"^workload must be >= 0: -5.0$"):
+            tiny_engine.observe(alloc, -5.0)
+        with pytest.raises(ValueError, match=r"^interval must be positive: 0.0$"):
+            tiny_engine.observe(alloc, 100.0, 0.0)
+        with pytest.raises(ValueError, match=r"^workload must be >= 0: -1$"):
+            tiny_engine.bottleneck_allocation(-1)
+
     def test_invalid_p_crit(self, tiny_app):
         with pytest.raises(ValueError):
             AnalyticalEngine(tiny_app, p_crit=1.5)

@@ -34,7 +34,7 @@ from repro.experiments import (
 from repro.sim import AnalyticalEngine, Allocation, NoiseModel
 from repro.sim.latency import NoiselessLatencyKernel, end_to_end_latency_batch
 from repro.sweeps import SweepStore, run_sweep_cached
-from repro.sweeps.batched import batch_key, run_units_batched
+from repro.sweeps.batched import classify_unit, run_units_batched
 from tests.conftest import build_tiny_app
 
 
@@ -290,14 +290,14 @@ class TestOptimumSweepUnits:
 
     def test_batch_key_groups_optimum(self):
         specs = self.specs()
-        key = batch_key(specs[0])
+        key = classify_unit(specs[0])[0]
         assert key == ("sockshop", "optimum", 2, None)
-        assert batch_key(specs[1]) == key
-        assert batch_key(specs[2]) == ("trainticket", "optimum", 2, None)
+        assert classify_unit(specs[1])[0] == key
+        assert classify_unit(specs[2])[0] == ("trainticket", "optimum", 2, None)
         bad = specs[0].with_(
             autoscaler={"kind": "optimum", "params": {"bogus": 1}}
         )
-        assert batch_key(bad) is None
+        assert classify_unit(bad)[0] is None
 
     def test_group_runner_matches_scalar_worker(self):
         from repro.experiments.runner import _run_unit_worker

@@ -21,7 +21,7 @@ from repro.sweeps import (
     SweepAxis,
     SweepGrid,
     SweepStore,
-    batch_key,
+    classify_unit,
     grid_summary_json,
     run_grid,
     run_sweep_cached,
@@ -313,8 +313,8 @@ def small_replay_grid():
 
 class TestReplayBatching:
     def test_replay_cells_are_batchable(self):
-        assert batch_key(replay_spec()) == ("sockshop", "pema", 25, None)
-        assert batch_key(manager_replay_spec()) == (
+        assert classify_unit(replay_spec())[0] == ("sockshop", "pema", 25, None)
+        assert classify_unit(manager_replay_spec())[0] == (
             "sockshop",
             "workload_aware_pema",
             40,
@@ -322,14 +322,14 @@ class TestReplayBatching:
         )
         # Bad manager params fall back to the scalar path (same error there).
         assert (
-            batch_key(
+            classify_unit(
                 replay_spec(
                     autoscaler={
                         "kind": "workload_aware_pema",
                         "params": {"workload_low": 300.0},
                     }
                 )
-            )
+            )[0]
             is None
         )
 
