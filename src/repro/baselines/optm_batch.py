@@ -18,7 +18,9 @@ only when the observed workload changes.  It routes every solve through
 :func:`repro.experiments.runner.optimum_result`, so solves hit the same
 in-process LRU cache and persistent ``optimum_store`` as
 ``optimum_total`` — an "optimum" experiment unit warms exactly the cache
-entries the figure benchmarks read.
+entries the figure benchmarks read.  :class:`OptimumBank` is its batched
+form: one :func:`~repro.experiments.runner.optimum_results` call per
+step for every cell whose workload changed.
 """
 
 from __future__ import annotations
@@ -28,13 +30,14 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.baselines.optm import OptimumResult, OptimumSearch
+from repro.sim.batched import BatchObservation, DecisionBank
 from repro.sim.engine import AnalyticalEngine
 from repro.sim.types import Allocation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.apps.spec import AppSpec
 
-__all__ = ["OptimumBatch", "OptimumAllocator", "OptimumRequest"]
+__all__ = ["OptimumAllocator", "OptimumBank", "OptimumBatch", "OptimumRequest"]
 
 
 class OptimumRequest:
@@ -141,6 +144,51 @@ class OptimumBatch:
         return results  # type: ignore[return-value]
 
 
+class OptimumBank(DecisionBank):
+    """Vectorized :class:`OptimumAllocator` bank.
+
+    Each cell pins the cached noiseless optimum for its observed
+    workload, re-solving only when the workload changes.  All cells'
+    pending solves go through one ``optimum_results`` call per step —
+    cache/store read-through plus a single lockstep
+    :class:`OptimumBatch` frontier drive for the misses — so a sweep's
+    OPTM column warms exactly the entries the scalar allocator would.
+    """
+
+    def __init__(
+        self,
+        app: "AppSpec",
+        allocators: "Sequence[OptimumAllocator]",
+        slos: Sequence[float],
+    ) -> None:
+        super().__init__(app, allocators, slos)
+        self._app = app
+        self._restarts = [a.restarts for a in allocators]
+        self._workloads: list[float | None] = [None] * len(self._restarts)
+
+    def step(self, obs: BatchObservation, totals: np.ndarray) -> np.ndarray:
+        workloads = obs.workload_rps
+        pending = [
+            i
+            for i, w in enumerate(workloads)
+            if self._workloads[i] is None or float(w) != self._workloads[i]
+        ]
+        if pending:
+            from repro.experiments.runner import optimum_results
+
+            payloads = optimum_results(
+                self._app.name,
+                [(float(workloads[i]), self._restarts[i]) for i in pending],
+            )
+            allocation = self.allocation.copy()
+            for i, payload in zip(pending, payloads):
+                values = dict(payload["allocation"])
+                allocation[i] = [values[name] for name in self.services]
+                self._workloads[i] = float(workloads[i])
+            self.allocation = allocation
+        return self.allocation
+
+
 class OptimumAllocator:
     """OPTM as a pinned autoscaler (the ``"optimum"`` registry kind).
 
@@ -153,6 +201,9 @@ class OptimumAllocator:
     The controller seed is deliberately unused — the paper's OPTM is a
     property of (app, workload), not of the run.
     """
+
+    #: The batched sweep runner's form of this allocator.
+    decision_bank = OptimumBank
 
     def __init__(
         self,

@@ -32,8 +32,55 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["RuleBasedAutoscaler", "RuleBatch"]
 
 
+class RuleBatch(DecisionBank):
+    """A vectorized bank of :class:`RuleBasedAutoscaler` cells.
+
+    Holds ``B`` independent rule-based autoscalers (same service set, per-
+    cell parameters) as stacked arrays and applies the scaling rule to all
+    of them in one call.  Every operation is the same IEEE float op, in
+    the same order, as the scalar ``decide`` — cell ``i`` of a batch is
+    byte-identical to a scalar autoscaler fed the same metrics.  The rule
+    ignores the SLO; ``slos`` is the fixed row the records carry.
+    """
+
+    def __init__(
+        self,
+        app: "AppSpec",
+        scalers: "Sequence[RuleBasedAutoscaler]",
+        slos: Sequence[float],
+    ) -> None:
+        super().__init__(app, scalers, slos)
+        # The scalar constructor already validated every parameter.
+        self._vpa = np.asarray([s.mode == "vpa" for s in scalers])
+        self._target = np.asarray([s.target_utilization for s in scalers])
+        self._overprovision = np.asarray([s.overprovision for s in scalers])
+        self._down_limit = np.asarray([s.scale_down_limit for s in scalers])
+        self._min_cpu = np.asarray([s.min_cpu for s in scalers])
+        self._max_cpu = np.asarray([s.max_cpu for s in scalers])
+
+    def step(self, obs: BatchObservation, totals: np.ndarray) -> np.ndarray:
+        """Apply the rule to every cell; returns the ``(B, S)`` allocations."""
+        current = self.allocation
+        by_util = (obs.usage_cores / self._target[:, None]) * (
+            1.0 + self._overprovision[:, None]
+        )
+        by_p90 = obs.usage_p90_cores * (1.0 + self._overprovision[:, None])
+        desired = np.where(self._vpa[:, None], by_p90, by_util)
+        stabilized = np.maximum(
+            desired, current * (1.0 - self._down_limit[:, None])
+        )
+        desired = np.where(desired < current, stabilized, desired)
+        self.allocation = np.minimum(
+            np.maximum(desired, self._min_cpu[:, None]), self._max_cpu[:, None]
+        )
+        return self.allocation
+
+
 class RuleBasedAutoscaler:
     """Utilization/percentile rule-based vertical autoscaler."""
+
+    #: The batched sweep runner's vectorized form of this autoscaler.
+    decision_bank = RuleBatch
 
     def __init__(
         self,
@@ -90,48 +137,3 @@ class RuleBasedAutoscaler:
             new_values.append(min(max(desired, self.min_cpu), self.max_cpu))
         self._allocation = Allocation._from_list(names, new_values)
         return self._allocation
-
-
-class RuleBatch(DecisionBank):
-    """A vectorized bank of :class:`RuleBasedAutoscaler` cells.
-
-    Holds ``B`` independent rule-based autoscalers (same service set, per-
-    cell parameters) as stacked arrays and applies the scaling rule to all
-    of them in one call.  Every operation is the same IEEE float op, in
-    the same order, as the scalar ``decide`` — cell ``i`` of a batch is
-    byte-identical to a scalar autoscaler fed the same metrics.  The rule
-    ignores the SLO; ``slos`` is the fixed row the records carry.
-    """
-
-    def __init__(
-        self,
-        app: "AppSpec",
-        scalers: "Sequence[RuleBasedAutoscaler]",
-        slos: Sequence[float],
-    ) -> None:
-        super().__init__(app, scalers, slos)
-        # The scalar constructor already validated every parameter.
-        self._vpa = np.asarray([s.mode == "vpa" for s in scalers])
-        self._target = np.asarray([s.target_utilization for s in scalers])
-        self._overprovision = np.asarray([s.overprovision for s in scalers])
-        self._down_limit = np.asarray([s.scale_down_limit for s in scalers])
-        self._min_cpu = np.asarray([s.min_cpu for s in scalers])
-        self._max_cpu = np.asarray([s.max_cpu for s in scalers])
-
-    def step(self, obs: BatchObservation, totals: np.ndarray) -> np.ndarray:
-        """Apply the rule to every cell; returns the ``(B, S)`` allocations."""
-        current = self.allocation
-        by_util = (obs.usage_cores / self._target[:, None]) * (
-            1.0 + self._overprovision[:, None]
-        )
-        by_p90 = obs.usage_p90_cores * (1.0 + self._overprovision[:, None])
-        desired = np.where(self._vpa[:, None], by_p90, by_util)
-        stabilized = np.maximum(
-            desired, current * (1.0 - self._down_limit[:, None])
-        )
-        desired = np.where(desired < current, stabilized, desired)
-        self.allocation = np.minimum(
-            np.maximum(desired, self._min_cpu[:, None]), self._max_cpu[:, None]
-        )
-        return self.allocation
-

@@ -21,7 +21,7 @@ exploration index draw, Bernoulli selection + uniform cut via the *same*
 branch.  ``tests/test_batched.py`` enforces byte-identical artifacts.
 
 Unsupported (fall back to the scalar path): per-cell cost models, and
-histories long enough to hit the RHDb's 100k-record trim.
+horizons past the scalar RHDb's trim point (:attr:`PEMABatch.max_steps`).
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.core.reduction import _window_mean
+from repro.core.rhdb import ResourceHistoryDB
 from repro.core.selection import select_targets
 from repro.obs.decision import pema_decision_info
 from repro.sim.batched import BatchObservation, DecisionBank
@@ -51,8 +52,14 @@ class PEMABatch(DecisionBank):
 
     Each cell takes its config and its (still unused) random stream from
     its scalar :class:`~repro.core.controller.PEMAController`.  ``slo``
-    is live: :meth:`set_slo` changes the row the records carry.
+    is live: :meth:`set_slo` changes the row the records carry.  A
+    traced cell records one :func:`~repro.obs.decision.pema_decision_info`
+    per step, with the arguments the scalar ``StepResult`` carries.
     """
+
+    #: Past the scalar RHDb's trim point the full history kept here
+    #: would diverge from the scalar controller's.
+    max_steps = ResourceHistoryDB.DEFAULT_MAX_RECORDS
 
     def __init__(
         self,
@@ -91,37 +98,15 @@ class PEMABatch(DecisionBank):
 
         self._windows: list[list[float]] = [[] for _ in range(n_cells)]
         self._tainted: list[set[bytes]] = [set() for _ in range(n_cells)]
-        # Decision tracing: cells opted in via enable_decision_trace get
-        # exactly one pema_decision_info per step, with the arguments the
-        # scalar controller's StepResult carries (untraced cells pay
-        # nothing).
-        self._trace_cells: set[int] = set()
-        self.decision_info: dict[int, list[dict]] = {}
         # RHDb, stacked: one (B,)/(B, S) snapshot per inserted step.
         self._hist_resp: list[np.ndarray] = []
         self._hist_total: list[np.ndarray] = []
         self._hist_alloc: list[np.ndarray] = []
 
-    @property
-    def n_cells(self) -> int:
-        return len(self.configs)
-
-    # -- decision tracing ---------------------------------------------------------
-    def enable_decision_trace(self, cells: Sequence[int]) -> None:
-        """Record per-step decision info for the given cells."""
-        for cell in cells:
-            self._trace_cells.add(int(cell))
-            self.decision_info.setdefault(int(cell), [])
-
-    def decision_trace(self, cell: int) -> list[dict] | None:
-        return self.decision_info.get(cell)
-
     # -- dynamic SLO (the Fig. 20 hook) -----------------------------------------
     def set_slo(self, cell: int, slo: float) -> None:
         """Change one cell's SLO mid-run, like ``PEMAController.set_slo``."""
-        if slo <= 0:
-            raise ValueError(f"slo must be positive: {slo}")
-        self.slo[cell] = float(slo)
+        super().set_slo(cell, slo)
         self._windows[cell].clear()
 
     # -- RHDb queries ------------------------------------------------------------
@@ -207,7 +192,7 @@ class PEMABatch(DecisionBank):
         alpha_row = self._alpha.tolist()
         p_explore_row = p_explore.tolist()
 
-        for i in range(self.n_cells):
+        for i in range(len(self.configs)):
             window = self._windows[i]
             window.append(response_row[i])
             if len(window) > self._window_len[i]:

@@ -24,6 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
+from repro.core.batch import PEMABatch
 from repro.core.config import PEMAConfig
 from repro.core.cost import CostModel, cost_weighted_probabilities
 from repro.core.exploration import exploration_probability
@@ -100,6 +101,9 @@ class PEMAController:
     seed / rng:
         Randomness for the probabilistic selection and exploration.
     """
+
+    #: The batched sweep runner's vectorized form of this controller.
+    decision_bank = PEMABatch
 
     def __init__(
         self,

@@ -47,7 +47,10 @@ class RHDbRecord:
 class ResourceHistoryDB:
     """Append-only in-memory history with the two PEMA queries."""
 
-    def __init__(self, max_records: int = 100_000) -> None:
+    #: Records kept before the oldest (never the best rollback) is dropped.
+    DEFAULT_MAX_RECORDS = 100_000
+
+    def __init__(self, max_records: int = DEFAULT_MAX_RECORDS) -> None:
         if max_records < 1:
             raise ValueError("max_records must be >= 1")
         self._records: list[RHDbRecord] = []

@@ -41,7 +41,6 @@ from repro.experiments.registry import (
 from repro.experiments.runner import (
     ExperimentUnit,
     build_unit,
-    capture_manager_state,
     clear_optimum_cache,
     derive_rule_spec,
     hooks_on_step,
@@ -84,7 +83,6 @@ __all__ = [
     "WORKLOADS",
     "HOOKS",
     "build_unit",
-    "capture_manager_state",
     "hooks_on_step",
     "run_unit",
     "run_experiment",

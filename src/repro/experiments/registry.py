@@ -106,14 +106,11 @@ HOOKS = Registry("hook")
 @ENGINES.register("analytical")
 def _analytical_engine(app, *, seed: int = 0, **params):
     """Closed-form Gamma/CFS latency model with measurement noise (default)."""
-    from repro.sim import AnalyticalEngine, NoiseModel
+    from repro.sim.engine import AnalyticalEngine, analytical_params
 
-    noise = params.pop("noise", None)
-    if noise is not None:
-        # Declarative noise override, e.g. {"sigma": 0, "anomaly_prob": 0}
-        # for the noise-free scans of Fig. 10.
-        noise = NoiseModel(**noise)
-    return AnalyticalEngine(app, seed=seed, noise=noise, **params)
+    # e.g. {"noise": {"sigma": 0, "anomaly_prob": 0}} for the noise-free
+    # scans of Fig. 10.
+    return AnalyticalEngine(app, seed=seed, **analytical_params(params))
 
 
 @ENGINES.register("des")

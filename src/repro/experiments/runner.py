@@ -41,6 +41,7 @@ from repro.metrics.export import (  # noqa: F401
     loop_result_from_dict,
     loop_result_to_dict,
 )
+from repro.obs.decision import capture_manager_state
 from repro.obs.metrics import default_registry
 from repro.sim.environment import Environment
 from repro.workload.trace import WorkloadTrace
@@ -48,10 +49,10 @@ from repro.workload.trace import WorkloadTrace
 __all__ = [
     "ExperimentUnit",
     "build_unit",
-    "capture_manager_state",
     "hooks_on_step",
     "run_unit",
     "run_unit_result",
+    "unsupported_hook",
     "run_experiment",
     "run_comparison",
     "derive_rule_spec",
@@ -120,6 +121,12 @@ def build_unit(spec: ExperimentSpec, repeat: int = 0) -> ExperimentUnit:
         seed=seed,
         **spec.autoscaler.params,
     )
+    hook = unsupported_hook(spec, autoscaler)
+    if hook is not None:
+        raise ValueError(
+            f"hook {hook!r} needs an autoscaler with set_slo; "
+            f"{spec.autoscaler.kind!r} has none"
+        )
     # Actuating controllers (brownout's service-level dimmer) need the
     # engine they drive; every executor builds units through here, so the
     # binding is identical across scalar, batched, and streamed runs.
@@ -148,6 +155,18 @@ def build_unit(spec: ExperimentSpec, repeat: int = 0) -> ExperimentUnit:
     )
 
 
+def unsupported_hook(spec: ExperimentSpec, autoscaler: Any) -> str | None:
+    """The first of ``spec``'s hooks ``autoscaler`` cannot take (None: none).
+
+    A ``set_slo`` hook calls ``autoscaler.set_slo``, which only some
+    families have; :func:`build_unit` and the batched classifier reject
+    such a spec before step 0.
+    """
+    if hasattr(autoscaler, "set_slo"):
+        return None
+    return next((h.kind for h in spec.hooks if h.kind == "set_slo"), None)
+
+
 def hooks_on_step(
     spec: ExperimentSpec, on_step: OnStep | None = None
 ) -> OnStep | None:
@@ -169,18 +188,6 @@ def hooks_on_step(
             on_step(step, loop)
 
     return dispatch
-
-
-def capture_manager_state(autoscaler: Any) -> dict[str, Any] | None:
-    """The autoscaler's JSON-ready state snapshot, or None.
-
-    The ``manager_state`` artifact channel: autoscalers that expose a
-    ``state_snapshot()`` method (the workload-aware manager's range-tree
-    splits/slope) contribute a payload; plain controllers and baselines
-    contribute None.
-    """
-    snapshot = getattr(autoscaler, "state_snapshot", None)
-    return snapshot() if callable(snapshot) else None
 
 
 def run_unit(

@@ -22,6 +22,7 @@ instrument themselves without cycles.
 
 from repro.obs.decision import (
     capture_decision_info,
+    capture_manager_state,
     decision_record,
     pema_decision_info,
 )
@@ -41,6 +42,7 @@ __all__ = [
     "MetricsRegistry",
     "Tracer",
     "capture_decision_info",
+    "capture_manager_state",
     "decision_record",
     "default_registry",
     "pema_decision_info",

@@ -25,7 +25,12 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
-__all__ = ["capture_decision_info", "decision_record", "pema_decision_info"]
+__all__ = [
+    "capture_decision_info",
+    "capture_manager_state",
+    "decision_record",
+    "pema_decision_info",
+]
 
 
 def decision_record(
@@ -58,6 +63,18 @@ def capture_decision_info(autoscaler: Any) -> dict[str, Any] | None:
     if callable(hook):
         return hook()
     return None
+
+
+def capture_manager_state(autoscaler: Any) -> dict[str, Any] | None:
+    """The autoscaler's JSON-ready state snapshot, or None.
+
+    The ``manager_state`` artifact channel: autoscalers that expose a
+    ``state_snapshot()`` method (the workload-aware manager's range-tree
+    splits/slope, the PID and brownout feedback state) contribute a
+    payload; plain controllers and baselines contribute None.
+    """
+    snapshot = getattr(autoscaler, "state_snapshot", None)
+    return snapshot() if callable(snapshot) else None
 
 
 def pema_decision_info(

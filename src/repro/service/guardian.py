@@ -25,15 +25,14 @@ from typing import Any
 from repro.core.loop import LoopHistory, LoopRecord
 
 # perfbench patches build_unit, loop_result_to_dict, decision_record here.
-from repro.experiments.runner import (
-    build_unit,
-    capture_manager_state,
-    hooks_on_step,
-)
+from repro.experiments.runner import build_unit, hooks_on_step
 from repro.experiments.spec import ExperimentSpec
 from repro.faults import reorder_window_for, stream_fault_entries
 from repro.metrics.export import UnitResult, loop_result_to_dict  # noqa: F401
-from repro.obs.decision import decision_record  # noqa: F401
+from repro.obs.decision import (  # noqa: F401
+    capture_manager_state,
+    decision_record,
+)
 from repro.service.rescaler import Rescaler
 from repro.service.telemetry import (
     GUARDIAN_QUEUE_PEAK,

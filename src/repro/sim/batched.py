@@ -27,10 +27,12 @@ batch.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
 import numpy as np
 
+from repro.obs.decision import capture_decision_info, capture_manager_state
 from repro.sim.cfs import CFSModel
 from repro.sim.latency import LatencyParams, NoiselessLatencyKernel
 from repro.sim.noise import NoiseModel
@@ -62,10 +64,6 @@ class BatchObservation(NamedTuple):
     usage_cores: np.ndarray
     usage_p90_cores: np.ndarray
 
-    @property
-    def n_cells(self) -> int:
-        return self.latency_p95.shape[0]
-
     def metrics(self, cell: int, names: Sequence[str]) -> IntervalMetrics:
         """Row ``cell`` as the :class:`IntervalMetrics` a controller reads.
 
@@ -94,20 +92,30 @@ class DecisionBank:
     controllers: this constructor stacks their start allocations into
     ``allocation`` — the ``(C, S)`` allocations serving the next
     interval — and the cells' SLOs into ``slo`` — the ``(C,)`` row this
-    interval's records carry.  Subclasses read their parameters from the
-    same controllers and implement :meth:`step`.  The trace and state
-    defaults fit families whose scalar autoscaler exposes neither: their
-    capture channels record None, exactly as scalar runs do.
+    interval's records carry.
+
+    A controller class names its bank in a ``decision_bank`` attribute.
+    Families that name none run in this base bank, which feeds each
+    cell's scalar controller the :class:`~repro.sim.types.IntervalMetrics`
+    of its observation row, so it consumes the same floats and random
+    stream as in its scalar run.  The other families (PEMA, RULE, OPTM,
+    static) override :meth:`step` and leave their controllers unstepped.
     """
+
+    #: Longest horizon the bank reproduces the scalar run for.
+    max_steps: float = math.inf
 
     def __init__(
         self, app: "AppSpec", controllers: Sequence[Any], slos: Sequence[float]
     ) -> None:
         self.services = app.service_names
+        self._controllers = list(controllers)
         self.allocation = np.stack(
             [c.allocation.as_array(self.services) for c in controllers]
         )
         self.slo = np.asarray(slos, dtype=np.float64)
+        self._trace_cells: set[int] = set()
+        self.decision_info: dict[int, list] = {}
 
     def step(self, obs: BatchObservation, totals: np.ndarray) -> np.ndarray:
         """Decide every cell's next allocation; returns ``allocation``.
@@ -115,18 +123,38 @@ class DecisionBank:
         ``obs`` was observed under the current ``allocation``, and
         ``totals`` is its row sum.
         """
-        raise NotImplementedError
+        rows = []
+        for i, controller in enumerate(self._controllers):
+            metrics = obs.metrics(i, self.services)
+            rows.append(controller.decide(metrics).as_array(self.services))
+            if i in self._trace_cells:
+                self.decision_info[i].append(capture_decision_info(controller))
+        self.allocation = np.stack(rows)
+        return self.allocation
+
+    def set_slo(self, cell: int, slo: float) -> None:
+        """Change ``cell``'s SLO mid-run through its controller's ``set_slo``."""
+        self._controllers[cell].set_slo(slo)
+        self.slo[cell] = float(slo)
 
     def enable_decision_trace(self, cells: Sequence[int]) -> None:
         """Record per-step decision info for ``cells`` from now on."""
+        for cell in cells:
+            self._trace_cells.add(int(cell))
+            self.decision_info.setdefault(int(cell), [])
 
     def decision_trace(self, cell: int) -> list | None:
-        """``cell``'s per-step decision info (None: the family has none)."""
-        return None
+        """``cell``'s per-step decision info (None: the family records none,
+        as its scalar records carry None)."""
+        return self.decision_info.get(cell) or None
 
     def manager_state(self, cell: int) -> dict | None:
-        """``cell``'s autoscaler state snapshot (None: it exposes none)."""
-        return None
+        """``cell``'s autoscaler state snapshot (None: it exposes none).
+
+        Read from the cell's controller, so only families that run in the
+        base :meth:`step` may expose one.
+        """
+        return capture_manager_state(self._controllers[cell])
 
 
 class BatchedAnalyticalEngine:
@@ -183,10 +211,6 @@ class BatchedAnalyticalEngine:
     @property
     def app(self) -> "AppSpec":
         return self._app
-
-    @property
-    def n_cells(self) -> int:
-        return len(self._rngs)
 
     # -- operating conditions ----------------------------------------------------
     def set_cpu_speed(self, cell: int, speed: float) -> None:
@@ -315,9 +339,9 @@ class BatchedAnalyticalEngine:
             alloc, model_workload, self.cpu_speed, self.demand_scale(), p90=True
         )
         excess_arr = sig.overload * np.maximum(alloc, 1e-12)
-        frac = self.cfs.throttled_fraction(sig.exceed, excess_arr, alloc)
-        thr_seconds = frac * interval[:, None]
-        thr_seconds[thr_seconds < self.cfs.zero_floor] = 0.0
+        thr_seconds = self.cfs.throttle_seconds(
+            sig.exceed, excess_arr, alloc, interval[:, None]
+        )
 
         # Stochastic draws, per cell: the latency-noise factor, then the
         # per-service usage normals.

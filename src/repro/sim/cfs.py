@@ -78,11 +78,13 @@ class CFSModel:
         exceed_prob: np.ndarray,
         excess: np.ndarray,
         alloc: np.ndarray,
-        interval: float,
+        interval: float | np.ndarray,
     ) -> np.ndarray:
-        """Throttled seconds accumulated over a monitoring interval."""
-        if interval <= 0:
-            raise ValueError(f"interval must be positive: {interval}")
+        """Throttled seconds accumulated over a monitoring interval.
+
+        ``interval`` (validated by the engines' ``observe``) is a scalar,
+        or a ``(B, 1)`` column of per-cell intervals for a ``(B, S)`` batch.
+        """
         frac = self.throttled_fraction(exceed_prob, excess, alloc)
         seconds = frac * interval
         seconds[seconds < self.zero_floor] = 0.0

@@ -14,7 +14,7 @@ signatures from first principles and is used for cross-validation.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Mapping
 
 import numpy as np
 
@@ -28,7 +28,31 @@ from repro.sim.types import Allocation, IntervalMetrics
 if TYPE_CHECKING:  # pragma: no cover - avoids a package import cycle
     from repro.apps.spec import AppSpec
 
-__all__ = ["AnalyticalEngine"]
+__all__ = ["AnalyticalEngine", "analytical_params"]
+
+
+def _checked_p_crit(p_crit: float) -> float:
+    if not 0 < p_crit < 1:
+        raise ValueError(f"p_crit must be in (0, 1): {p_crit}")
+    return p_crit
+
+
+def analytical_params(params: Mapping[str, Any]) -> dict[str, Any]:
+    """A spec's analytical ``engine.params`` as engine keyword arguments.
+
+    Only ``noise`` (:class:`NoiseModel` fields) and ``p_crit`` are spec
+    params; any other key is a TypeError.  The ``ENGINES`` factory and
+    the batched classifier both resolve through here.
+    """
+    unknown = sorted(set(params) - {"noise", "p_crit"})
+    if unknown:
+        raise TypeError(f"unknown analytical engine params: {unknown}")
+    resolved: dict[str, Any] = {}
+    if params.get("noise") is not None:
+        resolved["noise"] = NoiseModel(**params["noise"])
+    if "p_crit" in params:
+        resolved["p_crit"] = _checked_p_crit(params["p_crit"])
+    return resolved
 
 
 class AnalyticalEngine(EngineCell):
@@ -67,8 +91,7 @@ class AnalyticalEngine(EngineCell):
         p_crit: float = 0.97,
         seed: int = 0,
     ) -> None:
-        if not 0 < p_crit < 1:
-            raise ValueError(f"p_crit must be in (0, 1): {p_crit}")
+        self.p_crit = _checked_p_crit(p_crit)
         super().__init__(
             BatchedAnalyticalEngine(
                 app, [seed], latency_params=latency_params, cfs=cfs, noise=noise
@@ -76,7 +99,6 @@ class AnalyticalEngine(EngineCell):
             0,
         )
         self._app = app
-        self.p_crit = p_crit
 
     @property
     def latency_params(self) -> LatencyParams:

@@ -52,7 +52,6 @@ from repro.sweeps.aggregate import (
     group_reduce,
 )
 from repro.sweeps.batched import (
-    BATCHABLE_AUTOSCALERS,
     batch_from_env,
     classify_unit,
     run_units_batched,
@@ -123,7 +122,6 @@ __all__ = [
     "wait_for_grid",
     "run_distributed",
     "worker_reports",
-    "BATCHABLE_AUTOSCALERS",
     "batch_from_env",
     "classify_unit",
     "run_units_batched",

@@ -2,18 +2,18 @@
 
 The scheduler's ``batch=True`` path partitions each chunk of pending
 (spec, repeat) units into *compatible groups* — same application, same
-autoscaler kind, same horizon, analytical engine — and hands every group
-to :func:`run_units_batched`, which advances the whole group through the
-control loop as one stack of arrays: one
-:class:`~repro.sim.batched.BatchedAnalyticalEngine` observation and one
-:class:`~repro.sim.batched.DecisionBank` step per interval, instead of
-one full scalar Python loop per cell.  The registries stay the one
-definition of every controller and hook: each family's bank
-(:class:`~repro.core.batch.PEMABatch`,
-:class:`~repro.baselines.rule.RuleBatch`, and the optimum, manager and
-fixed-allocation banks below) is built from the cells' ``AUTOSCALERS``
-controllers, and each cell's hooks are the registered ``HOOKS``
-callables, fired against a per-cell view of the batched engine and bank.
+autoscaler kind, same horizon, analytical engine with the same noise
+model — and hands every group to :func:`run_units_batched`, which
+advances the whole group through the control loop as one stack of
+arrays: one :class:`~repro.sim.batched.BatchedAnalyticalEngine`
+observation and one :class:`~repro.sim.batched.DecisionBank` step per
+interval, instead of one full scalar Python loop per cell.  This module
+names no controller family and no hook: each cell's controller is built
+by its ``AUTOSCALERS`` factory, the controller class names its bank
+(``decision_bank``; the base bank decides per cell through the scalar
+controllers), and each cell's hooks are the registered ``HOOKS``
+callables, fired against a per-cell view of the batched engine and bank
+that offers the scalar loop's surface.
 
 Byte-identity: the scalar engine is a 1-row batched engine, so each
 row of the batched observation is the scalar observation (see
@@ -25,12 +25,12 @@ objects returned here therefore equal what
 the same bytes land in the sweep store either way.
 
 Cells that :func:`classify_unit` cannot place in a group (DES engine,
-non-noise engine params, unknown autoscalers/hooks, params the registry
-factory rejects) run through the scalar worker unchanged — a fallback,
-never an error.  Each fallback carries the machine-readable reason slug
-:func:`classify_unit` returns in place of a key, which the scheduler
-tallies into ``SweepReport.fallbacks`` so batch coverage is visible
-instead of silently degrading.
+params a registry factory rejects, a hook the family cannot take, a
+horizon past the bank's ``max_steps``) run through the scalar worker
+unchanged — a fallback, never an error.  Each fallback carries the
+machine-readable reason slug :func:`classify_unit` returns in place of a
+key, which the scheduler tallies into ``SweepReport.fallbacks`` so batch
+coverage is visible instead of silently degrading.
 """
 
 from __future__ import annotations
@@ -41,29 +41,20 @@ from typing import Any, Hashable, Sequence
 import numpy as np
 
 from repro.apps import build_app
-from repro.baselines.rule import RuleBatch
-from repro.core.batch import PEMABatch
 from repro.core.loop import LoopResult
 from repro.experiments.registry import AUTOSCALERS, HOOKS, WORKLOADS
-from repro.experiments.runner import capture_manager_state, hooks_on_step
+from repro.experiments.runner import hooks_on_step, unsupported_hook
 from repro.experiments.spec import ExperimentSpec
-from repro.faults import ENGINE_FAULT_KINDS, STREAM_FAULT_KINDS
 from repro.metrics.export import UnitResult
-from repro.obs.decision import capture_decision_info, decision_record
-from repro.sim.batched import (
-    BatchObservation,
-    BatchedAnalyticalEngine,
-    DecisionBank,
-    EngineCell,
-)
+from repro.obs.decision import decision_record
+from repro.sim.batched import BatchedAnalyticalEngine, DecisionBank, EngineCell
 from repro.sim.concurrency import gamma_quantile
-from repro.sim.noise import NoiseModel
+from repro.sim.engine import analytical_params
 from repro.sim.types import Allocation
 from repro.sweeps.store import paused_gc
 from repro.workload.replay import rate_schedule
 
 __all__ = [
-    "BATCHABLE_AUTOSCALERS",
     "batch_from_env",
     "classify_unit",
     "run_units_batched",
@@ -80,95 +71,85 @@ def batch_from_env(default: bool = False) -> bool:
     return value.strip().lower() in ("1", "true", "yes", "on")
 
 
-#: Hook kinds whose registered callables touch only what a batch cell's
-#: :class:`_CellLoop` view provides: the engine's setters (CPU speed,
-#: the engine-fault capacity/demand scales) and ``autoscaler.set_slo``,
-#: which only a PEMA bank carries (other autoscalers have no
-#: ``set_slo``, exactly as scalar).  Stream faults are delivery
-#: disturbances, offline no-ops.
-_BATCHABLE_HOOKS = (
-    ("set_slo", "set_cpu_speed") + ENGINE_FAULT_KINDS + STREAM_FAULT_KINDS
-)
-
-
 def classify_unit(
     spec: ExperimentSpec,
 ) -> tuple[tuple[Hashable, ...] | None, str | None]:
     """``(batch key, None)`` for batchable specs, ``(None, reason)`` else.
 
     Units sharing a key can be stacked into one batch: same app (service
-    set and calibration), same autoscaler kind (one vectorized bank),
-    same horizon (one time loop), and same engine noise model (one
-    vectorized observation).  Everything else — workload level and kind,
-    α/β and other autoscaler params, CPU speed and SLO hooks, interval,
-    SLO, headroom, seeds — varies freely *within* a batch.
+    set and calibration), same autoscaler kind (one bank), same horizon
+    (one time loop), and same engine noise model (one vectorized
+    observation).  Everything else — workload level and kind, α/β and
+    other autoscaler params, hooks, interval, SLO, headroom, seeds —
+    varies freely *within* a batch.
 
     The reason is a stable machine-readable slug (``engine:des``,
-    ``autoscaler:fast_pema``, ``hook:my_hook``, ``pema_horizon``,
-    ``engine_params``, ``engine_params:noise``, ``hook_params:set_slo``,
-    ``autoscaler_params:rule``, ``set_slo_without_pema``) — the
-    scheduler tallies these into ``SweepReport.fallbacks`` and the CLI
-    prints them, so nobody mistakes a mostly-scalar "batched" sweep for
-    a vectorized one.
+    ``engine_params:<engine>``, ``autoscaler[_params]:<kind>``,
+    ``hook[_params]:<hook>``, ``<hook>:<kind>``, ``horizon:<kind>``),
+    which the scheduler tallies into ``SweepReport.fallbacks``.
 
-    Hook and autoscaler params are probed through their registry
-    factories — the calls the scalar path makes — so a spec the scalar
-    path would reject at build time falls back to the scalar path and
-    fails there, with the same error.
+    Params resolve through the calls the scalar path makes, and one probe
+    controller names the family's bank, so a spec the scalar path would
+    reject at build time falls back to it and fails there, with the same
+    error.
     """
     key, reason = _group_key(spec)
     if key is None:
         return None, reason
-    app, probe = _probe_start(spec.app)
+    kind = spec.autoscaler.kind
+    app, start = _probe_start(spec.app)
     try:
-        AUTOSCALERS.build(
-            spec.autoscaler.kind,
+        probe = AUTOSCALERS.build(
+            kind,
             app,
-            probe,
+            start,
             spec.slo if spec.slo is not None else app.slo,
             **spec.autoscaler.params,
         )
     except (TypeError, ValueError):
-        return None, f"autoscaler_params:{spec.autoscaler.kind}"
+        return None, f"autoscaler_params:{kind}"
+    reason = _bank_reason(spec, probe)
+    if reason is not None:
+        return None, reason
     return key, None
 
 
 def _group_key(
     spec: ExperimentSpec,
 ) -> tuple[tuple[Hashable, ...] | None, str | None]:
-    """:func:`classify_unit` short of its autoscaler-params probe."""
+    """:func:`classify_unit` short of its controller probe."""
     if spec.engine.kind != "analytical":
         return None, f"engine:{spec.engine.kind}"
-    noise_model: NoiseModel | None = None
-    if spec.engine.params:
-        engine_params = dict(spec.engine.params)
-        noise = engine_params.pop("noise", None)
-        if engine_params:
-            # latency_params/cfs overrides stay scalar: they change the
-            # closed-form kernel itself, not just the noise stream.
-            return None, "engine_params"
-        if noise is not None:
-            try:
-                noise_model = NoiseModel(**noise)
-            except (TypeError, ValueError):
-                return None, "engine_params:noise"
+    try:
+        noise_model = analytical_params(spec.engine.params).get("noise")
+    except (TypeError, ValueError):
+        return None, f"engine_params:{spec.engine.kind}"
     kind = spec.autoscaler.kind
-    if kind not in BATCHABLE_AUTOSCALERS:
+    if kind not in AUTOSCALERS:
         return None, f"autoscaler:{kind}"
-    # PEMABatch keeps the full history; past the scalar RHDb's trim point
-    # (ResourceHistoryDB.max_records) the two would diverge.
-    if kind == "pema" and spec.n_steps > 100_000:
-        return None, "pema_horizon"
     for hook in spec.hooks:
-        if hook.kind not in _BATCHABLE_HOOKS:
+        if hook.kind not in HOOKS:
             return None, f"hook:{hook.kind}"
-        if hook.kind == "set_slo" and kind != "pema":
-            return None, "set_slo_without_pema"
         try:
             HOOKS.build(hook.kind, **hook.params)
         except (TypeError, ValueError, KeyError):
             return None, f"hook_params:{hook.kind}"
     return (spec.app, kind, spec.n_steps, noise_model), None
+
+
+def _bank_reason(spec: ExperimentSpec, controller: Any) -> str | None:
+    """Why ``controller``'s bank cannot run ``spec`` (None: it can)."""
+    kind = spec.autoscaler.kind
+    hook = unsupported_hook(spec, controller)
+    if hook is not None:
+        return f"{hook}:{kind}"
+    if spec.n_steps > _bank_class(controller).max_steps:
+        return f"horizon:{kind}"
+    return None
+
+
+def _bank_class(controller: Any) -> type[DecisionBank]:
+    return getattr(controller, "decision_bank", DecisionBank)
 
 
 @lru_cache(maxsize=None)  # one entry per registered app
@@ -183,51 +164,10 @@ def _probe_start(app_name: str) -> tuple[Any, Allocation]:
     return app, Allocation.from_array(names, np.ones(len(names)))
 
 
-class _OptimumBank(DecisionBank):
-    """Vectorized :class:`~repro.baselines.OptimumAllocator` bank.
-
-    Each cell pins the cached noiseless optimum for its observed
-    workload, re-solving only when the workload changes.  All cells'
-    pending solves go through one ``optimum_results`` call per step —
-    cache/store read-through plus a single lockstep
-    :class:`~repro.baselines.OptimumBatch` frontier drive for the misses
-    — so a sweep's OPTM column warms exactly the entries the scalar
-    allocator would.
-    """
-
-    def __init__(self, app, controllers: Sequence[Any], slos) -> None:
-        super().__init__(app, controllers, slos)
-        self._app = app
-        self._restarts = [c.restarts for c in controllers]
-        self._workloads: list[float | None] = [None] * len(self._restarts)
-
-    def step(self, obs: BatchObservation, totals: np.ndarray) -> np.ndarray:
-        workloads = obs.workload_rps
-        pending = [
-            i
-            for i, w in enumerate(workloads)
-            if self._workloads[i] is None or float(w) != self._workloads[i]
-        ]
-        if pending:
-            from repro.experiments.runner import optimum_results
-
-            payloads = optimum_results(
-                self._app.name,
-                [(float(workloads[i]), self._restarts[i]) for i in pending],
-            )
-            allocation = self.allocation.copy()
-            for i, payload in zip(pending, payloads):
-                values = dict(payload["allocation"])
-                allocation[i] = [values[name] for name in self.services]
-                self._workloads[i] = float(workloads[i])
-            self.allocation = allocation
-        return self.allocation
-
-
 class _CellLoop:
     """One batch cell as the ``ControlLoop`` a registered hook expects:
-    ``environment`` is the cell's engine row, ``autoscaler.set_slo`` its
-    bank row."""
+    ``environment`` is an :class:`EngineCell`, as the scalar engine is,
+    and ``autoscaler.set_slo`` sets the cell's bank SLO."""
 
     def __init__(
         self, engine: BatchedAnalyticalEngine, bank: DecisionBank, cell: int
@@ -238,79 +178,8 @@ class _CellLoop:
         self._cell = cell
 
     def set_slo(self, slo: float) -> None:
-        # classify_unit batches set_slo hooks only with PEMA banks.
+        # Reached only for families whose controller has set_slo.
         self._bank.set_slo(self._cell, slo)
-
-
-class _ManagerBank(DecisionBank):
-    """Bank of scalar decision-makers (manager, PID, brownout cells).
-
-    The dynamic-range manager's decision logic is a per-cell state
-    machine over a growing range tree — not array math — and the PID and
-    brownout baselines are tiny per-cell feedback laws, so, in the
-    :class:`_OptimumBank` style, the bank keeps one *scalar* controller
-    per cell and only the engine observation is vectorized.  Each step
-    hands cell ``i`` the :class:`~repro.sim.types.IntervalMetrics` of
-    its observation row (:meth:`BatchObservation.metrics`, the scalar
-    engine's own conversion), so every controller consumes the same
-    floats and the same private RNG stream as its scalar run —
-    decisions, range splits, dimmer writes, and captured manager state
-    included.
-    """
-
-    def __init__(self, app, managers: Sequence[Any], slos) -> None:
-        super().__init__(app, managers, slos)
-        self._managers = list(managers)
-        self._trace_cells: set[int] = set()
-        self.decision_info: dict[int, list] = {}
-
-    def enable_decision_trace(self, cells: Sequence[int]) -> None:
-        for cell in cells:
-            self._trace_cells.add(int(cell))
-            self.decision_info.setdefault(int(cell), [])
-
-    def decision_trace(self, cell: int) -> list | None:
-        return self.decision_info.get(cell)
-
-    def manager_state(self, cell: int) -> dict | None:
-        return capture_manager_state(self._managers[cell])
-
-    def step(self, obs: BatchObservation, totals: np.ndarray) -> np.ndarray:
-        rows = []
-        for i, manager in enumerate(self._managers):
-            metrics = obs.metrics(i, self.services)
-            rows.append(manager.decide(metrics).as_array(self.services))
-            if i in self._trace_cells:
-                self.decision_info[i].append(capture_decision_info(manager))
-        self.allocation = np.stack(rows)
-        return self.allocation
-
-
-class _FixedBank(DecisionBank):
-    """``static`` cells: the allocation pinned at build time, never changed."""
-
-    def step(self, obs: BatchObservation, totals: np.ndarray) -> np.ndarray:
-        return self.allocation
-
-
-#: The bank each batchable autoscaler family runs in, built from the
-#: group's registry-built controllers as ``bank(app, controllers, slos)``.
-#: ``pema``/``rule`` decide through fully vectorized banks; ``optimum``,
-#: ``workload_aware_pema``, ``pid``, and ``brownout`` ride the vectorized
-#: engine with bank-driven scalar decisions (the expensive closed-form
-#: observation is still one call per batch).
-_BANKS: dict[str, type[DecisionBank]] = {
-    "pema": PEMABatch,
-    "rule": RuleBatch,
-    "static": _FixedBank,
-    "optimum": _OptimumBank,
-    "workload_aware_pema": _ManagerBank,
-    "pid": _ManagerBank,
-    "brownout": _ManagerBank,
-}
-
-#: Autoscaler kinds a batch group can hold: the bank table's keys.
-BATCHABLE_AUTOSCALERS = tuple(_BANKS)
 
 
 def _generous_batch(app, rates: np.ndarray, headrooms: np.ndarray) -> np.ndarray:
@@ -362,7 +231,7 @@ def _run_units_batched(
     key = _group_key(specs[0])[0]
     if key is None or any(_group_key(s)[0] != key for s in specs[1:]):
         raise ValueError("units do not form one compatible batch group")
-    app_name, kind, n_steps, noise_model = key
+    app_name, _kind, n_steps, noise_model = key
     app = build_app(app_name)
     names = app.service_names
     n_cells = len(units)
@@ -393,7 +262,7 @@ def _run_units_batched(
     # same resolution the scalar engine factory performs.
     engine = BatchedAnalyticalEngine(app, engine_seeds, noise=noise_model)
 
-    bank = _build_bank(kind, app, specs, start, slos, seeds, engine)
+    bank = _build_bank(app, specs, start, slos, seeds, engine)
 
     # Decision tracing: cells whose spec requested the channel record one
     # info dict per step from their bank (families without decision info
@@ -507,7 +376,6 @@ def _decision_trace(
 
 
 def _build_bank(
-    kind: str,
     app,
     specs: Sequence[ExperimentSpec],
     start: np.ndarray,
@@ -515,25 +383,29 @@ def _build_bank(
     seeds: Sequence[int],
     engine: BatchedAnalyticalEngine,
 ) -> DecisionBank:
-    """The ``kind`` family's bank over one batch group's cells.
+    """The bank of one batch group's cells.
 
     Each cell's controller is built exactly as the scalar ``build_unit``
-    builds it (registry factory, seeding, environment binding), and the
-    bank reads its parameters and start allocation from them.
+    builds it (registry factory, seeding, environment binding); the
+    family's bank class takes ``(app, controllers, slos)`` and reads its
+    parameters and start allocations from them.
     """
     names = app.service_names
     controllers = []
     for i, s in enumerate(specs):
         controller = AUTOSCALERS.build(
-            kind,
+            s.autoscaler.kind,
             app,
             Allocation.from_array(names, start[i]),
             slos[i],
             seed=seeds[i],
             **s.autoscaler.params,
         )
+        reason = _bank_reason(s, controller)
+        if reason is not None:
+            raise ValueError(f"unit cannot run in a batch: {reason}")
         bind = getattr(controller, "bind_environment", None)
         if callable(bind):
             bind(EngineCell(engine, i))
         controllers.append(controller)
-    return _BANKS[kind](app, controllers, slos)
+    return _bank_class(controllers[0])(app, controllers, slos)

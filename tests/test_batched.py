@@ -11,6 +11,7 @@ un-batchable cells) plus the grouping/fallback/progress mechanics.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.apps import build_app
 from repro.experiments import ExperimentSpec
-from repro.experiments.runner import _run_unit_worker
+from repro.experiments.runner import _run_unit_worker, build_unit
 from repro.sim import AnalyticalEngine, Allocation, BatchedAnalyticalEngine
 from repro.sim.latency import end_to_end_latency, end_to_end_latency_batch
 from repro.sweeps import (
@@ -33,6 +34,13 @@ from repro.sweeps import (
 )
 from repro.sweeps.scheduler import _partition_chunk
 from tests.conftest import make_sweep_spec as spec
+
+
+#: The one engine-level fallback, on a short simulated window so a
+#: fallback cell costs tens of milliseconds.
+_SHORT_DES = {
+    "kind": "des", "params": {"sim_seconds": 0.5, "warmup_seconds": 0.0},
+}
 
 
 def scalar_payload(s: ExperimentSpec, repeat: int = 0) -> dict:
@@ -229,16 +237,17 @@ class TestBatchKey:
     def test_unbatchable_kinds_fall_back(self):
         assert classify_unit(spec(engine={"kind": "des"}))[0] is None
         assert classify_unit(
-            spec(engine={"kind": "analytical", "params": {"p_crit": 0.9}})
-        )[0] is None
+            spec(engine={"kind": "analytical",
+                         "params": {"latency_params": {}}})
+        )[0] is None  # rejected engine params: the scalar path raises
         assert classify_unit(
             spec(autoscaler={"kind": "rule", "params": {"mode": "nope"}})
         )[0] is None
         assert classify_unit(
             spec(autoscaler={"kind": "static", "params": {"x": 1}})
         )[0] is None
-        # set_slo drives PEMAController.set_slo — a rule cell would crash
-        # the scalar path too, so it must not enter a batch.
+        # set_slo drives the controller's set_slo — a rule cell has none,
+        # so the scalar path rejects it and it must not enter a batch.
         assert classify_unit(
             spec(autoscaler={"kind": "rule"},
                  hooks=[{"kind": "set_slo", "params": {"at": 1, "slo": 0.2}}])
@@ -252,9 +261,13 @@ class TestBatchKey:
         assert classify_unit(
             spec(engine={"kind": "des"})
         )[1] == "engine:des"
+        # p_crit only feeds bottleneck_allocation, which no run calls.
         assert classify_unit(
             spec(engine={"kind": "analytical", "params": {"p_crit": 0.9}})
-        )[1] == "engine_params"
+        )[1] is None
+        assert classify_unit(
+            spec(engine={"kind": "analytical", "params": {"cfs": {}}})
+        )[1] == "engine_params:analytical"
         assert classify_unit(
             spec(autoscaler={"kind": "fast_pema"})
         )[1] == "autoscaler:fast_pema"
@@ -264,17 +277,24 @@ class TestBatchKey:
         assert classify_unit(
             spec(autoscaler={"kind": "rule"},
                  hooks=[{"kind": "set_slo", "params": {"at": 1, "slo": 0.2}}])
-        )[1] == "set_slo_without_pema"
+        )[1] == "set_slo:rule"
+        assert classify_unit(
+            spec(autoscaler={"kind": "pid"},
+                 hooks=[{"kind": "set_slo", "params": {"at": 1, "slo": 0.2}}])
+        )[1] is None
         assert classify_unit(
             spec(hooks=[{"kind": "set_slo", "params": {"at": 1}}])
         )[1] == "hook_params:set_slo"
         assert classify_unit(
             spec(n_steps=100_001)
-        )[1] == "pema_horizon"
+        )[1] == "horizon:pema"
+        assert classify_unit(
+            spec(autoscaler={"kind": "rule"}, n_steps=100_001)
+        )[1] is None
         assert classify_unit(
             spec(engine={"kind": "analytical",
                          "params": {"noise": {"sigma": -1.0}}})
-        )[1] == "engine_params:noise"
+        )[1] == "engine_params:analytical"
         assert classify_unit(
             spec(autoscaler={"kind": "static", "params": {"scale": 0.5}})
         )[1] == "autoscaler_params:static"  # scale needs bottleneck_rps
@@ -323,6 +343,31 @@ class TestClassificationMatchesScalar:
         )
 
 
+    @pytest.mark.parametrize("params, error", [
+        ({"p_crit": 0.9}, None),
+        ({"p_crit": 1.5}, ValueError),
+        ({"p_crit": "0.9"}, TypeError),
+        ({"latency_params": {}}, TypeError),
+        ({"cfs": {"period": 0.1}}, TypeError),
+        ({"noise": {"sigma": -1.0}}, ValueError),
+        ({"noise": {"bogus": 1}}, TypeError),
+    ])
+    def test_engine_params_batch_iff_scalar_accepts(self, params, error):
+        # latency_params/cfs once reached the engine as raw dicts and
+        # failed at the first observe with an AttributeError.
+        s = spec(engine={"kind": "analytical", "params": params})
+        if error is not None:
+            with pytest.raises(error):
+                build_unit(s)
+            assert classify_unit(s) == (None, "engine_params:analytical")
+            return
+        assert classify_unit(s)[1] is None
+        (payload,) = [u.to_payload() for u in run_units_batched([(s, 0)])]
+        assert json.dumps(payload, sort_keys=True) == json.dumps(
+            scalar_payload(s), sort_keys=True
+        )
+
+
 class TestSchedulerBatchPath:
     def grid(self) -> SweepGrid:
         return SweepGrid(
@@ -367,12 +412,11 @@ class TestSchedulerBatchPath:
         assert grid_summary_json(cold) == grid_summary_json(warm)
 
     def test_mixed_batchable_and_fallback_cells(self, tmp_path):
-        # p_crit engine params are un-batchable: they run scalar inside a
-        # batch=True sweep, and the result is still byte-identical.
+        # DES cells are un-batchable: they run scalar inside a batch=True
+        # sweep, and the result is still byte-identical.
         specs = [
             spec(n_steps=3, workload=600.0),
-            spec(n_steps=3, workload=650.0,
-                 engine={"kind": "analytical", "params": {"p_crit": 0.9}}),
+            spec(n_steps=3, workload=650.0, engine=_SHORT_DES),
             spec(n_steps=3, workload=700.0),
         ]
         scalar_arts, _ = run_sweep_cached(specs, batch=False)
@@ -382,8 +426,8 @@ class TestSchedulerBatchPath:
         ]
         assert report.batched_units == 2
         assert report.scalar_units == 1
-        assert report.fallbacks == {"engine_params": 1}
-        assert report.to_dict()["fallbacks"] == {"engine_params": 1}
+        assert report.fallbacks == {"engine:des": 1}
+        assert report.to_dict()["fallbacks"] == {"engine:des": 1}
         # Batching off: nothing fell back, because nothing batched.
         _, scalar_report = run_sweep_cached(specs, batch=False)
         assert scalar_report.fallbacks == {}
@@ -470,6 +514,19 @@ class TestGridEquivalence:
             keys = {classify_unit(cell.spec)[0] for cell in grid.cells()}
             assert None not in keys, name
 
+    def test_every_shipped_grid_cell_batches(self):
+        # A family or hook that silently drops back to the scalar path
+        # fails here, not just in the DES gate.
+        paths = sorted(Path("benchmarks/grids").glob("*.json"))
+        assert paths
+        fallbacks = {
+            (path.name, reason)
+            for path in paths
+            for cell in SweepGrid.read(path).cells()
+            if (reason := classify_unit(cell.spec)[1]) is not None
+        }
+        assert fallbacks == set()
+
     def test_fig10_noise_and_static_grid_byte_identical(self):
         # fig10 exercises both new batch paths at once: noise-model
         # engine overrides and pinned static bottleneck allocations.
@@ -526,7 +583,7 @@ def mini_grid_units(draw):
             }
         engine: dict = {"kind": "analytical"}
         if draw(st.integers(min_value=0, max_value=4)) == 0:
-            engine["params"] = {"p_crit": 0.9}  # forces scalar fallback
+            engine = _SHORT_DES  # forces scalar fallback
         units.append(
             (
                 spec(

@@ -39,11 +39,14 @@ class TestCFSModel:
         long = cfs.throttle_seconds(*args, interval=120.0)
         assert long[0] == pytest.approx(2 * short[0])
 
-    def test_interval_validation(self):
-        with pytest.raises(ValueError):
-            CFSModel().throttle_seconds(
-                np.array([0.5]), np.array([1.0]), np.array([1.0]), interval=0.0
-            )
+    def test_interval_column_scales_each_row(self):
+        # A (B, S) batch takes a (B, 1) column of per-cell intervals.
+        cfs = CFSModel(zero_floor=0.0)
+        row = (np.array([0.5, 0.2]), np.array([1.0, 0.3]), np.array([1.0, 2.0]))
+        batch = tuple(np.stack([a, a]) for a in row)
+        seconds = cfs.throttle_seconds(*batch, np.array([[60.0], [120.0]]))
+        assert seconds[0].tolist() == cfs.throttle_seconds(*row, 60.0).tolist()
+        assert seconds[1].tolist() == cfs.throttle_seconds(*row, 120.0).tolist()
 
     @given(
         exceed=st.floats(min_value=0.0, max_value=1.0),

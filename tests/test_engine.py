@@ -44,6 +44,20 @@ class TestProtocol:
         with pytest.raises(ValueError, match=r"^workload must be >= 0: -1$"):
             tiny_engine.bottleneck_allocation(-1)
 
+    def test_interval_validation(self, tiny_app):
+        # observe() is the interval check's one boundary (the CFS model
+        # takes intervals as given).
+        alloc = tiny_app.generous_allocation(100.0)
+        rows = np.stack([alloc.as_array(tiny_app.service_names)] * 2)
+        batched = BatchedAnalyticalEngine(tiny_app, [0, 1])
+        for interval in (0.0, -1.0):
+            with pytest.raises(ValueError, match="interval must be positive"):
+                AnalyticalEngine(tiny_app).observe(alloc, 100.0, interval)
+            with pytest.raises(ValueError, match="interval must be positive"):
+                batched.observe(
+                    rows, np.array([100.0, 100.0]), np.array([120.0, interval])
+                )
+
     def test_invalid_p_crit(self, tiny_app):
         with pytest.raises(ValueError):
             AnalyticalEngine(tiny_app, p_crit=1.5)

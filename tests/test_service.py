@@ -16,9 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps import build_app
 from repro.cli import main
 from repro.experiments.registry import AUTOSCALERS, HOOKS
-from repro.experiments.runner import _run_unit_worker
+from repro.experiments.runner import _run_unit_worker, build_unit
 from repro.experiments.spec import ExperimentSpec
 from repro.service import (
     LOAD_DRIVERS,
@@ -172,6 +173,23 @@ _HOOK_PARAMS = {
 }
 
 
+def _has_set_slo(kind: str) -> bool:
+    app = build_app("sockshop")
+    controller = AUTOSCALERS.build(
+        kind,
+        app,
+        app.generous_allocation(400.0),
+        app.slo,
+        **_REQUIRED_PARAMS.get(kind, {}),
+    )
+    return hasattr(controller, "set_slo")
+
+
+#: Registered families split by whether their controller takes set_slo.
+_SET_SLO_KINDS = [k for k in AUTOSCALERS.names() if _has_set_slo(k)]
+_NO_SET_SLO_KINDS = [k for k in AUTOSCALERS.names() if not _has_set_slo(k)]
+
+
 class TestRegistryParity:
     """Every registered autoscaler and hook, through every executor, same bytes."""
 
@@ -199,10 +217,36 @@ class TestRegistryParity:
             (unit,) = run_units_batched([(spec, 0)])
             assert dumps(unit.to_payload()) == dumps(offline)
 
+    @pytest.mark.parametrize("kind", _SET_SLO_KINDS)
+    def test_set_slo_agrees_for_every_family_with_set_slo(self, kind):
+        spec = make_spec(
+            workload={"kind": "constant", "params": {"rps": 400.0}},
+            n_steps=6,
+            seed=3,
+            autoscaler={
+                "kind": kind, "params": _REQUIRED_PARAMS.get(kind, {}),
+            },
+            hooks=({"kind": "set_slo", "params": _HOOK_PARAMS["set_slo"]},),
+            capture=["manager_state", "decision_trace"],
+        )
+        streamed, offline = stream_offline_pair(spec)
+        assert dumps(streamed) == dumps(offline)
+        key, reason = classify_unit(spec)
+        assert key is not None and reason is None, reason
+        (unit,) = run_units_batched([(spec, 0)])
+        assert dumps(unit.to_payload()) == dumps(offline)
+        # The live SLO shows up in the records from the hook's step on.
+        slo = _HOOK_PARAMS["set_slo"]["slo"]
+        assert [r["slo"] == slo for r in offline["records"]] == [
+            False, False, True, True, True, True
+        ]
+
     @pytest.mark.parametrize("kind", HOOKS.names())
     def test_every_hook_batches_or_names_itself(self, kind):
         # A hook missing from the table raises KeyError: new hooks must
-        # be listed here with valid params, never silently skipped.
+        # be listed here with valid params, never silently skipped.  The
+        # batched loop offers the scalar loop's surface, so every
+        # registered hook batches.
         spec = make_spec(
             n_steps=6,
             seed=3,
@@ -212,12 +256,29 @@ class TestRegistryParity:
         streamed, offline = stream_offline_pair(spec)
         assert dumps(streamed) == dumps(offline)
         key, reason = classify_unit(spec)
-        if key is None:
-            assert reason == f"hook:{kind}"
-        else:
-            assert reason is None
-            (unit,) = run_units_batched([(spec, 0)])
-            assert dumps(unit.to_payload()) == dumps(offline)
+        assert key is not None and reason is None, reason
+        (unit,) = run_units_batched([(spec, 0)])
+        assert dumps(unit.to_payload()) == dumps(offline)
+
+
+class TestSetSloRejection:
+    """A ``set_slo`` hook on a family without ``set_slo`` fails before step 0."""
+
+    @pytest.mark.parametrize("kind", _NO_SET_SLO_KINDS)
+    def test_every_executor_rejects_it_up_front(self, kind):
+        spec = make_spec(
+            autoscaler={
+                "kind": kind, "params": _REQUIRED_PARAMS.get(kind, {}),
+            },
+            hooks=({"kind": "set_slo", "params": _HOOK_PARAMS["set_slo"]},),
+        )
+        with pytest.raises(ValueError, match=f"set_slo.*{kind}"):
+            build_unit(spec)
+        with pytest.raises(ValueError, match=f"set_slo.*{kind}"):
+            Orchestrator().register(spec)
+        assert classify_unit(spec) == (None, f"set_slo:{kind}")
+        with pytest.raises(ValueError, match=f"set_slo:{kind}"):
+            run_units_batched([(spec, 0)])
 
 
 class TestGuardian:
