@@ -22,6 +22,7 @@ Factory call conventions (``params`` is the spec's params dict):
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Iterator
 
 __all__ = ["Registry", "ENGINES", "AUTOSCALERS", "WORKLOADS", "HOOKS"]
@@ -361,6 +362,8 @@ def _replay(**params):
 @HOOKS.register("set_slo")
 def _set_slo_hook(*, at: int, slo: float):
     """Change the autoscaler's SLO at step ``at`` (the Fig. 20 experiment)."""
+    if not 0 < slo < math.inf:  # NaN fails too
+        raise ValueError(f"slo must be positive and finite: {slo!r}")
 
     def hook(step, loop):
         if step == at:

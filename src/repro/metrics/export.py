@@ -1,17 +1,19 @@
-"""Export utilities: run histories to CSV/JSON, and the packed codec.
+"""Export utilities: run histories to CSV/JSON, and the column layout.
 
 Downstream users want the raw series (for plotting in their own stack);
 these writers keep the on-disk format trivial — plain CSV with one header
-row, or plain-dict JSON.  Two JSON forms round-trip exactly:
+row, or plain-dict JSON.  Two forms round-trip exactly:
 
-* the **records** form (:func:`loop_result_to_dict`), one dict per
+* the **records** form (:func:`loop_result_to_dict`), one JSON dict per
   interval — what :class:`repro.experiments.ExperimentArtifact` persists,
   what unit workers return and what the streaming service emits;
-* the **packed** form (:func:`loop_result_to_packed`), the columns as
-  base64 little-endian arrays — what the sweep store keeps at rest
-  (:mod:`repro.sweeps.store`).  float64 values travel as their 8 bytes,
-  so decoding yields bit-identical columns and re-encoding them as
-  records gives the same bytes as the original records.
+* the **column** form (:meth:`UnitResult.to_columns`), a small JSON
+  header (``n`` and the service names) plus three raw little-endian
+  columns — what the sweep store keeps at rest after its header line
+  (:mod:`repro.sweeps.store` owns that framing).  float64 values travel
+  as their 8 bytes, so decoding yields bit-identical columns and
+  re-encoding them as records gives the same bytes as the original
+  records.
 
 Both decoders apply the same value rule and raise
 :class:`MalformedHistoryError` on anything they cannot decode;
@@ -20,7 +22,6 @@ Both decoders apply the same value rule and raise
 
 from __future__ import annotations
 
-import base64
 import csv
 from dataclasses import dataclass, field
 from itertools import chain
@@ -38,8 +39,6 @@ __all__ = [
     "loop_result_to_csv",
     "loop_result_to_dict",
     "loop_result_from_dict",
-    "loop_result_to_packed",
-    "loop_result_from_packed",
     "UnitResult",
 ]
 
@@ -239,30 +238,11 @@ def loop_result_from_dict(data: dict[str, Any]) -> "LoopResult":
 
 
 
-# -- the packed form ---------------------------------------------------------------
+# -- the at-rest (format 3) column layout ------------------------------------
 # Little-endian on every host, so an entry reads the same everywhere.
+_VALUES_DTYPE = np.dtype("<f8")
 _STEP_DTYPE = np.dtype("<i8")
 _VIOLATED_DTYPE = np.dtype("<u1")
-_VALUES_DTYPE = np.dtype("<f8")
-
-
-def _pack(column: np.ndarray, dtype: np.dtype) -> str:
-    return base64.b64encode(column.astype(dtype, copy=False).tobytes()).decode(
-        "ascii"
-    )
-
-
-def _unpack(text: Any, dtype: np.dtype, count: int, field: str) -> np.ndarray:
-    """``count`` values of ``dtype`` from base64 ``text``, or raise."""
-    if not isinstance(text, str):
-        raise MalformedHistoryError(f"{field} must be a base64 string")
-    raw = base64.b64decode(text, validate=True)
-    if len(raw) != count * dtype.itemsize:
-        raise MalformedHistoryError(
-            f"{field} holds {len(raw)} bytes, expected {count} "
-            f"x {dtype.itemsize}"
-        )
-    return np.frombuffer(raw, dtype=dtype)
 
 
 def _values_block(result: "LoopResult") -> np.ndarray:
@@ -280,76 +260,60 @@ def _values_block(result: "LoopResult") -> np.ndarray:
     )
 
 
-def loop_result_to_packed(result: "LoopResult") -> dict[str, Any]:
-    """The run history as packed columns (lossless; inverse below).
+def _history_from_columns(history: Any, tail: Any) -> "LoopResult":
+    """Rebuild a :class:`LoopResult` from the ``{"n", "names"}`` header
+    and a buffer of exactly the columns :meth:`UnitResult.to_columns`
+    lays out.
 
-    ``n`` intervals over ``names`` (stored once); ``step`` is ``int64``,
-    ``violated`` one ``uint8`` 0/1 per interval, and ``values`` one
-    ``float64`` block: ``n`` values each of time, workload, response,
-    total_cpu and slo, then the row-major ``(n, len(names))`` allocation
-    matrix.  Every array is little-endian and base64-encoded.
-    """
-    return {
-        "n": len(result),
-        "names": list(result.service_names),
-        "step": _pack(result.steps, _STEP_DTYPE),
-        "violated": _pack(result.violated, _VIOLATED_DTYPE),
-        "values": _pack(_values_block(result), _VALUES_DTYPE),
-    }
-
-
-def loop_result_from_packed(data: dict[str, Any]) -> "LoopResult":
-    """Rebuild a :class:`LoopResult` from :func:`loop_result_to_packed` output.
-
-    Raises :class:`MalformedHistoryError` for a missing key, bad base64,
-    an array whose length does not match ``n``, a ``violated`` byte
-    other than 0/1, names that are empty, duplicated or not strings, and
-    any value the records decoder would reject (negative or non-finite).
+    Raises :class:`MalformedHistoryError` for any other header, a buffer
+    of any other length, a ``violated`` byte other than 0/1, names that
+    are empty, duplicated or not strings, and any value the records
+    decoder would reject (negative or non-finite).
     """
     from repro.core.loop import LoopResult
 
-    try:
-        n = data["n"]
-        names = data["names"]
-        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-            raise MalformedHistoryError(f"invalid interval count {n!r}")
-        if (
-            not isinstance(names, list)
-            or not all(isinstance(name, str) and name for name in names)
-            or len(set(names)) != len(names)
-            or (n and not names)
-        ):
-            raise MalformedHistoryError(
-                "names must be distinct non-empty strings"
-            )
-        width = len(names)
-        scalars = len(_FLOAT_FIELDS) * n
-        step = _unpack(data["step"], _STEP_DTYPE, n, "step")
-        violated = _unpack(data["violated"], _VIOLATED_DTYPE, n, "violated")
-        values = _unpack(
-            data["values"], _VALUES_DTYPE, scalars + n * width, "values"
+    if not isinstance(history, dict) or history.keys() != {"n", "names"}:
+        raise MalformedHistoryError('history header must be {"n", "names"}')
+    n = history["n"]
+    names = history["names"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise MalformedHistoryError(f"invalid interval count {n!r}")
+    if (
+        not isinstance(names, list)
+        or not all(isinstance(name, str) and name for name in names)
+        or len(set(names)) != len(names)
+        or (n and not names)
+    ):
+        raise MalformedHistoryError("names must be distinct non-empty strings")
+    width = len(names)
+    scalars = len(_FLOAT_FIELDS) * n
+    step_at = 8 * (scalars + n * width)  # 8-byte values and steps
+    violated_at = step_at + 8 * n
+    if len(tail) != violated_at + n:
+        raise MalformedHistoryError(
+            f"history columns hold {len(tail)} bytes, "
+            f"expected {violated_at + n}"
         )
-        if violated.size and violated.max() > 1:
-            raise MalformedHistoryError("violated flags must be 0 or 1")
-        _check_block(values, step, n)
-        time, workload, response, total_cpu, slo = values[:scalars].reshape(
-            len(_FLOAT_FIELDS), n
-        )
-        return LoopResult(
-            names,
-            step=step,
-            time=time,
-            workload=workload,
-            response=response,
-            total_cpu=total_cpu,
-            violated=violated.view(np.bool_),
-            slo=slo,
-            allocations=values[scalars:].reshape(n, width),
-        )
-    except MalformedHistoryError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedHistoryError(f"malformed packed history: {exc!r}") from exc
+    values = np.frombuffer(tail, _VALUES_DTYPE, step_at // 8)
+    step = np.frombuffer(tail, _STEP_DTYPE, n, step_at)
+    violated = np.frombuffer(tail, _VIOLATED_DTYPE, n, violated_at)
+    if violated.size and violated.max() > 1:
+        raise MalformedHistoryError("violated flags must be 0 or 1")
+    _check_block(values, step, n)
+    time, workload, response, total_cpu, slo = values[:scalars].reshape(
+        len(_FLOAT_FIELDS), n
+    )
+    return LoopResult(
+        names,
+        step=step,
+        time=time,
+        workload=workload,
+        response=response,
+        total_cpu=total_cpu,
+        violated=violated.view(np.bool_),
+        slo=slo,
+        allocations=values[scalars:].reshape(n, width),
+    )
 
 
 # -- one computed unit ------------------------------------------------------
@@ -359,8 +323,8 @@ class UnitResult:
 
     ``channels`` holds the requested capture channels
     (``manager_state``, ``decision_trace``) by name.  Every executor
-    returns units in this form, the store keeps them packed
-    (:meth:`to_entry`) and artifacts take the :class:`LoopResult` as is;
+    returns units in this form, the store keeps them as raw columns
+    (:meth:`to_columns`) and artifacts take the :class:`LoopResult` as is;
     :meth:`to_payload` is the records form, built only where a unit
     leaves as JSON.
     """
@@ -404,16 +368,30 @@ class UnitResult:
         return {**loop_result_to_dict(self.result), **self.channels}
 
     @classmethod
-    def from_entry(cls, payload: Any) -> "UnitResult":
-        """Decode a format-2 store entry payload (one history decode).
+    def from_columns(cls, payload: Any, tail: Any) -> "UnitResult":
+        """Decode a format-3 store entry: its JSON payload and the column
+        bytes after its header line (one history decode).
 
         Raises :class:`MalformedHistoryError` when it does not decode.
         """
         if not isinstance(payload, dict) or "history" not in payload:
-            raise MalformedHistoryError("unit entry holds no packed history")
-        result = loop_result_from_packed(payload["history"])
+            raise MalformedHistoryError("unit entry holds no history header")
+        result = _history_from_columns(payload["history"], tail)
         return cls(result, {k: v for k, v in payload.items() if k != "history"})
 
-    def to_entry(self) -> dict[str, Any]:
-        """The format-2 store entry payload: packed history plus channels."""
-        return {"history": loop_result_to_packed(self.result), **self.channels}
+    def to_columns(self) -> tuple[dict[str, Any], list[np.ndarray]]:
+        """The format-3 store entry: the JSON payload (``{"n", "names"}``
+        history header plus channels) and the contiguous little-endian
+        columns, in order: the ``float64`` values block (``n`` values each
+        of time, workload, response, total_cpu and slo, then the row-major
+        ``(n, len(names))`` allocation matrix), ``step`` as ``int64`` and
+        ``violated`` as one ``uint8`` 0/1 per interval.
+        """
+        result = self.result
+        header = {"n": len(result), "names": list(result.service_names)}
+        columns = [
+            _values_block(result).astype(_VALUES_DTYPE, copy=False),
+            np.ascontiguousarray(result.steps, _STEP_DTYPE),
+            np.ascontiguousarray(result.violated).view(_VIOLATED_DTYPE),
+        ]
+        return {"history": header, **self.channels}, columns

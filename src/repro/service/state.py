@@ -77,9 +77,9 @@ class MemoryBackend:
         return digest
 
     def put_result(self, spec: Any, repeat: int, result: UnitResult) -> str:
-        """Keep a completed unit's store entry under its sweep unit key."""
+        """Keep a completed unit, as given, under its sweep unit key."""
         key = SweepStore.unit_key(spec, repeat)
-        return self.put_raw(key, result.to_entry())
+        return self.put_raw(key, result)
 
     def __len__(self) -> int:
         return len(self.entries)

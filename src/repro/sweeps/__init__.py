@@ -12,7 +12,7 @@ file plus an incremental execution pipeline:
 * :class:`SweepStore` (:mod:`repro.sweeps.store`) — a content-addressed
   on-disk cache keyed by the hash of each (spec, repeat), with atomic
   writes and corruption-tolerant loads, shared by every grid that sweeps
-  overlapping points; unit histories rest as packed columns and come
+  overlapping points; unit histories rest as raw columns and come
   back as decoded :class:`UnitResult` objects;
 * :func:`run_sweep_cached` / :func:`run_grid`
   (:mod:`repro.sweeps.scheduler`) — chunked process-parallel scheduling

@@ -306,23 +306,29 @@ def run_worker(
                 report.units_cached += 1
             else:
                 pending.append((spec_index, spec, repeat))
-        for batched, group in _partition_chunk(
-            pending, batch, 1, report.fallbacks
-        ):
-            lease = heartbeat(lease)
-            units = compute_units(
-                batched, [(spec, repeat) for _, spec, repeat in group]
-            )
-            if batched:
-                report.units_batched += len(group)
-            else:
-                report.units_scalar += len(group)
-            for (_, spec, repeat), unit in zip(group, units):
-                store.put_result(spec, repeat, unit)
-                report.units_computed += 1
-                if on_task is not None:
-                    on_task("unit", task)
+        try:
+            for batched, group in _partition_chunk(
+                pending, batch, 1, report.fallbacks
+            ):
                 lease = heartbeat(lease)
+                units = compute_units(
+                    batched, [(spec, repeat) for _, spec, repeat in group]
+                )
+                if batched:
+                    report.units_batched += len(group)
+                else:
+                    report.units_scalar += len(group)
+                for (_, spec, repeat), unit in zip(group, units):
+                    store.put_result(spec, repeat, unit)
+                    report.units_computed += 1
+                    if on_task is not None:
+                        on_task("unit", task)
+                    lease = heartbeat(lease)
+        except Exception:
+            # Free the task at once (a signal still leaves the lease to
+            # expire): a peer then fails the same way, not after the TTL.
+            leases.release(lease)
+            raise
         done.mark(
             task.task_id,
             {"task": task.task_id, "worker": worker, "units": len(task.units)},

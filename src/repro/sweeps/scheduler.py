@@ -21,7 +21,7 @@ unit results, so a store is freely shared between the two modes.
 
 Every unit rebuilds its components from the serialized spec whether it
 runs inline or in a worker (:func:`compute_units`), and a cached unit's
-history round-trips losslessly through the store's packed columns, so
+history round-trips losslessly through the store's raw columns, so
 serial, parallel, cold, resumed, and batched runs all produce
 byte-identical artifacts.  Each unit is one
 :class:`~repro.metrics.export.UnitResult` from the moment it exists —

@@ -6,15 +6,18 @@ repeat index — so a cache hit is exactly "this computation already ran":
 specs that differ in any field hash to different entries, and entries are
 shared between figures that sweep overlapping (app, workload, seed) points.
 
-An entry file is ``{"format", "key", "payload"}``.  Unit entries are
-format 2 (:data:`UNIT_FORMAT`): the payload holds the run history as
-packed columns (:func:`repro.metrics.export.loop_result_to_packed`)
-under ``history``, next to the plain-JSON capture channels
-(``manager_state``, ``decision_trace``).  Every other entry — OPTM
-searches, service snapshots — is format 1 with a plain JSON payload.
-Key objects keep their own ``format`` field, so digests did not move
-when unit entries changed format: a format-1 unit entry is read as a
-corrupt miss and rewritten in place by the recomputation.
+An entry is the JSON object ``{"format", "key", "payload"}``.  Unit
+entries are format 3 (:data:`UNIT_FORMAT`): that object is one header
+line, space-padded to a multiple of 8 bytes, whose payload holds the
+history header (``n``, service names) and the capture channels; the raw
+little-endian history columns follow its newline
+(:meth:`repro.metrics.export.UnitResult.to_columns` owns their layout),
+so a warm read is one ``read_bytes``, a ``json.loads`` of the header
+and three ``np.frombuffer`` views.  Every other entry — OPTM searches,
+service snapshots — is format 1, plain JSON.  Key objects keep their
+own ``format`` field, so digests did not move when unit entries changed
+format: a format-1 or format-2 unit entry is a corrupt miss, rewritten
+in place by the recomputation.
 
 Robustness properties the scheduler relies on:
 
@@ -46,9 +49,9 @@ import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator, TYPE_CHECKING
+from typing import Any, Iterator, Sequence, TYPE_CHECKING
 
-from repro.metrics.export import MalformedHistoryError, UnitResult
+from repro.metrics.export import UnitResult
 from repro.obs.metrics import default_registry
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -69,8 +72,8 @@ __all__ = [
 #: Format of key objects and of every entry except unit results.
 _FORMAT = 1
 
-#: Format of unit-result entries: the history as packed columns.
-UNIT_FORMAT = 2
+#: Format of unit-result entries: a JSON header line, then the columns.
+UNIT_FORMAT = 3
 
 #: Queue state (leases, done markers, worker reports) lives under this
 #: directory inside a store root.  Entry files live under two-hex-char
@@ -174,29 +177,40 @@ class JsonDirectoryStore:
     ) -> Any | None:
         """The stored payload for ``key_obj``, or None on miss/corruption.
 
-        An entry whose ``format`` is not ``entry_format`` is corrupt.
+        An entry whose ``format`` is not ``entry_format`` is corrupt.  A
+        :data:`UNIT_FORMAT` entry comes back as its decoded
+        :class:`UnitResult`, or is corrupt if its columns do not decode.
         """
         digest = canonical_key(key_obj)
         try:
-            entry = json.loads(self._path(digest).read_text())
+            data = self._path(digest).read_bytes()
         except FileNotFoundError:
             self.stats.misses += 1
             _STORE_MISSES.inc()
             return None
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
-            entry = None
-        # A foreign/garbled-but-valid-JSON file is also just a miss.
-        if (
-            not isinstance(entry, dict)
-            or entry.get("format") != entry_format
-            or "payload" not in entry
-            or canonical_key(entry.get("key")) != digest
-        ):
+        except OSError:
+            data = b""
+        end = data.find(b"\n") if entry_format == UNIT_FORMAT else len(data)
+        try:
+            entry = json.loads(data[:end] if end >= 0 else b"")
+            if (
+                not isinstance(entry, dict)
+                or entry.get("format") != entry_format
+                or "payload" not in entry
+                or canonical_key(entry.get("key")) != digest
+            ):
+                raise ValueError("not an entry of this key and format")
+            payload = entry["payload"]
+            if entry_format == UNIT_FORMAT:
+                payload = UnitResult.from_columns(
+                    payload, memoryview(data)[end + 1 :]
+                )
+        except ValueError:  # incl. bad UTF-8 and MalformedHistoryError
             self._count_corrupt()
             return None
         self.stats.hits += 1
         _STORE_HITS.inc()
-        return entry["payload"]
+        return payload
 
     def _count_corrupt(self) -> None:
         self.stats.corrupt += 1
@@ -204,14 +218,17 @@ class JsonDirectoryStore:
         _STORE_CORRUPT.inc()
         _STORE_MISSES.inc()
 
-    def put_raw(
-        self, key_obj: Any, payload: Any, *, entry_format: int = _FORMAT
-    ) -> Path:
-        """Atomically persist ``payload`` under ``key_obj``."""
+    def put_raw(self, key_obj: Any, payload: Any) -> Path:
+        """Atomically persist ``payload`` under ``key_obj``: a
+        :class:`UnitResult` as a :data:`UNIT_FORMAT` entry, anything
+        else as a format-1 entry."""
+        entry_format, columns = _FORMAT, None
+        if isinstance(payload, UnitResult):
+            entry_format = UNIT_FORMAT
+            payload, columns = payload.to_columns()
         path = self.path_for(key_obj)
-        _write_json_replace(
-            path, {"format": entry_format, "key": key_obj, "payload": payload}
-        )
+        entry = {"format": entry_format, "key": key_obj, "payload": payload}
+        _write_json_replace(path, entry, columns)
         self.stats.writes += 1
         _STORE_WRITES.inc()
         return path
@@ -249,24 +266,30 @@ def _encode(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, allow_nan=False)
 
 
-def _write_json_replace(path: Path, payload: Any) -> None:
+def _write_json_replace(
+    path: Path, payload: Any, columns: Sequence[Any] | None = None
+) -> None:
     """Atomically (re)write ``path`` with a JSON payload.
 
     The one writer of cache entries and lease takeovers/renewals: the
-    text goes to a temp file in the target directory, is fsynced and
-    ``os.replace``d into place, so a reader never observes a half-written
-    file and concurrent writers leave exactly one winner's bytes.  The
-    payload is encoded before the temp file exists, so an unencodable
-    payload (NaN) leaves nothing behind.
+    bytes go to a temp file in the target directory in one write, are
+    fsynced and ``os.replace``d into place, so a reader never observes a
+    half-written file and concurrent writers leave exactly one winner's
+    bytes.  ``columns`` (buffers) follow the JSON as its header line,
+    space-padded so they start at a multiple of 8 bytes.  The payload is
+    encoded before the temp file exists, so NaN leaves nothing behind.
     """
-    text = _encode(payload)
+    data = _encode(payload).encode()
+    if columns is not None:
+        pad = b" " * (-(len(data) + 1) % 8)
+        data = b"".join([data, pad, b"\n", *columns])
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(
         dir=path.parent, prefix=f".{path.stem[:16]}.", suffix=".tmp"
     )
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp_name, path)
@@ -504,23 +527,13 @@ class SweepStore(JsonDirectoryStore):
     ) -> UnitResult | None:
         """A stored unit result, decoded, or None.
 
-        A format-1 entry, or a format-2 entry whose history does not
-        decode, is a counted corrupt miss: the caller recomputes the
-        unit and :meth:`put_result` overwrites the entry.
+        A format-1 or format-2 entry, or a format-3 entry whose columns
+        do not decode, is a counted corrupt miss: the caller recomputes
+        the unit and :meth:`put_result` overwrites the entry.
         """
-        payload = self.get_raw(
+        return self.get_raw(
             self.unit_key(spec, repeat), entry_format=UNIT_FORMAT
         )
-        if payload is None:
-            return None
-        try:
-            return UnitResult.from_entry(payload)
-        except MalformedHistoryError:
-            # get_raw counted a hit; the global counters are monotonic,
-            # so only the per-handle tally is rolled back.
-            self.stats.hits -= 1
-            self._count_corrupt()
-            return None
 
     def put_result(
         self,
@@ -528,15 +541,11 @@ class SweepStore(JsonDirectoryStore):
         repeat: int,
         result: UnitResult | dict[str, Any],
     ) -> Path:
-        """Persist one unit result as a format-2 entry.
+        """Persist one unit result as a format-3 entry.
 
         ``result`` is a :class:`UnitResult` or a records-form unit
         payload, which is decoded here.
         """
         if not isinstance(result, UnitResult):
             result = UnitResult.from_payload(result)
-        return self.put_raw(
-            self.unit_key(spec, repeat),
-            result.to_entry(),
-            entry_format=UNIT_FORMAT,
-        )
+        return self.put_raw(self.unit_key(spec, repeat), result)

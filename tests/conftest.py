@@ -4,6 +4,8 @@ sweep, batched, replay, fault, and distributed suites all build on."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -167,3 +169,11 @@ def sweep_spec_factory():
 @pytest.fixture(scope="session")
 def small_grid_factory():
     return make_small_grid
+
+
+def frame_entry(header: dict, tail: bytes) -> bytes:
+    """A format-3 store entry's bytes, written by hand: ``header`` as one
+    JSON line (NaN literals allowed), space-padded so the columns start
+    at a multiple of 8 bytes, then the column bytes ``tail``."""
+    data = json.dumps(header, sort_keys=True).encode()
+    return data + b" " * (-(len(data) + 1) % 8) + b"\n" + bytes(tail)

@@ -42,7 +42,7 @@ from repro.sweeps import (
     worker_reports,
 )
 from repro.sweeps.distributed import DEFAULT_TASK_UNITS
-from tests.conftest import make_small_grid, make_sweep_spec
+from tests.conftest import frame_entry, make_small_grid, make_sweep_spec
 
 GRIDS = Path(__file__).parents[1] / "benchmarks" / "grids"
 
@@ -66,8 +66,9 @@ def grid_specs(grid):
     return [cell.spec for cell in grid.cells()]
 
 
-class Die(RuntimeError):
-    """Raised from the on_task seam: abandons the lease like SIGKILL."""
+class Die(BaseException):
+    """Raised from the on_task seam: abandons the lease like SIGKILL
+    (not an ``Exception``, so the worker does not release it)."""
 
 
 def dying_worker(specs, store, worker_id, die_after, *, batch=False,
@@ -271,6 +272,32 @@ class TestSingleWorker:
         assert reports[0]["tasks_done"] == reports[0]["tasks_total"]
 
 
+class TestFailingUnit:
+    def test_raising_unit_releases_its_lease(self, sweep_store):
+        """A unit that raises frees its task: no lease file is left, and
+        a second worker fails the same way at once instead of polling
+        until the first worker's lease expires."""
+        specs = [
+            make_sweep_spec(
+                workload={"kind": "constant", "params": {"rps": -5.0}}
+            )
+        ]
+        with pytest.raises(ValueError, match="rps") as first:
+            run_worker(specs, sweep_store, worker_id="w0")
+        plan = plan_tasks(specs)
+        leases = sweep_store.queue_root(plan.plan_id) / "leases"
+        assert list(leases.iterdir()) == []
+
+        def no_sleep(seconds):
+            raise AssertionError(f"worker polled for {seconds} s")
+
+        with pytest.raises(ValueError) as second:
+            run_worker(specs, sweep_store, worker_id="w1", sleep=no_sleep)
+        assert str(second.value) == str(first.value)
+        assert list(leases.iterdir()) == []
+        assert sweep_store.entry_paths() == []
+
+
 class TestMergeAndWait:
     def test_merge_names_missing_units(self, sweep_store):
         grid = make_small_grid()
@@ -293,9 +320,11 @@ class TestMergeAndWait:
         run_worker(specs, sweep_store, worker_id="w0")
         path = sweep_store.path_for(sweep_store.unit_key(specs[0], 0))
         good_bytes = path.read_bytes()
-        entry = json.loads(good_bytes)
+        # One interval more than the columns hold: a length mismatch.
+        header, tail = good_bytes.split(b"\n", 1)
+        entry = json.loads(header)
         entry["payload"]["history"]["n"] += 1
-        path.write_text(json.dumps(entry, sort_keys=True))
+        path.write_bytes(frame_entry(entry, tail))
         rerun = run_worker(specs, sweep_store, worker_id="w1")
         assert rerun.units_computed == 0
         assert missing_units(specs, SweepStore(sweep_store.root)) == []
@@ -320,9 +349,10 @@ class TestMergeAndWait:
         summary, payload_bytes = serial_baseline(grid, tmp_path / "serial")
         run_sweep_cached(specs, store=sweep_store)
         path = sweep_store.path_for(sweep_store.unit_key(specs[1], 1))
-        entry = json.loads(path.read_bytes())
-        entry["payload"]["history"]["violated"] = "AgICAg=="  # flags of 2
-        path.write_text(json.dumps(entry, sort_keys=True))
+        header, tail = path.read_bytes().split(b"\n", 1)
+        n = json.loads(header)["payload"]["history"]["n"]
+        # The violated column is last: make every flag a 2.
+        path.write_bytes(header + b"\n" + tail[:-n] + bytes([2]) * n)
         report = run_worker(specs, sweep_store, worker_id="w0")
         assert report.units_computed == 1
         assert report.units_cached == DEFAULT_TASK_UNITS - 1

@@ -1,6 +1,5 @@
 """Control loop: execution semantics, hooks, summaries, history codec."""
 
-import base64
 import json
 import pickle
 
@@ -13,12 +12,11 @@ from repro.core import ControlLoop, PEMAConfig, PEMAController
 from repro.core.loop import LoopHistory, LoopRecord, LoopResult
 from repro.metrics.export import (
     MalformedHistoryError,
+    UnitResult,
     loop_record_to_dict,
     loop_result_from_dict,
-    loop_result_from_packed,
     loop_result_to_csv,
     loop_result_to_dict,
-    loop_result_to_packed,
 )
 from repro.sim import AnalyticalEngine, NoiseModel
 from repro.sim.types import Allocation
@@ -290,7 +288,7 @@ class TestColumnarHistory:
             assert rec.allocation.total() == total
 
 
-# -- the packed codec (the sweep store's at-rest form) ------------------------
+# -- the column codec (the sweep store's at-rest form) ------------------------
 #: Values at the edges of what a history may hold: both zeros, the
 #: smallest subnormal, a subnormal, the smallest normal and the huge.
 _EDGE_VALUES = (0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e308)
@@ -342,17 +340,24 @@ def loop_results(draw):
     )
 
 
-def _through_json(packed):
-    return json.loads(json.dumps(packed, sort_keys=True))
+def _through_json(payload):
+    return json.loads(json.dumps(payload, sort_keys=True))
+
+
+def _through_columns(result):
+    """``result`` encoded as a unit entry (payload through JSON, the
+    columns as one buffer, as the store writes them) and decoded."""
+    payload, columns = UnitResult(result).to_columns()
+    return UnitResult.from_columns(
+        _through_json(payload), b"".join(columns)
+    ).result
 
 
 class TestPackedHistory:
     @settings(max_examples=80, deadline=None)
     @given(loop_results())
     def test_round_trips_to_identical_records(self, result):
-        decoded = loop_result_from_packed(
-            _through_json(loop_result_to_packed(result))
-        )
+        decoded = _through_columns(result)
         assert _dumps(loop_result_to_dict(decoded)) == _dumps(
             loop_result_to_dict(result)
         )
@@ -376,9 +381,9 @@ class TestPackedHistory:
             slo=values[4:8],
             allocations=values.reshape(4, 3),
         )
-        packed = _through_json(loop_result_to_packed(result))
-        assert packed["names"] == list(names)
-        decoded = loop_result_from_packed(packed)
+        payload, _ = UnitResult(result).to_columns()
+        assert _through_json(payload)["history"]["names"] == list(names)
+        decoded = _through_columns(result)
         assert _dumps(loop_result_to_dict(decoded)) == _dumps(
             loop_result_to_dict(result)
         )
@@ -398,12 +403,12 @@ class TestPackedHistory:
             slo=[0.5, 0.5],
             allocations=[[1.0, 2.0], [3.0, 4.0]],
         )
-        packed = loop_result_to_packed(result)
-        assert packed["n"] == 2 and packed["names"] == ["a", "b"]
-        decode = base64.b64decode
-        assert decode(packed["step"]) == np.array([3, 4], "<i8").tobytes()
-        assert decode(packed["violated"]) == bytes([0, 1])
-        assert decode(packed["values"]) == np.array(
+        payload, columns = UnitResult(result).to_columns()
+        assert payload == {"history": {"n": 2, "names": ["a", "b"]}}
+        values, step, violated = (column.tobytes() for column in columns)
+        assert step == np.array([3, 4], "<i8").tobytes()
+        assert violated == bytes([0, 1])
+        assert values == np.array(
             [1.0, 2.0, 10.0, 20.0, 0.1, 0.2, 3.0, 7.0, 0.5, 0.5,
              1.0, 2.0, 3.0, 4.0],
             "<f8",
@@ -411,13 +416,11 @@ class TestPackedHistory:
 
     def test_empty_history(self):
         for empty in (LoopResult(), LoopResult(("a", "b"))):
-            decoded = loop_result_from_packed(
-                _through_json(loop_result_to_packed(empty))
-            )
+            decoded = _through_columns(empty)
             assert len(decoded) == 0
             assert loop_result_to_dict(decoded) == {"records": []}
 
     @pytest.mark.parametrize("data", [None, [], "x", {"n": 0}])
     def test_non_mapping_or_incomplete_raises(self, data):
         with pytest.raises(MalformedHistoryError):
-            loop_result_from_packed(data)
+            UnitResult.from_columns({"history": data}, b"")

@@ -280,6 +280,29 @@ class TestSetSloRejection:
         with pytest.raises(ValueError, match=f"set_slo:{kind}"):
             run_units_batched([(spec, 0)])
 
+    @pytest.mark.parametrize("batch", [False, True])
+    @pytest.mark.parametrize("slo", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_bad_slo_is_rejected_before_step_0(self, slo, batch, monkeypatch):
+        from repro.sim.batched import BatchedAnalyticalEngine
+
+        spec = make_spec(
+            hooks=({"kind": "set_slo", "params": {"at": 2, "slo": slo}},),
+        )
+        assert classify_unit(spec) == (None, "hook_params:set_slo")
+        observe = BatchedAnalyticalEngine._observe
+        steps = []
+
+        def counting(self, *args, **kwargs):
+            steps.append(1)
+            return observe(self, *args, **kwargs)
+
+        monkeypatch.setattr(BatchedAnalyticalEngine, "_observe", counting)
+        with pytest.raises(ValueError, match="slo must be positive"):
+            run_sweep_cached([spec], batch=batch)
+        with pytest.raises(ValueError, match="slo must be positive"):
+            Orchestrator().register(spec)
+        assert steps == []
+
 
 class TestGuardian:
     def test_out_of_order_tick_is_an_error(self):

@@ -6,6 +6,7 @@ import io
 import json
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from repro.experiments.runner import _run_unit_worker
 from repro.metrics.export import (
     MalformedHistoryError,
     loop_result_from_dict,
-    loop_result_from_packed,
     loop_result_to_dict,
 )
 from repro.sweeps import (
@@ -48,12 +48,33 @@ from repro.sweeps import (
     set_path,
 )
 from repro.sweeps.store import UNIT_FORMAT, UnitResult, paused_gc
+from tests.conftest import frame_entry
 from tests.conftest import make_small_grid as small_grid
 from tests.conftest import make_sweep_spec as base_spec
 
 
 def dumps(obj):
     return json.dumps(obj, sort_keys=True)
+
+
+def _read_entry(path):
+    """A format-3 entry file as its header object and its column bytes."""
+    data = path.read_bytes()
+    end = data.index(b"\n")
+    assert (end + 1) % 8 == 0  # the columns start 8-byte aligned
+    return SimpleNamespace(
+        header=json.loads(data[:end]), tail=bytearray(data[end + 1 :])
+    )
+
+
+def _write_entry(path, header, tail=None):
+    """Write an entry as-is (NaN/inf literals included), the way a
+    foreign, hand-edited or older-format file would look: with ``tail``,
+    as a format-3 header line and columns, else as one JSON object."""
+    if tail is None:
+        path.write_text(json.dumps(header, sort_keys=True))
+    else:
+        path.write_bytes(frame_entry(header, tail))
 
 
 class TestSetPath:
@@ -182,9 +203,15 @@ class TestSweepStore:
         unit = store.get_result(spec, 0)
         assert isinstance(unit, UnitResult)
         assert dumps(unit.to_payload()) == dumps(payload)
-        entry = json.loads(path.read_text())
-        assert entry["format"] == UNIT_FORMAT == 2
-        assert "records" not in entry["payload"]
+        entry = _read_entry(path)
+        assert entry.header["format"] == UNIT_FORMAT == 3
+        assert "records" not in entry.header["payload"]
+        history = entry.header["payload"]["history"]
+        names = list(unit.result.service_names)
+        assert history == {"n": spec.n_steps, "names": names}
+        # values (5 + width float64s per interval), step int64, violated u8
+        width = len(history["names"])
+        assert len(entry.tail) == spec.n_steps * (8 * (5 + width) + 8 + 1)
         assert len(store) == 1
         assert store.stats.hits == 1 and store.stats.misses == 1
         assert store.stats.writes == 1
@@ -215,7 +242,7 @@ class TestSweepStore:
         path = store.put_result(spec, 0, payload)
         good_bytes = path.read_bytes()
         # A crashed writer: cut inside the header, and inside the
-        # packed history.
+        # columns.
         for cut in (20, len(good_bytes) // 2):
             path.write_bytes(good_bytes[:cut])
             assert store.get_result(spec, 0) is None
@@ -234,12 +261,72 @@ class TestSweepStore:
         assert store.get_result(spec, 0) is None
         assert store.stats.corrupt == 1
 
+    def test_misplaced_entry_is_a_miss(self, tmp_path):
+        """An intact entry under another key's path fails key
+        verification: a corrupt miss, never the other unit's result."""
+        store = SweepStore(tmp_path)
+        spec, other = base_spec(), base_spec(seed=1)
+        run_sweep_cached([other], store=store)
+        path = store.path_for(store.unit_key(spec, 0))
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(store.path_for(store.unit_key(other, 0)).read_bytes())
+        assert store.get_result(spec, 0) is None
+        assert store.stats.corrupt == 1
+        assert store.get_result(other, 0) is not None
+
     def test_wrong_shape_payload_is_a_miss(self, tmp_path):
         store = SweepStore(tmp_path)
         spec = base_spec()
         store.put_raw(store.unit_key(spec, 0), {"not": "a result"})
         assert store.get_result(spec, 0) is None
         assert store.stats.corrupt == 1
+
+    def test_put_is_one_temp_file_write_fsync_and_replace(
+        self, tmp_path, monkeypatch
+    ):
+        """Whatever its size, an entry costs one temp file, one write
+        system call, one fsync and one rename: the header line and the
+        columns are joined into one buffer before the file exists."""
+        import os
+        import tempfile
+
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        class CountingFile(io.FileIO):
+            def write(self, data):
+                calls.append("write")
+                return super().write(data)
+
+        def fdopen(fd, mode):
+            assert mode == "wb"
+            return io.BufferedWriter(CountingFile(fd, "wb"))
+
+        store = SweepStore(tmp_path)
+        payloads = [
+            UnitResult.from_payload(
+                _run_unit_worker(base_spec(n_steps=steps).to_dict(), 0)
+            )
+            for steps in (12, 300)
+        ] + [{"note": "a format-1 payload"}]
+        monkeypatch.setattr(
+            tempfile, "mkstemp", counting("mkstemp", tempfile.mkstemp)
+        )
+        monkeypatch.setattr(os, "fsync", counting("fsync", os.fsync))
+        monkeypatch.setattr(os, "replace", counting("replace", os.replace))
+        monkeypatch.setattr(os, "fdopen", fdopen)
+        sizes = []
+        for index, payload in enumerate(payloads):
+            calls.clear()
+            path = store.put_raw({"kind": "label", "index": index}, payload)
+            assert calls == ["mkstemp", "write", "fsync", "replace"]
+            sizes.append(path.stat().st_size)
+        assert sizes[1] > io.DEFAULT_BUFFER_SIZE > sizes[0]
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         store = SweepStore(tmp_path)
@@ -297,6 +384,12 @@ class TestSweepStore:
                 {"format": entry_format, "key": key_obj, "payload": payload}
             )
 
+        def unit_entry(key_obj, unit):
+            payload, columns = unit.to_columns()
+            header = entry(key_obj, payload, 3)
+            header += b" " * (-(len(header) + 1) % 8) + b"\n"
+            return header + b"".join(column.tobytes() for column in columns)
+
         store = SweepStore(tmp_path / "store")
         spec = base_spec(
             autoscaler={"kind": "workload_aware_pema", "params": {
@@ -308,13 +401,18 @@ class TestSweepStore:
         key = store.unit_key(spec, 0)
         unit = store.get_result(spec, 0)
         assert unit.channels["manager_state"] and unit.channels["decision_trace"]
-        payload = unit.to_entry()
+        payload, _ = unit.to_columns()
         assert set(payload) == {"history", "manager_state", "decision_trace"}
-        assert store.path_for(key).read_bytes() == entry(key, payload, 2)
-        # Non-ASCII text in both the key and the payload.
+        assert store.path_for(key).read_bytes() == unit_entry(key, unit)
+        # Non-ASCII text in both the key and the payload: the header is
+        # ASCII-escaped, so its padding counts bytes and characters alike.
         label = {"kind": "label", "name": "größe α→β"}
         noted = {**payload, "note": "naïve ✓"}
         assert store.put_raw(label, noted).read_bytes() == entry(label, noted)
+        noted_unit = UnitResult(unit.result, {"note": "naïve ✓"})
+        assert store.put_raw(label, noted_unit).read_bytes() == unit_entry(
+            label, noted_unit
+        )
 
         leases = LeaseNamespace(tmp_path / "leases")
         fresh = leases.acquire("t", "wörker-α", ttl=5.0, now=1000.0)
@@ -379,79 +477,113 @@ MALFORMED_RECORDS = {
 }
 
 
-# -- the packed (format 2) counterparts: mutate an entry payload -------------
-def _column(history, field, dtype):
-    return np.frombuffer(base64.b64decode(history[field]), dtype).copy()
+# -- the format-3 counterparts: mutate an entry's header or column bytes ----
+def _layout(entry):
+    """Byte offsets of the step and violated columns in ``entry.tail``."""
+    history = entry.header["payload"]["history"]
+    values = 8 * (5 + len(history["names"])) * history["n"]
+    return values, values + 8 * history["n"]
 
 
-def _store_column(history, field, array):
-    history[field] = base64.b64encode(array.tobytes()).decode("ascii")
+def _column(entry, field):
+    """A writable view of one column of ``entry.tail``."""
+    step_at, violated_at = _layout(entry)
+    n = entry.header["payload"]["history"]["n"]
+    if field == "values":
+        return np.frombuffer(entry.tail, "<f8", step_at // 8)
+    if field == "step":
+        return np.frombuffer(entry.tail, "<i8", n, step_at)
+    return np.frombuffer(entry.tail, "<u1", n, violated_at)
 
 
 def _set_packed_value(offset, value):
     """Set ``values[offset(n, width)]`` (time, workload, response,
     total_cpu, slo blocks of ``n``, then the allocation matrix)."""
 
-    def mutate(payload):
-        history = payload["history"]
-        values = _column(history, "values", "<f8")
+    def mutate(entry):
+        history = entry.header["payload"]["history"]
+        values = _column(entry, "values")
         values[offset(history["n"], len(history["names"]))] = value
-        _store_column(history, "values", values)
     return mutate
 
 
 def _set_history(field, value):
-    def mutate(payload):
-        payload["history"][field] = value
+    def mutate(entry):
+        entry.header["payload"]["history"][field] = value
     return mutate
 
 
-def _negative_step(payload):
-    steps = _column(payload["history"], "step", "<i8")
-    steps[1] = -1
-    _store_column(payload["history"], "step", steps)
+def _negative_step(entry):
+    _column(entry, "step")[1] = -1
 
 
-def _violated_byte(payload):
-    flags = _column(payload["history"], "violated", "<u1")
-    flags[1] = 2
-    _store_column(payload["history"], "violated", flags)
+def _violated_byte(entry):
+    _column(entry, "violated")[1] = 2
 
 
-def _truncate_values(payload):
-    values = _column(payload["history"], "values", "<f8")
-    _store_column(payload["history"], "values", values[:-1])
+def _truncate_values(entry):
+    step_at, _ = _layout(entry)
+    del entry.tail[step_at - 8 : step_at]
 
 
-def _extra_step(payload):
-    payload["history"]["n"] += 1
+def _cut_mid_column(entry):
+    step_at, _ = _layout(entry)
+    del entry.tail[step_at + 3 :]
+
+
+def _extra_bytes(entry):
+    entry.tail += bytes(8)
+
+
+def _header_only(entry):
+    entry.tail.clear()
+
+
+def _extra_step(entry):
+    entry.header["payload"]["history"]["n"] += 1
 
 
 def _rename(index, name):
-    def mutate(payload):
-        payload["history"]["names"][index] = name
+    def mutate(entry):
+        entry.header["payload"]["history"]["names"][index] = name
     return mutate
 
 
-def _duplicate_name(payload):
-    names = payload["history"]["names"]
+def _duplicate_name(entry):
+    names = entry.header["payload"]["history"]["names"]
     names[1] = names[0]
 
 
-def _drop_history(payload):
-    del payload["history"]
+def _drop_history(entry):
+    del entry.header["payload"]["history"]
 
 
-def _drop_column(payload):
-    del payload["history"]["violated"]
+def _drop_column(entry):
+    _, violated_at = _layout(entry)
+    del entry.tail[violated_at:]
+
+
+def _as_format_2(entry):
+    """The entry as the format-2 store wrote it: one JSON object with the
+    columns base64-encoded in its history, and no header line."""
+    history = entry.header["payload"]["history"]
+    for field in ("values", "step", "violated"):
+        history[field] = base64.b64encode(
+            _column(entry, field).tobytes()
+        ).decode("ascii")
+    entry.header["format"] = 2
+    entry.tail = None
 
 
 MALFORMED_PACKED = {
     "missing_history": _drop_history,
     "missing_column": _drop_column,
-    "bad_base64": _set_history("values", "not base64!"),
-    "non_string_column": _set_history("step", 7),
+    "non_string_column": _set_history("step", 7),  # a column in the header
     "short_values": _truncate_values,
+    "cut_mid_column": _cut_mid_column,
+    "extra_bytes": _extra_bytes,
+    "header_only": _header_only,
+    "format_2": _as_format_2,
     "n_mismatch": _extra_step,
     "n_bool": _set_history("n", True),
     "n_negative": _set_history("n", -4),
@@ -466,17 +598,6 @@ MALFORMED_PACKED = {
     "nan_response": _set_packed_value(lambda n, w: 2 * n + 1, float("nan")),
     "negative_step": _negative_step,
 }
-
-
-def _write_entry(path, key, payload, entry_format):
-    """Write an entry as-is (NaN/inf literals included), the way a
-    foreign, hand-edited or older-format file would look."""
-    path.write_text(
-        json.dumps(
-            {"format": entry_format, "key": key, "payload": payload},
-            sort_keys=True,
-        )
-    )
 
 
 class TestMalformedEntries:
@@ -516,7 +637,7 @@ class TestMalformedEntries:
         good_bytes = path.read_bytes()
         payload = store.get_result(spec, 0).to_payload()
         MALFORMED_RECORDS[case](payload)
-        _write_entry(path, key, payload, 1)
+        _write_entry(path, {"format": 1, "key": key, "payload": payload})
         fresh = SweepStore(tmp_path)
         artifacts, report = run_sweep_cached(specs, store=fresh)
         assert artifacts[0].to_json() == expected
@@ -532,14 +653,13 @@ class TestMalformedEntries:
         spec, _ = clean
         store = SweepStore(tmp_path)
         run_sweep_cached([spec], store=store)
-        payload = store.get_result(spec, 0).to_entry()
-        MALFORMED_PACKED[case](payload)
+        entry = _read_entry(store.path_for(store.unit_key(spec, 0)))
+        MALFORMED_PACKED[case](entry)
         with pytest.raises(ValueError) as raised:
-            UnitResult.from_entry(payload)
+            UnitResult.from_columns(
+                entry.header["payload"], bytes(entry.tail or b"")
+            )
         assert raised.type is MalformedHistoryError
-        if "history" in payload:
-            with pytest.raises(MalformedHistoryError):
-                loop_result_from_packed(payload["history"])
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_PACKED))
     def test_sweep_recomputes_malformed_packed_entry(
@@ -552,9 +672,9 @@ class TestMalformedEntries:
         key = store.unit_key(spec, 0)
         path = store.path_for(key)
         good_bytes = path.read_bytes()
-        payload = store.get_result(spec, 0).to_entry()
-        MALFORMED_PACKED[case](payload)
-        _write_entry(path, key, payload, UNIT_FORMAT)
+        entry = _read_entry(path)
+        MALFORMED_PACKED[case](entry)
+        _write_entry(path, entry.header, entry.tail)
         fresh = SweepStore(tmp_path)
         artifacts, report = run_sweep_cached(specs, store=fresh)
         assert artifacts[0].to_json() == expected
@@ -609,7 +729,7 @@ class TestMalformedEntries:
 
 
 class TestStoreFormat:
-    """Format-2 unit entries: v1 upgrade, size, and decode-once."""
+    """Format-3 unit entries: older-format upgrade, size, decode-once."""
 
     def test_v1_entry_is_a_miss_rewritten_as_v2(self, tmp_path):
         specs = [base_spec(repeats=2), base_spec(seed=5)]
@@ -628,9 +748,9 @@ class TestStoreFormat:
         assert fresh.stats.corrupt == 3 and fresh.stats.hits == 0
         assert report.cache_hits == 0 and report.computed == 3
         for path in fresh.entry_paths():
-            entry = json.loads(path.read_text())
-            assert entry["format"] == UNIT_FORMAT
-            assert "records" not in entry["payload"]
+            header = _read_entry(path).header
+            assert header["format"] == UNIT_FORMAT
+            assert "records" not in header["payload"]
         warm = SweepStore(tmp_path)
         artifacts, report = run_sweep_cached(specs, store=warm, batch=True)
         assert [a.to_json() for a in artifacts] == expected
@@ -656,21 +776,21 @@ class TestStoreFormat:
     @pytest.mark.parametrize("batch", [False, True])
     def test_one_history_decode_per_unit(self, tmp_path, monkeypatch, batch):
         """A cold sweep never builds or decodes the records form; a warm
-        one decodes each unit's packed entry once."""
+        one decodes each unit's columns once."""
         import repro.metrics.export as export_mod
 
         calls = []
 
         def counting(fn):
-            def wrapper(data):
+            def wrapper(*args):
                 calls.append(fn.__name__)
-                return fn(data)
+                return fn(*args)
             return wrapper
 
         for name in (
             "loop_result_to_dict",
             "loop_result_from_dict",
-            "loop_result_from_packed",
+            "_history_from_columns",
         ):
             monkeypatch.setattr(
                 export_mod, name, counting(getattr(export_mod, name))
@@ -682,7 +802,7 @@ class TestStoreFormat:
         assert calls == []
         warm, report = run_sweep_cached(specs, store=store, batch=batch)
         assert report.cache_hits == 3
-        assert calls == ["loop_result_from_packed"] * 3
+        assert calls == ["_history_from_columns"] * 3
         assert [a.summary_json() for a in warm] == [
             a.summary_json() for a in cold
         ]
@@ -1038,6 +1158,24 @@ class TestOptimumCache:
             assert optimum_total("sockshop", 700.0) == 7.0
         assert fake_optimum.calls == 1  # served from disk, not recomputed
         assert not optimum_cache_info()["store_active"]
+
+    def test_entry_bytes_are_pinned(self, fake_optimum, tmp_path):
+        """OPTM entries stay format 1: one plain JSON object, no header
+        line or columns, byte for byte what earlier stores wrote."""
+        store = SweepStore(tmp_path)
+        with optimum_store(store):
+            optimum_total("sockshop", 700.0)
+        (path,) = store.entry_paths()
+        assert path.relative_to(tmp_path).as_posix() == (
+            "28/28a3cc65d66cb28b2dd516fa39f1c7e1b59076ad5dd341e15ed35d4eb59ed5c3"
+            ".json"
+        )
+        assert path.read_bytes() == (
+            b'{"format": 1, "key": {"app": "sockshop", "format": 1, '
+            b'"kind": "optimum", "restarts": 2, "workload": 700.0}, '
+            b'"payload": {"allocation": [["svc", 7.0]], "evaluations": 5, '
+            b'"latency": 0.1, "total_cpu": 7.0, "workload": 700.0}}'
+        )
 
     def test_store_restored_on_error(self, fake_optimum, tmp_path):
         with pytest.raises(RuntimeError):
