@@ -228,7 +228,7 @@ class AppSpec:
         return Allocation({name: cpu_per_service for name in self.service_names})
 
     def generous_allocation(
-        self, workload_rps: float, headroom: float = 2.0, minimum: float = 0.2
+        self, workload_rps: float, headroom: float = 2.0
     ) -> Allocation:
         """A comfortably over-provisioned starting allocation.
 
@@ -236,15 +236,31 @@ class AppSpec:
         manager and has abundant slack.  We give every service ``headroom``
         times a high quantile of its concurrency demand.
         """
-        from repro.sim.concurrency import ConcurrencyModel
-
-        if workload_rps < 0:
-            raise ValueError("workload must be >= 0")
-        model = ConcurrencyModel(
-            mean=workload_rps * self.visit_array() * self.demand_array()
-            + self.baseline_array(),
-            burstiness=self.burstiness_array(),
+        values = self.generous_allocation_batch(
+            np.array([workload_rps], dtype=np.float64),
+            np.array([headroom], dtype=np.float64),
         )
-        base = model.bottleneck(p_crit=0.97)
-        values = np.maximum(base * headroom, minimum)
-        return Allocation.from_array(self.service_names, values)
+        return Allocation.from_array(self.service_names, values[0])
+
+    def generous_allocation_batch(
+        self, rates: np.ndarray, headrooms: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`generous_allocation` of ``(B,)`` rates and headrooms as
+        ``(B, S)`` rows.
+
+        Every service gets ``headroom`` times the 97th percentile of its
+        Gamma concurrency, floored at 0.2 cores.  The quantile (an
+        iterative inverse, the costly part) runs once per distinct rate.
+        """
+        from repro.sim.concurrency import gamma_quantile, gamma_shape
+
+        if np.any(rates < 0):
+            raise ValueError("workload must be >= 0")
+        unique_rates, inverse = np.unique(rates, return_inverse=True)
+        mean = (
+            unique_rates[:, None] * self.visit_array() * self.demand_array()
+            + self.baseline_array()
+        )
+        burst = self.burstiness_array()
+        base = gamma_quantile(0.97, gamma_shape(mean, burst), burst)[inverse]
+        return np.maximum(base * headrooms[:, None], 0.2)

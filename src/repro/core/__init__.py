@@ -10,11 +10,7 @@ from repro.core.loop import Autoscaler, ControlLoop, LoopRecord, LoopResult
 from repro.core.manager import ManagerStep, WorkloadAwarePEMA
 from repro.core.reduction import num_targets, reduction_fraction, reduction_signal
 from repro.core.rhdb import ResourceHistoryDB, RHDbRecord
-from repro.core.selection import (
-    eligible_services,
-    inclusion_probabilities,
-    select_targets,
-)
+from repro.core.selection import select_targets
 from repro.core.target import DynamicTarget, learn_slope
 from repro.core.thresholds import ThresholdTracker
 from repro.core.workload_range import RangeTree, SplitEvent, WorkloadRange
@@ -47,7 +43,5 @@ __all__ = [
     "num_targets",
     "reduction_fraction",
     "exploration_probability",
-    "eligible_services",
-    "inclusion_probabilities",
     "select_targets",
 ]

@@ -29,7 +29,7 @@ import numpy as np
 from repro.core.controller import PEMAController, StepAction
 from repro.core.loop import LoopHistory, LoopResult
 from repro.sim.environment import Environment
-from repro.sim.types import IntervalMetrics, ServiceMetrics
+from repro.sim.types import IntervalMetrics
 from repro.workload.trace import WorkloadTrace
 
 __all__ = ["FastReactionLoop", "FastLoopResult"]
@@ -64,22 +64,22 @@ def _aggregate(subs: list[IntervalMetrics]) -> IntervalMetrics:
         raise ValueError("nothing to aggregate")
     names = subs[0].names
     subs = [s.in_order(names) for s in subs]
-    services = {}
-    for j, name in enumerate(names):
-        utils = [s.utilizations[j] for s in subs]
-        usages = [s.usages[j] for s in subs]
-        p90s = [s.usages_p90[j] for s in subs]
-        throttles = [s.throttles[j] for s in subs]
-        services[name] = ServiceMetrics(
-            utilization=float(np.mean(utils)),
-            throttle_seconds=float(np.sum(throttles)),
-            usage_cores=float(np.mean(usages)),
-            usage_p90_cores=float(np.max(p90s)),
-        )
+
+    def per_service(column: str, reduce: Callable) -> list[float]:
+        # One reduction per service over its sub-interval values.
+        return [
+            float(reduce(values))
+            for values in zip(*(getattr(s, column) for s in subs))
+        ]
+
     return IntervalMetrics(
+        names,
         latency_p95=float(np.max([s.latency_p95 for s in subs])),
         workload_rps=float(np.mean([s.workload_rps for s in subs])),
-        services=services,
+        utilizations=per_service("utilizations", np.mean),
+        throttles=per_service("throttles", np.sum),
+        usages=per_service("usages", np.mean),
+        usages_p90=per_service("usages_p90", np.max),
         latency_mean=float(np.mean([s.latency_mean for s in subs])),
         completed_requests=int(np.sum([s.completed_requests for s in subs])),
     )

@@ -27,8 +27,6 @@ from repro.sim.types import IntervalMetrics
 
 __all__ = [
     "eligible_positions",
-    "eligible_services",
-    "inclusion_probabilities",
     "position_probabilities",
     "select_targets",
 ]
@@ -72,27 +70,6 @@ def position_probabilities(
         # Zero range: everyone ties as the coolest service.
         return [1.0] * len(positions)
     return [min(max(1.0 - (u - u_min) / denom, 0.0), 1.0) for u in u_star]
-
-
-def eligible_services(
-    metrics: IntervalMetrics, thresholds: ThresholdTracker
-) -> tuple[str, ...]:
-    """I_t: services whose throttling time is within their threshold."""
-    metrics = metrics.in_order(thresholds.services)
-    return tuple(metrics.names[i] for i in eligible_positions(metrics, thresholds))
-
-
-def inclusion_probabilities(
-    metrics: IntervalMetrics,
-    thresholds: ThresholdTracker,
-    eligible: tuple[str, ...],
-) -> dict[str, float]:
-    """Eqn. (5): inclusion probability per eligible service, by name."""
-    metrics = metrics.in_order(thresholds.services)
-    positions = [metrics.position(name) for name in eligible]
-    return dict(
-        zip(eligible, position_probabilities(metrics, thresholds, positions))
-    )
 
 
 def select_targets(

@@ -159,16 +159,6 @@ class ExperimentArtifact:
             decision_traces=channel("decision_trace"),
         )
 
-    @classmethod
-    def from_payloads(
-        cls, spec: ExperimentSpec, payloads: Sequence[dict[str, Any]]
-    ) -> "ExperimentArtifact":
-        """Assemble an artifact from per-repeat records-form unit payloads
-        (what ``repro.experiments.runner._run_unit_worker`` returns)."""
-        return cls.from_units(
-            spec, [UnitResult.from_payload(p) for p in payloads]
-        )
-
     # -- serialization -----------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
         data = {

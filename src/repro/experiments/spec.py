@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
@@ -67,6 +68,28 @@ def loads_finite(text: str) -> Any:
     return json.loads(
         text, parse_constant=_finite_number, parse_float=_finite_number
     )
+
+
+def _integral(name: str, value: Any) -> int:
+    """``value`` as an ``int``; a bool, str or fractional number is rejected."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name} must be an integer: {value!r}")
+
+
+def _check_finite(name: str, value: Any) -> None:
+    """Reject a non-finite number in ``value`` or anything nested in it."""
+    if isinstance(value, numbers.Real) and not isinstance(value, numbers.Integral):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite: {value!r}")
+    elif isinstance(value, Mapping):
+        for key, item in value.items():
+            _check_finite(f"{name}.{key}", item)
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            _check_finite(f"{name}[{i}]", item)
 
 
 def _frozen_params(params: Mapping[str, Any] | None) -> dict[str, Any]:
@@ -146,6 +169,12 @@ class EngineSpec(ComponentSpec):
     kind: str = "analytical"
     seed_offset: int = 1000
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        object.__setattr__(
+            self, "seed_offset", _integral("engine.seed_offset", self.seed_offset)
+        )
+
     def to_dict(self) -> dict[str, Any]:
         d = super().to_dict()
         d["seed_offset"] = self.seed_offset
@@ -159,7 +188,7 @@ class EngineSpec(ComponentSpec):
         return cls(
             kind=data.get("kind", "analytical"),
             params=dict(data.get("params", {})),
-            seed_offset=int(data.get("seed_offset", 1000)),
+            seed_offset=data.get("seed_offset", 1000),
         )
 
 
@@ -213,6 +242,14 @@ class ExperimentSpec:
                 for h in self.hooks
             ),
         )
+        for name in ("n_steps", "seed", "repeats"):
+            object.__setattr__(self, name, _integral(name, getattr(self, name)))
+        for name in ("interval", "slo", "headroom"):
+            _check_finite(name, getattr(self, name))
+        for name in ("workload", "autoscaler", "engine"):
+            _check_finite(f"{name}.params", getattr(self, name).params)
+        for i, hook in enumerate(self.hooks):
+            _check_finite(f"hooks[{i}].params", hook.params)
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1: {self.n_steps}")
         if self.repeats < 1:
@@ -295,12 +332,12 @@ class ExperimentSpec:
                 data.get("autoscaler", {"kind": "pema"})
             ),
             engine=EngineSpec.from_dict(data.get("engine", {})),
-            n_steps=int(data["n_steps"]),
+            n_steps=data["n_steps"],
             interval=float(data.get("interval", 120.0)),
             slo=None if slo is None else float(slo),
             headroom=float(data.get("headroom", 2.0)),
-            seed=int(data.get("seed", 0)),
-            repeats=int(data.get("repeats", 1)),
+            seed=data.get("seed", 0),
+            repeats=data.get("repeats", 1),
             hooks=tuple(
                 HookSpec.from_dict(h) for h in data.get("hooks", ())
             ),

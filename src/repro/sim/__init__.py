@@ -2,7 +2,6 @@
 
 from repro.sim.batched import BatchedAnalyticalEngine, BatchObservation
 from repro.sim.cfs import CFSModel, DEFAULT_PERIOD
-from repro.sim.concurrency import ConcurrencyModel
 from repro.sim.engine import AnalyticalEngine
 from repro.sim.environment import Environment
 from repro.sim.latency import (
@@ -25,7 +24,6 @@ __all__ = [
     "AnalyticalEngine",
     "BatchedAnalyticalEngine",
     "BatchObservation",
-    "ConcurrencyModel",
     "CFSModel",
     "DEFAULT_PERIOD",
     "LatencyParams",

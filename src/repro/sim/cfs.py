@@ -59,7 +59,7 @@ class CFSModel:
         Parameters
         ----------
         exceed_prob:
-            ``P(N > x)`` per service (from :class:`ConcurrencyModel`).
+            ``P(N > x)`` per service (:func:`~repro.sim.concurrency.gamma_sf`).
         excess:
             ``E[(N - x)+]`` per service.
         alloc:

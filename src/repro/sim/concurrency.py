@@ -26,8 +26,6 @@ All functions are vectorized over services.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import special as _sc
 
@@ -37,7 +35,7 @@ __all__ = [
     "gamma_quantile",
     "tail_expectation",
     "nondegenerate_gamma",
-    "ConcurrencyModel",
+    "gamma_shape",
 ]
 
 _EPS = 1e-12
@@ -45,6 +43,11 @@ _EPS = 1e-12
 
 def _as_arrays(*values: object) -> tuple[np.ndarray, ...]:
     return tuple(np.asarray(v, dtype=np.float64) for v in values)
+
+
+def gamma_shape(mean: np.ndarray, burstiness: np.ndarray) -> np.ndarray:
+    """Gamma shape ``k = mean / c`` (0 where demand is 0); the scale is ``c``."""
+    return np.where(mean > _EPS, mean / burstiness, 0.0)
 
 
 def gamma_cdf(x: np.ndarray, shape: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -152,77 +155,3 @@ def nondegenerate_gamma(
     excess = np.maximum(mean * _sc.gammaincc(shape + 1.0, z) - xs * sf, 0.0)
     q = None if quantile is None else _sc.gammaincinv(shape, quantile) * scale
     return sf, excess, q
-
-
-@dataclass(frozen=True)
-class ConcurrencyModel:
-    """Gamma concurrency model for a set of services at one workload level.
-
-    Parameters are arrays aligned on the app's service order:
-
-    * ``mean`` — mean CPU concurrency ``rho_i`` (cores);
-    * ``burstiness`` — variance inflation ``c_i`` (var = c_i * rho_i).
-    """
-
-    mean: np.ndarray
-    burstiness: np.ndarray
-
-    def __post_init__(self) -> None:
-        mean = np.asarray(self.mean, dtype=np.float64)
-        burst = np.asarray(self.burstiness, dtype=np.float64)
-        if mean.shape != burst.shape:
-            raise ValueError("mean and burstiness must align")
-        if np.any(mean < 0):
-            raise ValueError("mean concurrency must be non-negative")
-        if np.any(burst <= 0.0):
-            raise ValueError("burstiness index must be > 0")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "burstiness", burst)
-
-    @property
-    def shape(self) -> np.ndarray:
-        """Gamma shape k = mean / c (0 where demand is 0)."""
-        return np.where(self.mean > _EPS, self.mean / self.burstiness, 0.0)
-
-    @property
-    def scale(self) -> np.ndarray:
-        """Gamma scale theta = c."""
-        return self.burstiness.copy()
-
-    def exceed_probability(self, alloc: np.ndarray) -> np.ndarray:
-        """Fraction of CFS periods where demand exceeds the allocation."""
-        return gamma_sf(alloc, self.shape, self.scale)
-
-    def overload(self, alloc: np.ndarray) -> np.ndarray:
-        """Dimensionless queueing pressure E[(N - x)+] / x."""
-        alloc = np.asarray(alloc, dtype=np.float64)
-        excess = tail_expectation(alloc, self.mean, self.shape, self.scale)
-        return excess / np.maximum(alloc, _EPS)
-
-    def bottleneck(self, p_crit: float = 0.97) -> np.ndarray:
-        """Allocation below which > ``1 - p_crit`` of periods throttle.
-
-        This is the paper's per-service "bottleneck resource": the knee of
-        the throttling curve in Fig. 8(b).
-        """
-        if not 0 < p_crit < 1:
-            raise ValueError(f"p_crit must be in (0, 1): {p_crit}")
-        return gamma_quantile(p_crit, self.shape, self.scale)
-
-    def activity(self, eps: float = 0.02) -> np.ndarray:
-        """P(N > eps): the fraction of time the service is actively using CPU.
-
-        Used to condition the latency-relevant throttle probability: a
-        request visiting a mostly-idle service still experiences that
-        service's *active-time* throttle behaviour — its own arrival is
-        what creates the concurrency.
-        """
-        return gamma_sf(np.full_like(self.mean, eps), self.shape, self.scale)
-
-    def usage_p90(self, alloc: np.ndarray) -> np.ndarray:
-        """90th percentile of fine-grained usage samples, capped at the limit.
-
-        This is what a Kubernetes-VPA-style recommender observes.
-        """
-        alloc = np.asarray(alloc, dtype=np.float64)
-        return np.minimum(alloc, gamma_quantile(0.90, self.shape, self.scale))

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.sim.batched import BatchedAnalyticalEngine, EngineCell
 from repro.sim.cfs import CFSModel
-from repro.sim.concurrency import ConcurrencyModel
+from repro.sim.concurrency import gamma_quantile, gamma_shape
 from repro.sim.latency import LatencyParams, NoiselessLatencyKernel
 from repro.sim.noise import NoiseModel
 from repro.sim.types import Allocation, IntervalMetrics
@@ -164,10 +164,16 @@ class AnalyticalEngine(EngineCell):
         return self.noiseless_kernel.latency(allocs, workload, self.cpu_speed)
 
     def bottleneck_allocation(self, workload_rps: float) -> Allocation:
-        """Per-service bottleneck resources at this workload (Fig. 8 knee)."""
-        model = self._concurrency(workload_rps)
+        """Per-service bottleneck resources at this workload (Fig. 8 knee).
+
+        The allocation below which more than ``1 - p_crit`` of CFS periods
+        throttle: the ``p_crit`` quantile of each service's concurrency.
+        """
+        mean = self._mean_concurrency(workload_rps)
+        burst = self._app.burstiness_array()
+        bottleneck = gamma_quantile(self.p_crit, gamma_shape(mean, burst), burst)
         return Allocation.from_array(
-            self._app.service_names, np.maximum(model.bottleneck(self.p_crit), 0.05)
+            self._app.service_names, np.maximum(bottleneck, 0.05)
         )
 
     @property
@@ -175,14 +181,13 @@ class AnalyticalEngine(EngineCell):
         """Relative CPU clock speed (1.0 = nominal, e.g. 1.8 GHz)."""
         return float(self._engine.cpu_speed[0])
 
-    def _concurrency(self, workload_rps: float) -> ConcurrencyModel:
-        """The Gamma concurrency model :meth:`observe` evaluates at."""
+    def _mean_concurrency(self, workload_rps: float) -> np.ndarray:
+        """Mean CPU concurrency per service, as :meth:`observe` evaluates it."""
         if workload_rps < 0:
             raise ValueError(f"workload must be >= 0: {workload_rps}")
         engine = self._engine
-        mean = engine._kernel.mean(
+        return engine._kernel.mean(
             np.array([engine.canonical_workload(0, float(workload_rps))]),
             engine.cpu_speed,
             engine.demand_scale(),
         )[0]
-        return ConcurrencyModel(mean=mean, burstiness=self._app.burstiness_array())

@@ -30,6 +30,7 @@ import numpy as np
 from repro.sim.concurrency import (
     gamma_quantile,
     gamma_sf,
+    gamma_shape,
     nondegenerate_gamma,
     tail_expectation,
 )
@@ -335,7 +336,7 @@ class NoiselessLatencyKernel:
         speed = np.asarray(cpu_speed, dtype=np.float64)
         col = speed if speed.ndim == 0 else speed[:, None]
         mean = self.mean(workload, speed, demand_scale)
-        shape = np.where(mean > _EPS, mean / self._burst, 0.0)
+        shape = gamma_shape(mean, self._burst)
         scale = self._burst
         level = 0.90 if p90 else None
         # ``shape > eps`` implies ``mean > eps`` (shape is 0 elsewhere),
@@ -409,9 +410,7 @@ class CellKernel:
             np.float64(workload_rps) * kernel._visits * kernel._demands
             + kernel._baselines
         ) / speed
-        self._shape = np.where(
-            self._mean > _EPS, self._mean / kernel._burst, 0.0
-        )
+        self._shape = gamma_shape(self._mean, kernel._burst)
         self._scale = kernel._burst
         self._floors = kernel._floors / speed
         self._plan = kernel._plan

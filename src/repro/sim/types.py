@@ -265,26 +265,27 @@ class IntervalMetrics:
 
     Per-service signals are columns: ``names`` and one tuple of values
     per signal (``utilizations``, ``throttles``, ``usages``,
-    ``usages_p90``), all in the producer's service order.  Controllers
-    read the columns by position; :attr:`services` is the read-only
-    ``{name: ServiceMetrics}`` view for callers that look services up by
-    name.  Built from a ``services`` mapping (DES, fast-reaction
-    aggregation, hand-written tests), the mapping is converted to the
-    same columns, so there is one representation.  Immutable.
+    ``usages_p90``), all in the producer's service order.  Engines build
+    them from arrays with :meth:`from_arrays`; other producers pass the
+    columns as sequences.  Controllers read the columns by position;
+    :attr:`services` is the read-only ``{name: ServiceMetrics}`` view for
+    callers that look services up by name.  Immutable.
     """
 
     __slots__ = (
+        "names",
         "latency_p95",
         "workload_rps",
-        "latency_mean",
-        "completed_requests",
-        "names",
         "utilizations",
         "throttles",
         "usages",
         "usages_p90",
+        "latency_mean",
+        "completed_requests",
         "_index",
     )
+
+    names: tuple[str, ...]
 
     latency_p95: float
     """End-to-end 95th percentile response latency (seconds)."""
@@ -292,61 +293,39 @@ class IntervalMetrics:
     workload_rps: float
     """Offered load during the interval (requests per second)."""
 
+    utilizations: tuple[float, ...]
+    throttles: tuple[float, ...]
+    usages: tuple[float, ...]
+    usages_p90: tuple[float, ...]
+
     latency_mean: float
     """Mean end-to-end latency (seconds); 0 if not measured."""
 
     completed_requests: int
     """Requests completed in the interval (DES only; 0 for analytical)."""
 
-    names: tuple[str, ...]
-    utilizations: tuple[float, ...]
-    throttles: tuple[float, ...]
-    usages: tuple[float, ...]
-    usages_p90: tuple[float, ...]
-
     def __init__(
         self,
+        names: Sequence[str],
         latency_p95: float,
         workload_rps: float,
-        services: Mapping[str, ServiceMetrics] | None = None,
+        utilizations: Sequence[float],
+        throttles: Sequence[float],
+        usages: Sequence[float],
+        usages_p90: Sequence[float],
         latency_mean: float = 0.0,
         completed_requests: int = 0,
     ) -> None:
-        svcs = () if services is None else tuple(services.values())
-        self._set(
-            latency_p95,
-            workload_rps,
-            latency_mean,
-            completed_requests,
-            () if services is None else tuple(services),
-            tuple(s.utilization for s in svcs),
-            tuple(s.throttle_seconds for s in svcs),
-            tuple(s.usage_cores for s in svcs),
-            tuple(s.usage_p90_cores for s in svcs),
-        )
-
-    def _set(
-        self,
-        latency_p95: float,
-        workload_rps: float,
-        latency_mean: float,
-        completed_requests: int,
-        names: tuple[str, ...],
-        utilizations: tuple[float, ...],
-        throttles: tuple[float, ...],
-        usages: tuple[float, ...],
-        usages_p90: tuple[float, ...],
-    ) -> None:
         set_ = object.__setattr__
+        set_(self, "names", tuple(names))
         set_(self, "latency_p95", latency_p95)
         set_(self, "workload_rps", workload_rps)
+        set_(self, "utilizations", tuple(utilizations))
+        set_(self, "throttles", tuple(throttles))
+        set_(self, "usages", tuple(usages))
+        set_(self, "usages_p90", tuple(usages_p90))
         set_(self, "latency_mean", latency_mean)
         set_(self, "completed_requests", completed_requests)
-        set_(self, "names", names)
-        set_(self, "utilizations", utilizations)
-        set_(self, "throttles", throttles)
-        set_(self, "usages", usages)
-        set_(self, "usages_p90", usages_p90)
         set_(self, "_index", None)
 
     def __setattr__(self, name: str, value: Any) -> None:
@@ -356,8 +335,8 @@ class IntervalMetrics:
         raise AttributeError(f"IntervalMetrics is immutable: cannot delete {name!r}")
 
     def __reduce__(self):
-        # The slots in ``_set``'s argument order (``_index`` is a cache).
-        return (_rebuild_metrics, tuple(getattr(self, s) for s in self.__slots__[:-1]))
+        # The slots in ``__init__``'s argument order (``_index`` is a cache).
+        return (IntervalMetrics, tuple(getattr(self, s) for s in self.__slots__[:-1]))
 
     @classmethod
     def from_arrays(
@@ -378,16 +357,16 @@ class IntervalMetrics:
         a ``float(array[j])`` per value would give; no per-service object
         is built.
         """
-        return _rebuild_metrics(
+        return cls(
+            names,
             float(latency_p95),
             float(workload_rps),
+            utilization.tolist(),
+            throttle_seconds.tolist(),
+            usage_cores.tolist(),
+            usage_p90_cores.tolist(),
             float(latency_mean),
             int(completed_requests),
-            tuple(names),
-            tuple(utilization.tolist()),
-            tuple(throttle_seconds.tolist()),
-            tuple(usage_cores.tolist()),
-            tuple(usage_p90_cores.tolist()),
         )
 
     # -- by-name access -----------------------------------------------------
@@ -421,14 +400,12 @@ class IntervalMetrics:
         if unknown:
             raise KeyError(f"unknown service in metrics: {sorted(unknown)!r}")
         order = [self.position(name) for name in names]
-        return _rebuild_metrics(
+        return IntervalMetrics(
+            names,
             self.latency_p95,
             self.workload_rps,
-            self.latency_mean,
-            self.completed_requests,
-            tuple(names),
             *(
-                tuple(column[i] for i in order)
+                [column[i] for i in order]
                 for column in (
                     self.utilizations,
                     self.throttles,
@@ -436,13 +413,9 @@ class IntervalMetrics:
                     self.usages_p90,
                 )
             ),
+            self.latency_mean,
+            self.completed_requests,
         )
-
-    def utilization(self, name: str) -> float:
-        return self.utilizations[self.position(name)]
-
-    def throttle(self, name: str) -> float:
-        return self.throttles[self.position(name)]
 
     def violates(self, slo: float) -> bool:
         """True iff the interval's p95 latency exceeds the SLO."""
@@ -479,9 +452,3 @@ class IntervalMetrics:
             f"completed_requests={self.completed_requests!r})"
         )
 
-
-def _rebuild_metrics(*values: Any) -> IntervalMetrics:
-    """An :class:`IntervalMetrics` straight from its slot values."""
-    metrics = object.__new__(IntervalMetrics)
-    metrics._set(*values)
-    return metrics

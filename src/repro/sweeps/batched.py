@@ -48,7 +48,6 @@ from repro.experiments.spec import ExperimentSpec
 from repro.metrics.export import UnitResult
 from repro.obs.decision import decision_record
 from repro.sim.batched import BatchedAnalyticalEngine, DecisionBank, EngineCell
-from repro.sim.concurrency import gamma_quantile
 from repro.sim.engine import analytical_params
 from repro.sim.types import Allocation
 from repro.sweeps.store import paused_gc
@@ -182,26 +181,6 @@ class _CellLoop:
         self._bank.set_slo(self._cell, slo)
 
 
-def _generous_batch(app, rates: np.ndarray, headrooms: np.ndarray) -> np.ndarray:
-    """``AppSpec.generous_allocation`` for every cell in one array pass.
-
-    Same formula order as the scalar method (Gamma bottleneck at the 97th
-    percentile, scaled by headroom, floored at 0.2 cores), elementwise
-    across the batch.  The quantile — an iterative inverse, the costly
-    part — runs once per distinct start rate (seed and repeat cells
-    share theirs).
-    """
-    unique_rates, inverse = np.unique(rates, return_inverse=True)
-    mean = (
-        unique_rates[:, None] * app.visit_array() * app.demand_array()
-        + app.baseline_array()
-    )
-    burst = app.burstiness_array()
-    shape = np.where(mean > 1e-12, mean / burst, 0.0)
-    base = gamma_quantile(0.97, shape, burst)[inverse]
-    return np.maximum(base * headrooms[:, None], 0.2)
-
-
 def run_units_batched(
     units: Sequence[tuple[ExperimentSpec, int]],
 ) -> list[UnitResult]:
@@ -250,12 +229,8 @@ def _run_units_batched(
     start_rates = np.asarray(
         [trace.rate(0.0) for trace in traces], dtype=np.float64
     )
-    if np.any(start_rates < 0):
-        raise ValueError("workload must be >= 0")
-    start = _generous_batch(
-        app,
-        start_rates,
-        np.asarray([s.headroom for s in specs], dtype=np.float64),
+    start = app.generous_allocation_batch(
+        start_rates, np.asarray([s.headroom for s in specs], dtype=np.float64)
     )
     # ``noise_model`` is shared by construction: it is part of the batch
     # key, and ``None`` means every cell uses the engine default — the

@@ -13,7 +13,7 @@ from repro.apps import build_app
 from repro.apps.spec import AppSpec, RequestClass, ServiceSpec, Stage
 from repro.experiments import ExperimentSpec
 from repro.sim import AnalyticalEngine, Allocation
-from repro.sim.types import IntervalMetrics, ServiceMetrics
+from repro.sim.types import IntervalMetrics
 from repro.sweeps import SweepGrid, SweepStore
 
 
@@ -96,20 +96,16 @@ def make_metrics(
     services: tuple[str, ...] = ("front", "logic", "db", "cache"),
 ) -> IntervalMetrics:
     """Hand-built IntervalMetrics for controller unit tests."""
-    utils = utils or {}
-    throttles = throttles or {}
+    util = [(utils or {}).get(name, 0.10) for name in services]
+    throttle = [(throttles or {}).get(name, 0.0) for name in services]
     return IntervalMetrics(
+        services,
         latency_p95=latency,
         workload_rps=workload,
-        services={
-            name: ServiceMetrics(
-                utilization=utils.get(name, 0.10),
-                throttle_seconds=throttles.get(name, 0.0),
-                usage_cores=utils.get(name, 0.10),
-                usage_p90_cores=utils.get(name, 0.10) * 1.5,
-            )
-            for name in services
-        },
+        utilizations=util,
+        throttles=throttle,
+        usages=util,
+        usages_p90=[u * 1.5 for u in util],
     )
 
 

@@ -93,11 +93,11 @@ class TestCalibration:
         engine = AnalyticalEngine(app)
         wl = 200.0
         b = engine.bottleneck_allocation(wl)
-        model = engine._concurrency(wl)
+        mean = engine._mean_concurrency(wl)
         utils = {}
         for name in ("seat", "basic", "ticketinfo"):
             i = app.service_names.index(name)
-            utils[name] = model.mean[i] / b[name]
+            utils[name] = mean[i] / b[name]
         assert 0.10 < utils["seat"] < 0.20
         assert 0.15 < utils["basic"] < 0.25
         assert 0.20 < utils["ticketinfo"] < 0.30

@@ -1,17 +1,19 @@
 """Columnar interval metrics: every construction gives the same decisions.
 
 :class:`IntervalMetrics` holds per-service signals as columns.  Engines
-build them with ``from_arrays``; the DES, the fast-reaction aggregation
-and hand-written tests pass a ``{name: ServiceMetrics}`` mapping, which
-is converted to the same columns.  Controllers read the columns by
-position and reorder a differently ordered interval once.  Here each
-controller runs closed-loop for 300 steps next to three twins fed the
-same observations as a dict in service order, as a dict in a permuted
-order and as permuted arrays: allocations and RNG states must match on
-every step, and the run must exercise every PEMA action.
+and the DES build them with ``from_arrays``; the fast-reaction
+aggregation passes the columns as lists.  Controllers read the
+columns by position and reorder a differently ordered interval once.
+Here each controller runs closed-loop for 300 steps next to three twins
+fed the same observations re-assembled from the by-name ``services``
+view in service order, the same in a permuted order, and as permuted
+arrays: allocations and RNG states must match on every step, and the
+run must exercise every PEMA action.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import numpy as np
 import pytest
@@ -52,10 +54,16 @@ def _replay_unit(app: str, low: float, high: float):
 
 
 def as_dict(metrics: IntervalMetrics, order) -> IntervalMetrics:
+    """The interval re-assembled from its by-name view, in ``order``."""
+    services = [metrics.services[name] for name in order]
     return IntervalMetrics(
-        latency_p95=metrics.latency_p95,
-        workload_rps=metrics.workload_rps,
-        services={name: metrics.services[name] for name in order},
+        order,
+        metrics.latency_p95,
+        metrics.workload_rps,
+        [s.utilization for s in services],
+        [s.throttle_seconds for s in services],
+        [s.usage_cores for s in services],
+        [s.usage_p90_cores for s in services],
         latency_mean=metrics.latency_mean,
     )
 
@@ -124,8 +132,9 @@ class TestColumnsMatchDictForm:
             unit.engine.app.generous_allocation(600.0, headroom=2.0), 600.0
         )
         assert metrics.names == names
-        dict_form = as_dict(metrics, names)
+        dict_form = as_dict(metrics, list(names))
         assert dict_form == metrics
+        assert dict_form.names == names
         assert dict_form.utilizations == metrics.utilizations
         assert as_dict(metrics, names[::-1]) == metrics
         assert as_dict(metrics, names[::-1]).in_order(names).throttles == (
@@ -186,15 +195,13 @@ class TestColumnsMatchDictForm:
 class TestReorder:
     def test_same_order_is_identity(self):
         m = IntervalMetrics(
-            0.1,
-            10.0,
-            {"a": ServiceMetrics(0.1, 0.0, 0.1), "b": ServiceMetrics(0.2, 0.0, 0.2)},
+            ("a", "b"), 0.1, 10.0, [0.1, 0.2], [0.0, 0.0], [0.1, 0.2], [0.0, 0.0]
         )
         assert m.in_order(("a", "b")) is m
         assert m.in_order(("b", "a")).utilizations == (0.2, 0.1)
 
     def test_mismatched_services_raise(self):
-        m = IntervalMetrics(0.1, 10.0, {"a": ServiceMetrics(0.1, 0.0, 0.1)})
+        m = IntervalMetrics(("a",), 0.1, 10.0, [0.1], [0.0], [0.1], [0.0])
         with pytest.raises(KeyError):
             m.in_order(("a", "b"))
         with pytest.raises(KeyError):
@@ -204,7 +211,17 @@ class TestReorder:
         assert "a" in m.services and "b" not in m.services
 
     def test_immutable(self):
-        m = IntervalMetrics(0.1, 10.0)
+        m = IntervalMetrics((), 0.1, 10.0, (), (), (), ())
         with pytest.raises(AttributeError):
             m.latency_p95 = 1.0
         assert m.names == () and dict(m.services) == {}
+
+    def test_pickle_round_trip(self):
+        m = IntervalMetrics(
+            ["a", "b"], 0.1, 10.0, [0.1, 0.2], [0.5, 0.0], [0.1, 0.2], [0.3, 0.4],
+            latency_mean=0.05, completed_requests=7,
+        )
+        m.position("b")  # fills the by-name cache, which is not pickled
+        copy = pickle.loads(pickle.dumps(m))
+        assert copy == m and copy.names == ("a", "b")
+        assert copy.usages_p90 == (0.3, 0.4) and copy.completed_requests == 7

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from repro.sim.concurrency import (
-    ConcurrencyModel,
     gamma_cdf,
     gamma_quantile,
     gamma_sf,
+    gamma_shape,
     tail_expectation,
 )
 
@@ -77,46 +77,42 @@ class TestGammaPrimitives:
         assert e <= mean + 1e-9  # cannot exceed the mean
 
 
+# One Gamma concurrency per service: mean rho_i, variance c_i * rho_i, so
+# shape rho_i / c_i and scale c_i.  The third service has no demand.
+MEAN = np.array([0.5, 2.0, 0.0])
+BURST = np.array([4.0, 1.5, 2.0])
+SHAPE = gamma_shape(MEAN, BURST)
+
+
+def overload(alloc: np.ndarray) -> np.ndarray:
+    """Dimensionless queueing pressure E[(N - x)+] / x, as the kernel forms it."""
+    return tail_expectation(alloc, MEAN, SHAPE, BURST) / np.maximum(alloc, 1e-12)
+
+
 class TestConcurrencyModel:
-    def model(self) -> ConcurrencyModel:
-        return ConcurrencyModel(
-            mean=np.array([0.5, 2.0, 0.0]), burstiness=np.array([4.0, 1.5, 2.0])
-        )
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ConcurrencyModel(mean=np.array([1.0]), burstiness=np.array([0.0]))
-        with pytest.raises(ValueError):
-            ConcurrencyModel(mean=np.array([-1.0]), burstiness=np.array([2.0]))
-        with pytest.raises(ValueError):
-            ConcurrencyModel(mean=np.array([1.0, 2.0]), burstiness=np.array([2.0]))
-
     def test_bottleneck_is_97th_percentile(self):
-        m = self.model()
-        b = m.bottleneck(0.97)
-        exceed = m.exceed_probability(b)
+        b = gamma_quantile(0.97, SHAPE, BURST)
+        exceed = gamma_sf(b, SHAPE, BURST)
         assert exceed[0] == pytest.approx(0.03, abs=1e-9)
         assert exceed[1] == pytest.approx(0.03, abs=1e-9)
         assert b[2] == 0.0  # zero-demand service has no bottleneck
 
     def test_exceed_monotone_in_alloc(self):
-        m = self.model()
-        lo = m.exceed_probability(np.array([0.5, 1.0, 0.1]))
-        hi = m.exceed_probability(np.array([2.0, 4.0, 1.0]))
+        lo = gamma_sf(np.array([0.5, 1.0, 0.1]), SHAPE, BURST)
+        hi = gamma_sf(np.array([2.0, 4.0, 1.0]), SHAPE, BURST)
         assert np.all(hi <= lo + 1e-12)
 
     def test_overload_monotone_in_alloc(self):
-        m = self.model()
-        lo = m.overload(np.array([0.5, 1.0, 0.1]))
-        hi = m.overload(np.array([2.0, 4.0, 1.0]))
+        lo = overload(np.array([0.5, 1.0, 0.1]))
+        hi = overload(np.array([2.0, 4.0, 1.0]))
         assert np.all(hi <= lo + 1e-12)
         assert lo[2] == 0.0
 
     def test_usage_p90_capped_by_alloc(self):
-        m = self.model()
         alloc = np.array([0.2, 0.5, 1.0])
-        p90 = m.usage_p90(alloc)
+        p90 = np.minimum(alloc, gamma_quantile(0.90, SHAPE, BURST))
         assert np.all(p90 <= alloc + 1e-12)
+        assert p90[0] == 0.2 and p90[2] == 0.0
 
     @given(
         mean=st.floats(min_value=0.05, max_value=10.0),
@@ -126,8 +122,9 @@ class TestConcurrencyModel:
     )
     @settings(max_examples=50, deadline=None)
     def test_bottleneck_monotone_in_quantile(self, mean, burst, p_lo, p_hi):
-        m = ConcurrencyModel(mean=np.array([mean]), burstiness=np.array([burst]))
-        assert m.bottleneck(p_hi)[0] >= m.bottleneck(p_lo)[0] - 1e-12
+        shape = gamma_shape(np.array([mean]), np.array([burst]))
+        scale = np.array([burst])
+        hi = gamma_quantile(p_hi, shape, scale)
+        assert hi[0] >= gamma_quantile(p_lo, shape, scale)[0] - 1e-12
         # And the defining identity: SF(bottleneck) == 1 - p.
-        b = m.bottleneck(p_hi)
-        assert m.exceed_probability(b)[0] == pytest.approx(1 - p_hi, abs=1e-9)
+        assert gamma_sf(hi, shape, scale)[0] == pytest.approx(1 - p_hi, abs=1e-9)

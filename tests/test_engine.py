@@ -1,14 +1,24 @@
 """Analytical engine: Environment protocol, monotonicity, operating knobs."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.apps import build_app
 from repro.apps.spec import AppSpec, RequestClass, ServiceSpec, Stage
 from repro.sim import AnalyticalEngine, Allocation, BatchedAnalyticalEngine, NoiseModel
+from repro.sim.concurrency import (
+    gamma_quantile,
+    gamma_sf,
+    gamma_shape,
+    tail_expectation,
+)
 from repro.sim.environment import Environment
 from repro.sim.latency import end_to_end_latency, visit_latency
-from repro.sim.types import IntervalMetrics, ServiceMetrics
+from repro.sim.types import IntervalMetrics
 
 from tests.conftest import build_tiny_app
 
@@ -231,20 +241,23 @@ class TestKernelParity:
         app = _idle_service_app()
         engine = AnalyticalEngine(app, noise=NoiseModel.none(), seed=1)
         alloc = np.linspace(0.2, 1.5, app.n_services)
+        burst = app.burstiness_array()
         for workload in (0.0, 80.0, 250.0):
-            model = engine._concurrency(workload)
-            assert model.shape[-1] == 0.0
+            mean = engine._mean_concurrency(workload)
+            shape = gamma_shape(mean, burst)
+            assert shape[-1] == 0.0
+            excess = tail_expectation(alloc, mean, shape, burst)
             per_visit = visit_latency(
                 app.floor_array(),
-                model.overload(alloc),
-                model.exceed_probability(alloc),
+                excess / np.maximum(alloc, 1e-12),
+                gamma_sf(alloc, shape, burst),
                 engine.latency_params,
             )
             m = engine.observe(
                 Allocation.from_array(app.service_names, alloc), workload
             )
             assert m.latency_p95 == end_to_end_latency(app, per_visit)
-            p90 = model.usage_p90(alloc)
+            p90 = np.minimum(alloc, gamma_quantile(0.90, shape, burst))
             assert [s.usage_p90_cores for s in m.services.values()] == p90.tolist()
             assert m.services["idle"].throttle_seconds == 0.0
 
@@ -303,17 +316,64 @@ class TestIntervalMetricsFromArrays:
             latency_mean=0.25 / 1.6,
         )
         expected = IntervalMetrics(
+            names,
             latency_p95=0.25,
             workload_rps=300.0,
-            services={
-                n: ServiceMetrics(
-                    float(util[j]), float(thr[j]), float(usage[j]), float(p90[j])
-                )
-                for j, n in enumerate(names)
-            },
+            utilizations=[float(v) for v in util],
+            throttles=[float(v) for v in thr],
+            usages=[float(v) for v in usage],
+            usages_p90=[float(v) for v in p90],
             latency_mean=0.25 / 1.6,
         )
         assert built == expected
+        assert built.throttles == expected.throttles
         assert type(built.latency_p95) is float
         assert type(built.workload_rps) is float
         assert all(type(s.utilization) is float for s in built.services.values())
+
+
+def _allocation_digest(app, allocation: Allocation) -> str:
+    values = allocation.as_array(app.service_names).tolist()
+    return hashlib.sha256(json.dumps(values).encode()).hexdigest()
+
+
+class TestAllocationPins:
+    """Exact start and bottleneck allocations, recorded before the Gamma
+    quantile they share was written once.  The ``static`` factory's
+    ``bottleneck_rps`` start and figs. 7/8 read ``bottleneck_allocation``;
+    every run starts from ``generous_allocation``.  Each digest is the
+    sha256 of the allocation's floats as a JSON list in service order."""
+
+    BOTTLENECK = {
+        ("sockshop", 350.0): "b3c655346e00de486614f1b45dce55a6633d4a4afdbaf161102eef3656856c32",
+        ("sockshop", 700.0): "3bff5617f68dc72b0ad1f98f97f8a448116d8197022b20bd0a39d80bb2f277e5",
+        ("trainticket", 100.0): "5b61c1b02dbd7dfc38da6f0b6712f2e73623ca11f9b4a6deddaf66ca067af7f3",
+        ("trainticket", 200.0): "74133c3af7bca44286e57dcb37492ed052da61db95e2906adb779077d16a3217",
+        ("hotelreservation", 250.0): "4d551a200df5111ecc819bcfae52be167f131b0b8db82f760122319b6af33e43",
+        ("hotelreservation", 500.0): "32c67bf9ea41f31f3aceecd041ea819aa80d50e33bd6c07afa984df3c0f033ac",
+    }
+
+    GENEROUS = {
+        ("sockshop", 0.0, 2.0): "6e345debf4356465046214211b00d706b8dd5e5544284e41c9af6e95af09be29",
+        ("sockshop", 350.0, 1.5): "dc62e939fa179fb4103f23d411ef374f06b687d1e08aceb8d54a44fb4fe89f9e",
+        ("sockshop", 700.0, 2.0): "5d764782cc51ce195144aed6df3a910ceffcd7b054935e9bdeb1b949c931049d",
+        ("trainticket", 0.0, 2.0): "71d13fce4911f98bb58547303b879137c875d8c79de22caa6277b6740d78b217",
+        ("trainticket", 100.0, 1.5): "0d0efdc35456463853fbd6edba68661621c52e41913067b3e98448740079036d",
+        ("trainticket", 200.0, 2.0): "2afe621fd6de6d7c949652ef175325f580dbc855f475a9db231e14e6a152e46a",
+        ("hotelreservation", 0.0, 2.0): "a2ea9deb7558f00f7464096008f7a7de86dd3943acf9525f77f1ac346852c55e",
+        ("hotelreservation", 250.0, 1.5): "e4d63035e04bf96b663f5f62ebc23cd499c70956d062f8f24c6d76a4d6ddba9a",
+        ("hotelreservation", 500.0, 2.0): "17e1f22e3f79b50ca4747df837d173d2499729752d50996459f61d80abc73fe1",
+    }
+
+    @pytest.mark.parametrize("name, workload", sorted(BOTTLENECK))
+    def test_bottleneck_allocation(self, name, workload):
+        app = build_app(name)
+        allocation = AnalyticalEngine(app).bottleneck_allocation(workload)
+        assert _allocation_digest(app, allocation) == self.BOTTLENECK[name, workload]
+
+    @pytest.mark.parametrize("name, workload, headroom", sorted(GENEROUS))
+    def test_generous_allocation(self, name, workload, headroom):
+        app = build_app(name)
+        allocation = app.generous_allocation(workload, headroom=headroom)
+        digest = _allocation_digest(app, allocation)
+        assert digest == self.GENEROUS[name, workload, headroom]

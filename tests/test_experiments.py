@@ -1,6 +1,8 @@
 """Declarative experiment API: spec round-trip, registries, runner, hooks."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +23,9 @@ from repro.experiments import (
     run_experiment,
     run_unit,
 )
-from repro.sweeps import run_sweep_cached
+from repro.cli import main
+from repro.sweeps import SweepGrid, SweepStore, run_sweep_cached
+from repro.sweeps.store import canonical_key
 
 
 def small_spec(**overrides) -> ExperimentSpec:
@@ -85,6 +89,104 @@ class TestSpec:
             small_spec(app="nope").validate()
         with pytest.raises(KeyError, match="unknown engine backend"):
             small_spec(engine=EngineSpec(kind="quantum")).validate()
+
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"workload": {"kind": "constant", "params": {"rps": float("nan")}}},
+             "workload.params.rps"),
+            ({"interval": float("inf")}, "interval"),
+            ({"slo": float("nan")}, "slo"),
+            ({"headroom": float("inf")}, "headroom"),
+            ({"autoscaler": {"kind": "pema", "params": {"alpha": float("nan")}}},
+             "autoscaler.params.alpha"),
+            ({"engine": {"params": {"noise": {"sigma": float("-inf")}}}},
+             "engine.params.noise.sigma"),
+            ({"hooks": [{"kind": "set_slo",
+                         "params": {"at": 2, "slo": float("nan")}}]},
+             "hooks[0].params.slo"),
+            ({"workload": {"kind": "replay", "params": {"segments": [
+                {"hours": float("inf")}]}}},
+             "workload.params.segments[0].hours"),
+        ],
+    )
+    def test_non_finite_rejected(self, change, field):
+        data = {"app": "sockshop", "workload": 700.0, "n_steps": 5, **change}
+        with pytest.raises(ValueError, match=rf"^{re.escape(field)} must be finite"):
+            ExperimentSpec.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"n_steps": "5"}, "n_steps"),
+            ({"n_steps": True}, "n_steps"),
+            ({"n_steps": 5.5}, "n_steps"),
+            ({"seed": 1.5}, "seed"),
+            ({"seed": "1"}, "seed"),
+            ({"repeats": 1.5}, "repeats"),
+            ({"repeats": False}, "repeats"),
+            ({"engine": {"seed_offset": 2.5}}, "engine.seed_offset"),
+            ({"engine": {"seed_offset": "2"}}, "engine.seed_offset"),
+        ],
+    )
+    def test_integer_fields_not_truncated(self, change, field):
+        data = {"app": "sockshop", "workload": 700.0, "n_steps": 5, **change}
+        with pytest.raises(ValueError, match=rf"^{re.escape(field)} must be an integer"):
+            ExperimentSpec.from_dict(data)
+
+    def test_integral_numbers_keep_their_key(self):
+        plain = ExperimentSpec.from_dict(
+            {"app": "sockshop", "workload": 700, "n_steps": 5, "interval": 60}
+        )
+        floats = ExperimentSpec.from_dict(
+            {"app": "sockshop", "workload": 700.0, "n_steps": 5.0, "seed": 0.0,
+             "repeats": 1.0, "interval": 60.0,
+             "engine": {"seed_offset": 1000.0}}
+        )
+        assert plain.to_json() == floats.to_json()
+        assert type(floats.n_steps) is int and type(floats.interval) is float
+        assert type(floats.engine.seed_offset) is int
+        assert canonical_key(SweepStore.unit_key(plain, 0)) == canonical_key(
+            SweepStore.unit_key(floats, 0)
+        )
+
+    def test_with_rechecks(self):
+        with pytest.raises(ValueError, match="^interval must be finite"):
+            small_spec().with_(interval=float("nan"))
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            small_spec().with_(seed=0.5)
+
+    def test_cli_sweep_rejects_truncated_grid_before_any_entry(
+        self, tmp_path, capsys
+    ):
+        grid = json.loads(Path("benchmarks/grids/ci_smoke.json").read_text())
+        grid["base"]["n_steps"] = "5"
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        cache = tmp_path / "cache"
+        messages = []
+        for extra in (["--cache", str(cache)], []):
+            assert main(["sweep", "--grid", str(path), *extra]) == 2
+            messages.append(capsys.readouterr().err)
+        assert messages[0] == messages[1]
+        assert "n_steps must be an integer: '5'" in messages[0]
+        assert not cache.exists()
+
+    def test_shipped_grid_cell_keys(self):
+        """Unit keys of shipped cells, recorded before the spec checks."""
+        expected = {
+            "robustness_smoke": (
+                24,
+                "f0dccb23af58067ea6e84b86e296fee8b388c8dddaaffa4bd333f916d3a8b2a5",
+            ),
+            "fig20_dynamic_slo": (
+                0,
+                "5c4959d4783e4cdbda2c72e89c1e44106243f374d748541be9e292dbfae5820c",
+            ),
+        }
+        for name, (index, key) in expected.items():
+            spec = SweepGrid.read(f"benchmarks/grids/{name}.json").cells()[index].spec
+            assert canonical_key(SweepStore.unit_key(spec, 0)) == key
 
     def test_with_derives_cells(self):
         base = small_spec()

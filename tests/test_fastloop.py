@@ -1,5 +1,8 @@
 """High-resolution violation mitigation (§6 extension)."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,9 @@ from repro.core import (
     PEMAConfig,
     PEMAController,
 )
+from repro.apps import build_app
 from repro.core.fastloop import _aggregate
+from repro.metrics.export import loop_result_to_dict
 from repro.sim import AnalyticalEngine, NoiseModel
 from repro.sim.types import IntervalMetrics, ServiceMetrics
 from repro.workload import ConstantWorkload
@@ -124,3 +129,39 @@ class TestFastReactionLoop:
         seen = []
         loop.run(3, on_step=lambda s, lp: seen.append(s))
         assert seen == [0, 1, 2]
+
+
+class TestGoldenRun:
+    """Digests of an aggressive sockshop run, recorded before the
+    sub-interval aggregation built its metrics from columns.
+
+    ``bench_ext_fast_rollback`` runs this shape at 12 splits; from 8
+    elements numpy's pairwise summation differs from a running sum in
+    the last bits, so both split counts are pinned.
+    """
+
+    DIGESTS = {
+        6: "d1e132872ab6a8b0fa812b5caf43826de77c2070750af9592dc39b5109029e18",
+        12: "b705d9f1cfda02385d2edeb24b21d333e91bc78181837d8327a869ae6b302c5e",
+    }
+
+    @pytest.mark.parametrize("splits", [6, 12])
+    def test_history_digest(self, splits):
+        app = build_app("sockshop")
+        controller = PEMAController(
+            app.service_names,
+            app.slo,
+            app.generous_allocation(700.0),
+            PEMAConfig(alpha=0.15, beta=0.7, explore_a=0.0, explore_b=0.0),
+            seed=101,
+        )
+        result = FastReactionLoop(
+            AnalyticalEngine(app, seed=100),
+            controller,
+            ConstantWorkload(700.0),
+            monitor_splits=splits,
+        ).run(30)
+        encoded = json.dumps(loop_result_to_dict(result), sort_keys=True)
+        assert hashlib.sha256(encoded.encode()).hexdigest() == self.DIGESTS[splits]
+        assert (result.sub_violations, result.mitigations) == (14, 14)
+        assert result.sub_intervals == 30 * splits

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import PEMAConfig, PEMAController
 from repro.core.workload_range import RangeTree
 from repro.sim import AnalyticalEngine, Allocation, NoiseModel
-from repro.sim.types import IntervalMetrics, ServiceMetrics
+from repro.sim.types import IntervalMetrics
 from tests.conftest import build_tiny_app
 
 pytestmark = pytest.mark.slow
@@ -32,17 +32,13 @@ def metric_sequences(draw):
         ]
         seq.append(
             IntervalMetrics(
+                SERVICES,
                 latency_p95=latency,
                 workload_rps=100.0,
-                services={
-                    name: ServiceMetrics(
-                        utilization=u,
-                        throttle_seconds=h,
-                        usage_cores=u,
-                        usage_p90_cores=u,
-                    )
-                    for name, u, h in zip(SERVICES, utils, throttles)
-                },
+                utilizations=utils,
+                throttles=throttles,
+                usages=utils,
+                usages_p90=utils,
             )
         )
     return seq
@@ -109,12 +105,9 @@ class TestControllerFuzz:
         )
         prev_total = c.allocation.total()
         for latency in latencies:
+            ones = [0.1] * len(SERVICES)
             metrics = IntervalMetrics(
-                latency_p95=latency,
-                workload_rps=100.0,
-                services={
-                    s: ServiceMetrics(0.1, 0.0, 0.1, 0.1) for s in SERVICES
-                },
+                SERVICES, latency, 100.0, ones, [0.0] * len(SERVICES), ones, ones
             )
             result = c.step(metrics)
             assert result.allocation.total() <= prev_total + 1e-9

@@ -7,16 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.selection import (
-    eligible_services,
-    inclusion_probabilities,
+    eligible_positions,
+    position_probabilities,
     select_targets,
 )
 from repro.core import PEMAConfig, PEMAController
 from repro.core.thresholds import ThresholdTracker
-from repro.sim import Allocation, IntervalMetrics, ServiceMetrics
+from repro.sim import Allocation, IntervalMetrics
 from tests.conftest import make_metrics
 
 SERVICES = ("front", "logic", "db", "cache")
+FRONT, LOGIC, DB, CACHE = range(4)  # column positions of SERVICES
 
 
 def tracker(**updates) -> ThresholdTracker:
@@ -29,23 +30,21 @@ def tracker(**updates) -> ThresholdTracker:
 class TestEligibility:
     def test_all_eligible_when_no_throttle(self):
         m = make_metrics(0.1)
-        assert set(eligible_services(m, tracker())) == set(SERVICES)
+        assert eligible_positions(m, tracker()) == [FRONT, LOGIC, DB, CACHE]
 
     def test_throttled_service_filtered(self):
         m = make_metrics(0.1, throttles={"db": 5.0})
-        eligible = eligible_services(m, tracker())
-        assert "db" not in eligible
-        assert "front" in eligible
+        assert eligible_positions(m, tracker()) == [FRONT, LOGIC, CACHE]
 
     def test_threshold_learning_restores_eligibility(self):
         t = tracker(throttles={"db": 5.0})  # threshold learned at 5.0
         m = make_metrics(0.1, throttles={"db": 4.0})
-        assert "db" in eligible_services(m, t)
+        assert DB in eligible_positions(m, t)
 
 
 class TestInclusionProbabilities:
     def test_empty_eligible(self):
-        assert inclusion_probabilities(make_metrics(0.1), tracker(), ()) == {}
+        assert position_probabilities(make_metrics(0.1), tracker(), []) == []
 
     def test_eqn5_extremes(self):
         # front at its threshold (u* = 1) -> p = 0; cache coolest -> p = 1.
@@ -54,24 +53,24 @@ class TestInclusionProbabilities:
         m = make_metrics(
             0.1, utils={"front": 0.50, "logic": 0.15, "db": 0.15, "cache": 0.05}
         )
-        probs = inclusion_probabilities(m, t, SERVICES)
-        assert probs["front"] == pytest.approx(0.0)
-        assert probs["cache"] == pytest.approx(1.0)
-        assert 0.0 < probs["logic"] < 1.0
+        probs = position_probabilities(m, t, [FRONT, LOGIC, DB, CACHE])
+        assert probs[FRONT] == pytest.approx(0.0)
+        assert probs[CACHE] == pytest.approx(1.0)
+        assert 0.0 < probs[LOGIC] < 1.0
 
     def test_all_at_threshold_ties_as_coolest(self):
         # Degenerate 0/0 in Eqn. (5): everyone at threshold means everyone
         # ties as the coolest service, so each keeps probability 1.
         t = tracker(utils={s: 0.30 for s in SERVICES})
         m = make_metrics(0.1, utils={s: 0.30 for s in SERVICES})
-        probs = inclusion_probabilities(m, t, SERVICES)
-        assert all(p == pytest.approx(1.0) for p in probs.values())
+        probs = position_probabilities(m, t, [FRONT, LOGIC, DB, CACHE])
+        assert all(p == pytest.approx(1.0) for p in probs)
 
     def test_uniform_utilization_gives_probability_one(self):
         # Everyone equally cool: all are the minimum -> all p = 1.
         m = make_metrics(0.1, utils={s: 0.05 for s in SERVICES})
-        probs = inclusion_probabilities(m, tracker(), SERVICES)
-        assert all(p == pytest.approx(1.0) for p in probs.values())
+        probs = position_probabilities(m, tracker(), [FRONT, LOGIC, DB, CACHE])
+        assert all(p == pytest.approx(1.0) for p in probs)
 
     @given(
         utils=st.lists(
@@ -81,10 +80,12 @@ class TestInclusionProbabilities:
     @settings(max_examples=60, deadline=None)
     def test_probabilities_bounded(self, utils):
         m = make_metrics(0.1, utils=dict(zip(SERVICES, utils)))
-        probs = inclusion_probabilities(m, ThresholdTracker(SERVICES), SERVICES)
-        assert all(0.0 <= p <= 1.0 for p in probs.values())
+        probs = position_probabilities(
+            m, ThresholdTracker(SERVICES), [FRONT, LOGIC, DB, CACHE]
+        )
+        assert all(0.0 <= p <= 1.0 for p in probs)
         # The coolest service always has probability exactly 1.
-        assert max(probs.values()) == pytest.approx(1.0)
+        assert max(probs) == pytest.approx(1.0)
 
 
 class TestSelectTargets:
@@ -134,14 +135,8 @@ THREE = ("a", "b", "c")
 
 
 def interval_metrics(interval: Interval, latency: float = 0.01) -> IntervalMetrics:
-    return IntervalMetrics(
-        latency_p95=latency,
-        workload_rps=100.0,
-        services={
-            name: ServiceMetrics(u, h, u)
-            for name, u, h in zip(THREE, interval.utilization, interval.throttle)
-        },
-    )
+    u, h = interval.utilization, interval.throttle
+    return IntervalMetrics(THREE, latency, 100.0, u, h, u, (0.0, 0.0, 0.0))
 
 
 # ratchets a fresh tracker (U_th = 1/8, H_th = 0) through the intervals.
@@ -174,23 +169,16 @@ class TestClosedForm:
         tracker = call_tracker(RATCHET)
         m = interval_metrics(Interval((0.125, 0.1875, 0.375), (0.75, 0.75, 0.0)))
         # h <= H_th: a (0.75 <= 1), c (0 <= 0); b is throttled (0.75 > 0.5).
-        assert eligible_services(m, tracker) == ("a", "c")
+        assert eligible_positions(m, tracker) == [0, 2]
         # u* = (1/8)/(1/4) = 1/2 for a, (3/8)/(1/2) = 3/4 for c; min 1/2,
         # so p_a = 1 and p_c = 1 - (3/4 - 1/2)/(1 - 1/2) = 1/2.
-        assert inclusion_probabilities(m, tracker, ("a", "c")) == {
-            "a": 1.0,
-            "c": 0.5,
-        }
+        assert position_probabilities(m, tracker, [0, 2]) == [1.0, 0.5]
 
     def test_eqn_5_all_eligible(self):
         tracker = call_tracker(RATCHET)
         m = interval_metrics(Interval((0.125, 0.1875, 0.375), (0.0, 0.0, 0.0)))
         # u*_b = (3/16)/(3/8) = 1/2 ties with a as the coolest.
-        assert inclusion_probabilities(m, tracker, THREE) == {
-            "a": 1.0,
-            "b": 1.0,
-            "c": 0.5,
-        }
+        assert position_probabilities(m, tracker, [0, 1, 2]) == [1.0, 1.0, 0.5]
 
     def test_controller_step_uses_the_same_closed_form(self):
         # No exploration and a response far under the SLO: signal = 1,

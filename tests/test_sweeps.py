@@ -712,19 +712,21 @@ class TestMalformedEntries:
 
     @pytest.mark.parametrize("batch", [False, True])
     def test_nan_rate_spec_raises(self, tmp_path, batch):
-        """A constant ``rps: NaN`` spec runs, but its history breaks the
-        value rule, so no executor returns the unit."""
-        spec = base_spec(
-            workload={"kind": "constant", "params": {"rps": float("nan")}}
-        )
-        with pytest.raises(MalformedHistoryError, match="workload"):
-            run_sweep_cached([spec], batch=batch)
-        # With a store the unit key (canonical JSON, NaN not allowed)
-        # already fails to hash at the cache probe: still a ValueError,
-        # and nothing is written.
+        """A constant ``rps: NaN`` spec is rejected where it is built, so
+        the store and storeless paths fail alike, before any unit runs
+        or any entry is written."""
         store = SweepStore(tmp_path)
-        with pytest.raises(ValueError):
-            run_sweep_cached([spec], store=store, batch=batch)
+        errors = []
+        for target in (None, store):
+            with pytest.raises(ValueError) as info:
+                run_sweep_cached(
+                    [base_spec(workload={"kind": "constant",
+                                         "params": {"rps": float("nan")}})],
+                    store=target,
+                    batch=batch,
+                )
+            errors.append(str(info.value))
+        assert errors == ["workload.params.rps must be finite: nan"] * 2
         assert store.entry_paths() == []
 
 
@@ -864,10 +866,10 @@ class TestScheduler:
         # The scheduler against the plain unit runner, one call per unit.
         specs = [base_spec(repeats=2), base_spec(seed=5)]
         expected = [
-            ExperimentArtifact.from_payloads(
+            ExperimentArtifact.from_units(
                 spec,
                 [
-                    _run_unit_worker(spec.to_dict(), repeat)
+                    UnitResult.from_payload(_run_unit_worker(spec.to_dict(), repeat))
                     for repeat in range(spec.repeats)
                 ],
             )
