@@ -31,6 +31,45 @@ __all__ = ["ExperimentArtifact"]
 
 
 @dataclass(frozen=True)
+class _FromUnits:
+    """A per-repeat channel not read yet: each repeat's channels."""
+
+    name: str
+    channels: tuple[Mapping[str, Any], ...]
+
+    def __len__(self) -> int:
+        return len(self.channels)
+
+
+class _PerRepeat:
+    """An artifact field holding one channel value per repeat.
+
+    It holds a tuple, or the :class:`_FromUnits` that ``from_units``
+    passes: the first read of the field decodes each repeat's channel
+    then and keeps the tuple, so an artifact whose channels are never
+    read never decodes them.
+    """
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.slot = f"_{name}"
+
+    def __get__(self, obj: Any, owner: type | None = None) -> Any:
+        if obj is None:
+            return ()  # the dataclass field default
+        value = obj.__dict__[self.slot]
+        if isinstance(value, _FromUnits):
+            value = obj.__dict__[self.slot] = tuple(
+                channels.get(value.name) for channels in value.channels
+            )
+        return value
+
+    def __set__(self, obj: Any, value: Any) -> None:
+        if not isinstance(value, _FromUnits):
+            value = tuple(value)
+        obj.__dict__[self.slot] = value
+
+
+@dataclass(frozen=True)
 class ExperimentArtifact:
     """The outcome of ``run_experiment``: one ``LoopResult`` per repeat.
 
@@ -39,13 +78,15 @@ class ExperimentArtifact:
     workload-aware manager's range-tree splits/slope; None for
     autoscalers without internal state) — empty otherwise.  The
     ``decision_trace`` channel fills ``decision_traces`` the same way:
-    one list of per-step decision records per repeat.
+    one list of per-step decision records per repeat.  An artifact
+    assembled from stored units decodes a channel when that field is
+    first read.
     """
 
     spec: ExperimentSpec
     results: tuple[LoopResult, ...]
-    manager_states: tuple[Any, ...] = ()
-    decision_traces: tuple[Any, ...] = ()
+    manager_states: tuple[Any, ...] = _PerRepeat()
+    decision_traces: tuple[Any, ...] = _PerRepeat()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "results", tuple(self.results))
@@ -53,26 +94,13 @@ class ExperimentArtifact:
             raise ValueError(
                 f"expected {self.spec.repeats} results, got {len(self.results)}"
             )
-        object.__setattr__(
-            self, "manager_states", tuple(self.manager_states)
-        )
-        if self.manager_states and len(self.manager_states) != len(
-            self.results
-        ):
-            raise ValueError(
-                f"expected {len(self.results)} manager states, "
-                f"got {len(self.manager_states)}"
-            )
-        object.__setattr__(
-            self, "decision_traces", tuple(self.decision_traces)
-        )
-        if self.decision_traces and len(self.decision_traces) != len(
-            self.results
-        ):
-            raise ValueError(
-                f"expected {len(self.results)} decision traces, "
-                f"got {len(self.decision_traces)}"
-            )
+        for name in ("manager_states", "decision_traces"):
+            count = len(self.__dict__[f"_{name}"])  # without decoding
+            if count and count != len(self.results):
+                raise ValueError(
+                    f"expected {len(self.results)} "
+                    f"{name.replace('_', ' ')}, got {count}"
+                )
 
     def manager_state(self, repeat: int = 0) -> Any:
         """Repeat ``repeat``'s captured manager-state payload.
@@ -145,12 +173,14 @@ class ExperimentArtifact:
 
         Each captured channel the spec requested becomes one entry per
         repeat; a unit missing a requested channel contributes None.
+        Nothing is decoded here: a channel is read from the units when
+        its field is first read.
         """
 
-        def channel(name: str) -> tuple[Any, ...]:
+        def channel(name: str) -> _FromUnits | tuple[()]:
             if name not in spec.capture:
                 return ()
-            return tuple(unit.channels.get(name) for unit in units)
+            return _FromUnits(name, tuple(unit.channels for unit in units))
 
         return cls(
             spec=spec,

@@ -79,6 +79,20 @@ def _integral(name: str, value: Any) -> int:
     raise ValueError(f"{name} must be an integer: {value!r}")
 
 
+def _real(name: str, value: Any) -> float:
+    """``value`` as a finite ``float``; a bool, str or non-finite number
+    is rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number: {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int too large for a float
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite: {value!r}")
+    return number
+
+
 def _check_finite(name: str, value: Any) -> None:
     """Reject a non-finite number in ``value`` or anything nested in it."""
     if isinstance(value, numbers.Real) and not isinstance(value, numbers.Integral):
@@ -244,8 +258,10 @@ class ExperimentSpec:
         )
         for name in ("n_steps", "seed", "repeats"):
             object.__setattr__(self, name, _integral(name, getattr(self, name)))
-        for name in ("interval", "slo", "headroom"):
-            _check_finite(name, getattr(self, name))
+        for name in ("interval", "headroom"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
+        if self.slo is not None:
+            object.__setattr__(self, "slo", _real("slo", self.slo))
         for name in ("workload", "autoscaler", "engine"):
             _check_finite(f"{name}.params", getattr(self, name).params)
         for i, hook in enumerate(self.hooks):
@@ -323,7 +339,6 @@ class ExperimentSpec:
         for required in ("app", "workload", "n_steps"):
             if required not in data:
                 raise ValueError(f"ExperimentSpec needs {required!r}")
-        slo = data.get("slo")
         return cls(
             name=str(data.get("name", "")),
             app=data["app"],
@@ -333,9 +348,9 @@ class ExperimentSpec:
             ),
             engine=EngineSpec.from_dict(data.get("engine", {})),
             n_steps=data["n_steps"],
-            interval=float(data.get("interval", 120.0)),
-            slo=None if slo is None else float(slo),
-            headroom=float(data.get("headroom", 2.0)),
+            interval=data.get("interval", 120.0),
+            slo=data.get("slo"),
+            headroom=data.get("headroom", 2.0),
             seed=data.get("seed", 0),
             repeats=data.get("repeats", 1),
             hooks=tuple(

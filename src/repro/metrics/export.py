@@ -8,12 +8,14 @@ row, or plain-dict JSON.  Two forms round-trip exactly:
   interval — what :class:`repro.experiments.ExperimentArtifact` persists,
   what unit workers return and what the streaming service emits;
 * the **column** form (:meth:`UnitResult.to_columns`), a small JSON
-  header (``n`` and the service names) plus three raw little-endian
-  columns — what the sweep store keeps at rest after its header line
+  header (``n``, the service names and a channel table) plus three raw
+  little-endian columns and each capture channel's JSON text — what the
+  sweep store keeps at rest after its header line
   (:mod:`repro.sweeps.store` owns that framing).  float64 values travel
   as their 8 bytes, so decoding yields bit-identical columns and
   re-encoding them as records gives the same bytes as the original
-  records.
+  records.  A channel's text is checked against its CRC-32 when the
+  entry is read but decoded only when the channel is (:class:`Channels`).
 
 Both decoders apply the same value rule and raise
 :class:`MalformedHistoryError` on anything they cannot decode;
@@ -23,10 +25,14 @@ Both decoders apply the same value rule and raise
 from __future__ import annotations
 
 import csv
+import json
+import zlib
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Collection, Iterator
+from typing import (
+    TYPE_CHECKING, Any, Callable, Collection, Iterator, Mapping,
+)
 
 import numpy as np
 
@@ -34,6 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.loop import LoopRecord, LoopResult
 
 __all__ = [
+    "Channels",
     "MalformedHistoryError",
     "loop_record_to_dict",
     "loop_result_to_csv",
@@ -238,7 +245,7 @@ def loop_result_from_dict(data: dict[str, Any]) -> "LoopResult":
 
 
 
-# -- the at-rest (format 3) column layout ------------------------------------
+# -- the at-rest (format 4) column layout ------------------------------------
 # Little-endian on every host, so an entry reads the same everywhere.
 _VALUES_DTYPE = np.dtype("<f8")
 _STEP_DTYPE = np.dtype("<i8")
@@ -316,21 +323,122 @@ def _history_from_columns(history: Any, tail: Any) -> "LoopResult":
     )
 
 
+# -- capture channels -------------------------------------------------------
+def _encode_channel(value: Any) -> bytes:
+    """A channel value's at-rest JSON text."""
+    return json.dumps(value, sort_keys=True, allow_nan=False).encode()
+
+
+def _decode_channel(text: memoryview) -> Any:
+    """A stored channel's value: its JSON text, decoded."""
+    return json.loads(bytes(text))
+
+
+class Channels(Mapping[str, Any]):
+    """A unit's capture channels by name, read-only.
+
+    A computed channel holds its value; a channel read from the store
+    holds a view of its JSON text in the entry's bytes (which the
+    history's columns view too) and is decoded the first time it is
+    read, then kept.  :meth:`encoded` and :meth:`holds` answer from the
+    text, so paths that only re-store a unit or count its channels
+    decode nothing.  Pickling decodes every channel.
+    """
+
+    def __init__(self, values: Mapping[str, Any] = ()) -> None:
+        self._values = dict(values)
+
+    def __getitem__(self, name: str) -> Any:
+        value = self._values[name]
+        if type(value) is memoryview:
+            value = self._values[name] = _decode_channel(value)
+        return value
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._values)
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __repr__(self) -> str:
+        return f"Channels({dict(self)!r})"
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        return Channels, (dict(self),)
+
+    def encoded(self, name: str) -> bytes | memoryview:
+        """Channel ``name``'s at-rest JSON text (no decode)."""
+        value = self._values[name]
+        return value if type(value) is memoryview else _encode_channel(value)
+
+    def holds(self, name: str) -> bool:
+        """Is channel ``name`` present and not ``null``?  (No decode.)"""
+        value = self._values.get(name)
+        if type(value) is memoryview:
+            return value != b"null"
+        return value is not None
+
+
+def _stored_channels(
+    table: Any, tail: memoryview
+) -> tuple[int, dict[str, memoryview]]:
+    """Split the channel blobs off the end of ``tail``.
+
+    ``table`` maps each channel name to ``[nbytes, crc32]``; the blobs
+    follow the columns in name order and end the entry.  Returns where
+    the columns end and each channel's text.  Raises
+    :class:`MalformedHistoryError` for a malformed table, blobs longer
+    than ``tail``, or a blob whose CRC-32 differs.
+    """
+    if not isinstance(table, dict):
+        raise MalformedHistoryError("channel table must be an object")
+    names = sorted(table)
+    for name in names:
+        entry = table[name]
+        if (
+            not isinstance(entry, list)
+            or len(entry) != 2
+            or not all(type(v) is int for v in entry)
+            or entry[0] < 1
+        ):
+            raise MalformedHistoryError(
+                f"invalid channel table entry {name!r}: {entry!r}"
+            )
+    start = len(tail) - sum(table[name][0] for name in names)
+    if start < 0:
+        raise MalformedHistoryError("channel table exceeds the entry")
+    channels = {}
+    at = start
+    for name in names:
+        nbytes, crc = table[name]
+        blob = tail[at : at + nbytes]
+        at += nbytes
+        if zlib.crc32(blob) != crc:
+            raise MalformedHistoryError(f"channel {name!r} fails its CRC-32")
+        channels[name] = blob
+    return start, channels
+
+
 # -- one computed unit ------------------------------------------------------
 @dataclass(frozen=True)
 class UnitResult:
     """One (spec, repeat) unit: its history plus capture channels.
 
     ``channels`` holds the requested capture channels
-    (``manager_state``, ``decision_trace``) by name.  Every executor
-    returns units in this form, the store keeps them as raw columns
-    (:meth:`to_columns`) and artifacts take the :class:`LoopResult` as is;
-    :meth:`to_payload` is the records form, built only where a unit
-    leaves as JSON.
+    (``manager_state``, ``decision_trace``) by name, as a read-only
+    :class:`Channels` mapping (a plain mapping passed in is wrapped).
+    Every executor returns units in this form, the store keeps them as
+    raw columns and channel text (:meth:`to_columns`) and artifacts take
+    the :class:`LoopResult` as is; :meth:`to_payload` is the records
+    form, built only where a unit leaves as JSON.
     """
 
     result: "LoopResult"
-    channels: dict[str, Any] = field(default_factory=dict)
+    channels: Mapping[str, Any] = field(default_factory=Channels)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.channels, Channels):
+            object.__setattr__(self, "channels", Channels(self.channels))
 
     @classmethod
     def computed(
@@ -369,29 +477,47 @@ class UnitResult:
 
     @classmethod
     def from_columns(cls, payload: Any, tail: Any) -> "UnitResult":
-        """Decode a format-3 store entry: its JSON payload and the column
-        bytes after its header line (one history decode).
+        """Decode a format-4 store entry: its JSON payload and the bytes
+        after its header line (one history decode, no channel decode).
 
-        Raises :class:`MalformedHistoryError` when it does not decode.
+        Raises :class:`MalformedHistoryError` when it does not decode or
+        a channel fails its CRC-32.
         """
-        if not isinstance(payload, dict) or "history" not in payload:
-            raise MalformedHistoryError("unit entry holds no history header")
-        result = _history_from_columns(payload["history"], tail)
-        return cls(result, {k: v for k, v in payload.items() if k != "history"})
+        if not isinstance(payload, dict) or payload.keys() != {
+            "channels", "history"
+        }:
+            raise MalformedHistoryError(
+                'unit entry payload must be {"channels", "history"}'
+            )
+        tail = memoryview(tail)
+        end, channels = _stored_channels(payload["channels"], tail)
+        result = _history_from_columns(payload["history"], tail[:end])
+        return cls(result, channels)
 
-    def to_columns(self) -> tuple[dict[str, Any], list[np.ndarray]]:
-        """The format-3 store entry: the JSON payload (``{"n", "names"}``
-        history header plus channels) and the contiguous little-endian
-        columns, in order: the ``float64`` values block (``n`` values each
-        of time, workload, response, total_cpu and slo, then the row-major
-        ``(n, len(names))`` allocation matrix), ``step`` as ``int64`` and
-        ``violated`` as one ``uint8`` 0/1 per interval.
+    def to_columns(self) -> tuple[dict[str, Any], list[Any]]:
+        """The format-4 store entry: the JSON payload and the buffers that
+        follow its header line.
+
+        The payload is the ``{"n", "names"}`` history header and the
+        channel table, ``{name: [nbytes, crc32]}``.  The buffers are the
+        contiguous little-endian columns, in order — the ``float64``
+        values block (``n`` values each of time, workload, response,
+        total_cpu and slo, then the row-major ``(n, len(names))``
+        allocation matrix), ``step`` as ``int64`` and ``violated`` as one
+        ``uint8`` 0/1 per interval — then each channel's
+        ``json.dumps(value, sort_keys=True, allow_nan=False)`` text, in
+        name order.  A channel read from the store keeps its text.
         """
         result = self.result
         header = {"n": len(result), "names": list(result.service_names)}
-        columns = [
+        columns: list[Any] = [
             _values_block(result).astype(_VALUES_DTYPE, copy=False),
             np.ascontiguousarray(result.steps, _STEP_DTYPE),
             np.ascontiguousarray(result.violated).view(_VIOLATED_DTYPE),
         ]
-        return {"history": header, **self.channels}, columns
+        table = {}
+        for name in sorted(self.channels):
+            blob = self.channels.encoded(name)
+            table[name] = [len(blob), zlib.crc32(blob)]
+            columns.append(blob)
+        return {"channels": table, "history": header}, columns

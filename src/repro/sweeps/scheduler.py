@@ -189,9 +189,7 @@ def _sweep_report(
             spec.repeats for spec in specs if spec.workload.kind == "replay"
         ),
         manager_states=sum(
-            1
-            for unit in results.values()
-            if unit.channels.get("manager_state") is not None
+            unit.channels.holds("manager_state") for unit in results.values()
         ),
         **counts,
     )

@@ -7,17 +7,21 @@ specs that differ in any field hash to different entries, and entries are
 shared between figures that sweep overlapping (app, workload, seed) points.
 
 An entry is the JSON object ``{"format", "key", "payload"}``.  Unit
-entries are format 3 (:data:`UNIT_FORMAT`): that object is one header
-line, space-padded to a multiple of 8 bytes, whose payload holds the
-history header (``n``, service names) and the capture channels; the raw
-little-endian history columns follow its newline
-(:meth:`repro.metrics.export.UnitResult.to_columns` owns their layout),
-so a warm read is one ``read_bytes``, a ``json.loads`` of the header
-and three ``np.frombuffer`` views.  Every other entry — OPTM searches,
-service snapshots — is format 1, plain JSON.  Key objects keep their
-own ``format`` field, so digests did not move when unit entries changed
-format: a format-1 or format-2 unit entry is a corrupt miss, rewritten
-in place by the recomputation.
+entries are format 4 (:data:`UNIT_FORMAT`): that object is one compact
+header line (``separators=(",", ":")``, sorted keys, the key in its
+canonical encoding), space-padded to a multiple of 8 bytes, whose
+payload holds the history header (``n``, service names) and a channel
+table ``{name: [nbytes, crc32]}``.  The raw little-endian history
+columns follow its newline, then each capture channel's JSON text in
+name order (:meth:`repro.metrics.export.UnitResult.to_columns` owns that
+layout).  A warm read is one ``read_bytes``, a byte comparison of the
+key, a ``json.loads`` of the small payload, three ``np.frombuffer``
+views and one CRC-32 per channel; a channel's JSON is parsed only when
+the channel is read.  Every other entry — OPTM searches, service
+snapshots — is format 1, plain JSON.  Key objects keep their own
+``format`` field, so digests did not move when unit entries changed
+format: a format-1, 2 or 3 unit entry is a corrupt miss, rewritten in
+place by the recomputation.
 
 Robustness properties the scheduler relies on:
 
@@ -28,9 +32,10 @@ Robustness properties the scheduler relies on:
   the same bytes);
 * **corruption-tolerant loads** — a truncated/garbled/foreign file, an
   entry of the wrong format, or a unit entry whose history does not
-  decode is a cache miss (counted in :attr:`SweepStore.stats`), never an
-  exception and never a misread, and the recomputed result simply
-  overwrites it;
+  decode, whose length is not exactly what its header describes, or
+  one of whose channels fails its CRC-32 is a cache miss (counted in
+  :attr:`SweepStore.stats`), never an exception and never a misread,
+  and the recomputed result simply overwrites it;
 * **self-describing entries** — each file stores its own key object and is
   verified against the requested key on load, so a hash collision or a
   misplaced file cannot alias a different computation.
@@ -72,8 +77,9 @@ __all__ = [
 #: Format of key objects and of every entry except unit results.
 _FORMAT = 1
 
-#: Format of unit-result entries: a JSON header line, then the columns.
-UNIT_FORMAT = 3
+#: Format of unit-result entries: a JSON header line, the columns, then
+#: the channels' JSON text.
+UNIT_FORMAT = 4
 
 #: Queue state (leases, done markers, worker reports) lives under this
 #: directory inside a store root.  Entry files live under two-hex-char
@@ -120,12 +126,45 @@ def paused_gc() -> Iterator[None]:
             gc.enable()
 
 
+def _canonical(obj: Any) -> bytes:
+    """The canonical JSON encoding of ``obj`` (compact, sorted keys), as
+    keys are hashed and unit entry header lines are written."""
+    return json.dumps(
+        obj, sort_keys=True, separators=(",", ":"), allow_nan=False
+    ).encode("utf-8")
+
+
 def canonical_key(key_obj: Any) -> str:
     """SHA-256 hex digest of the canonical JSON encoding of ``key_obj``."""
-    encoded = json.dumps(
-        key_obj, sort_keys=True, separators=(",", ":"), allow_nan=False
+    return hashlib.sha256(_canonical(key_obj)).hexdigest()
+
+
+def _unit_header(key_text: bytes, payload: bytes = b"") -> bytes:
+    """A unit entry's header line up to ``payload``: the compact
+    ``{"format","key","payload"}`` object with ``key_text`` as its key."""
+    return b'{"format":%d,"key":%s,"payload":%s' % (
+        UNIT_FORMAT, key_text, payload
     )
-    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+
+
+def _read_unit(data: bytes, key_text: bytes) -> UnitResult:
+    """Decode the unit entry ``data`` stored under ``key_text``.
+
+    The key is verified without encoding it again: the header line must
+    begin with the bytes :meth:`JsonDirectoryStore.put_raw` writes for
+    this key, so a stored key that encodes differently (``60`` against
+    ``60.0``, another format) is rejected.  Raises ``ValueError``.
+    """
+    prefix = _unit_header(key_text)
+    end = data.find(b"\n")
+    if end < 0 or not data.startswith(prefix):
+        raise ValueError("not a unit entry of this key and format")
+    payload = data[len(prefix) : end].rstrip(b" ")
+    if payload[-1:] != b"}":
+        raise ValueError("unit entry header is not one object")
+    return UnitResult.from_columns(
+        json.loads(payload[:-1]), memoryview(data)[end + 1 :]
+    )
 
 
 @dataclass
@@ -178,10 +217,13 @@ class JsonDirectoryStore:
         """The stored payload for ``key_obj``, or None on miss/corruption.
 
         An entry whose ``format`` is not ``entry_format`` is corrupt.  A
-        :data:`UNIT_FORMAT` entry comes back as its decoded
-        :class:`UnitResult`, or is corrupt if its columns do not decode.
+        :data:`UNIT_FORMAT` entry comes back as its :class:`UnitResult`
+        (channels still undecoded), or is corrupt if its columns do not
+        decode, its length is not the one its header describes, or a
+        channel fails its CRC-32.
         """
-        digest = canonical_key(key_obj)
+        key_text = _canonical(key_obj)
+        digest = hashlib.sha256(key_text).hexdigest()
         try:
             data = self._path(digest).read_bytes()
         except FileNotFoundError:
@@ -190,21 +232,19 @@ class JsonDirectoryStore:
             return None
         except OSError:
             data = b""
-        end = data.find(b"\n") if entry_format == UNIT_FORMAT else len(data)
         try:
-            entry = json.loads(data[:end] if end >= 0 else b"")
-            if (
-                not isinstance(entry, dict)
-                or entry.get("format") != entry_format
-                or "payload" not in entry
-                or canonical_key(entry.get("key")) != digest
-            ):
-                raise ValueError("not an entry of this key and format")
-            payload = entry["payload"]
             if entry_format == UNIT_FORMAT:
-                payload = UnitResult.from_columns(
-                    payload, memoryview(data)[end + 1 :]
-                )
+                payload = _read_unit(data, key_text)
+            else:
+                entry = json.loads(data)
+                if (
+                    not isinstance(entry, dict)
+                    or entry.get("format") != entry_format
+                    or "payload" not in entry
+                    or canonical_key(entry.get("key")) != digest
+                ):
+                    raise ValueError("not an entry of this key and format")
+                payload = entry["payload"]
         except ValueError:  # incl. bad UTF-8 and MalformedHistoryError
             self._count_corrupt()
             return None
@@ -222,13 +262,17 @@ class JsonDirectoryStore:
         """Atomically persist ``payload`` under ``key_obj``: a
         :class:`UnitResult` as a :data:`UNIT_FORMAT` entry, anything
         else as a format-1 entry."""
-        entry_format, columns = _FORMAT, None
+        key_text = _canonical(key_obj)
+        path = self._path(hashlib.sha256(key_text).hexdigest())
         if isinstance(payload, UnitResult):
-            entry_format = UNIT_FORMAT
-            payload, columns = payload.to_columns()
-        path = self.path_for(key_obj)
-        entry = {"format": entry_format, "key": key_obj, "payload": payload}
-        _write_json_replace(path, entry, columns)
+            header, body = payload.to_columns()
+            line = _unit_header(key_text, _canonical(header)) + b"}"
+            pad = b" " * (-(len(line) + 1) % 8)
+            _write_replace(path, [line, pad, b"\n", *body])
+        else:
+            _write_json_replace(
+                path, {"format": _FORMAT, "key": key_obj, "payload": payload}
+            )
         self.stats.writes += 1
         _STORE_WRITES.inc()
         return path
@@ -262,27 +306,22 @@ class JsonDirectoryStore:
 
 
 def _encode(obj: Any) -> str:
-    """The on-disk JSON text of an entry or lease (C encoder, one string)."""
+    """The on-disk JSON text of a format-1 entry or a lease (C encoder,
+    one string)."""
     return json.dumps(obj, sort_keys=True, allow_nan=False)
 
 
-def _write_json_replace(
-    path: Path, payload: Any, columns: Sequence[Any] | None = None
-) -> None:
-    """Atomically (re)write ``path`` with a JSON payload.
+def _write_replace(path: Path, buffers: Sequence[Any]) -> None:
+    """Atomically (re)write ``path`` with the joined ``buffers``.
 
     The one writer of cache entries and lease takeovers/renewals: the
     bytes go to a temp file in the target directory in one write, are
     fsynced and ``os.replace``d into place, so a reader never observes a
     half-written file and concurrent writers leave exactly one winner's
-    bytes.  ``columns`` (buffers) follow the JSON as its header line,
-    space-padded so they start at a multiple of 8 bytes.  The payload is
-    encoded before the temp file exists, so NaN leaves nothing behind.
+    bytes.  Callers encode before calling, so an unencodable payload
+    (NaN) leaves nothing behind.
     """
-    data = _encode(payload).encode()
-    if columns is not None:
-        pad = b" " * (-(len(data) + 1) % 8)
-        data = b"".join([data, pad, b"\n", *columns])
+    data = b"".join(buffers)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(
         dir=path.parent, prefix=f".{path.stem[:16]}.", suffix=".tmp"
@@ -299,6 +338,12 @@ def _write_json_replace(
         except OSError:
             pass
         raise
+
+
+def _write_json_replace(path: Path, obj: Any) -> None:
+    """Atomically (re)write ``path`` with ``obj`` as JSON text (a
+    format-1 entry, a lease)."""
+    _write_replace(path, [_encode(obj).encode()])
 
 
 @dataclass(frozen=True)
@@ -527,9 +572,9 @@ class SweepStore(JsonDirectoryStore):
     ) -> UnitResult | None:
         """A stored unit result, decoded, or None.
 
-        A format-1 or format-2 entry, or a format-3 entry whose columns
-        do not decode, is a counted corrupt miss: the caller recomputes
-        the unit and :meth:`put_result` overwrites the entry.
+        An entry of format 1, 2 or 3, or a format-4 entry that fails its
+        checks, is a counted corrupt miss: the caller recomputes the
+        unit and :meth:`put_result` overwrites the entry.
         """
         return self.get_raw(
             self.unit_key(spec, repeat), entry_format=UNIT_FORMAT
@@ -541,7 +586,7 @@ class SweepStore(JsonDirectoryStore):
         repeat: int,
         result: UnitResult | dict[str, Any],
     ) -> Path:
-        """Persist one unit result as a format-3 entry.
+        """Persist one unit result as a format-4 entry.
 
         ``result`` is a :class:`UnitResult` or a records-form unit
         payload, which is decoded here.

@@ -168,8 +168,9 @@ def small_grid_factory():
 
 
 def frame_entry(header: dict, tail: bytes) -> bytes:
-    """A format-3 store entry's bytes, written by hand: ``header`` as one
-    JSON line (NaN literals allowed), space-padded so the columns start
-    at a multiple of 8 bytes, then the column bytes ``tail``."""
-    data = json.dumps(header, sort_keys=True).encode()
+    """A format-4 store entry's bytes, written by hand: ``header`` as one
+    compact JSON line (NaN literals allowed), space-padded so the
+    columns start at a multiple of 8 bytes, then ``tail`` (the columns
+    and any channel text)."""
+    data = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     return data + b" " * (-(len(data) + 1) % 8) + b"\n" + bytes(tail)

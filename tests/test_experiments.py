@@ -150,6 +150,47 @@ class TestSpec:
             SweepStore.unit_key(floats, 0)
         )
 
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"interval": "60"}, "interval"),
+            ({"interval": False}, "interval"),
+            ({"headroom": True}, "headroom"),
+            ({"headroom": "2"}, "headroom"),
+            ({"slo": "0.2"}, "slo"),
+            ({"slo": [0.2]}, "slo"),
+        ],
+    )
+    def test_real_fields_reject_bool_and_str(self, change, field):
+        data = {"app": "sockshop", "workload": 700.0, "n_steps": 5, **change}
+        with pytest.raises(ValueError, match=rf"^{field} must be a real number"):
+            ExperimentSpec.from_dict(data)
+        with pytest.raises(ValueError, match=rf"^{field} must be a real number"):
+            small_spec(**change)
+
+    def test_real_fields_are_floats_with_one_key(self):
+        """A Python-built spec with integral ``interval``, ``headroom`` and
+        ``slo`` is the spec its JSON form decodes to: same floats, same
+        canonical unit key."""
+        built = ExperimentSpec(
+            app="sockshop", workload=700.0, n_steps=5,
+            interval=60, headroom=2, slo=1,
+        )
+        decoded = ExperimentSpec.from_json(
+            '{"app": "sockshop", "workload": 700.0, "n_steps": 5, '
+            '"interval": 60, "headroom": 2, "slo": 1}'
+        )
+        for spec in (built, decoded):
+            assert (spec.interval, spec.headroom, spec.slo) == (60.0, 2.0, 1.0)
+            assert {type(spec.interval), type(spec.headroom), type(spec.slo)} == {
+                float
+            }
+        assert built == decoded
+        assert canonical_key(SweepStore.unit_key(built, 0)) == canonical_key(
+            SweepStore.unit_key(decoded, 0)
+        )
+        assert small_spec().slo is None
+
     def test_with_rechecks(self):
         with pytest.raises(ValueError, match="^interval must be finite"):
             small_spec().with_(interval=float("nan"))

@@ -404,7 +404,9 @@ class TestPackedHistory:
             allocations=[[1.0, 2.0], [3.0, 4.0]],
         )
         payload, columns = UnitResult(result).to_columns()
-        assert payload == {"history": {"n": 2, "names": ["a", "b"]}}
+        assert payload == {
+            "channels": {}, "history": {"n": 2, "names": ["a", "b"]}
+        }
         values, step, violated = (column.tobytes() for column in columns)
         assert step == np.array([3, 4], "<i8").tobytes()
         assert violated == bytes([0, 1])

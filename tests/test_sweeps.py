@@ -5,6 +5,7 @@ import gc
 import io
 import json
 import threading
+import zlib
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -58,7 +59,8 @@ def dumps(obj):
 
 
 def _read_entry(path):
-    """A format-3 entry file as its header object and its column bytes."""
+    """A format-4 entry file as its header object and the bytes after
+    its header line (the columns, then any channel text)."""
     data = path.read_bytes()
     end = data.index(b"\n")
     assert (end + 1) % 8 == 0  # the columns start 8-byte aligned
@@ -70,7 +72,7 @@ def _read_entry(path):
 def _write_entry(path, header, tail=None):
     """Write an entry as-is (NaN/inf literals included), the way a
     foreign, hand-edited or older-format file would look: with ``tail``,
-    as a format-3 header line and columns, else as one JSON object."""
+    as a format-4 header line and body, else as one JSON object."""
     if tail is None:
         path.write_text(json.dumps(header, sort_keys=True))
     else:
@@ -204,8 +206,9 @@ class TestSweepStore:
         assert isinstance(unit, UnitResult)
         assert dumps(unit.to_payload()) == dumps(payload)
         entry = _read_entry(path)
-        assert entry.header["format"] == UNIT_FORMAT == 3
+        assert entry.header["format"] == UNIT_FORMAT == 4
         assert "records" not in entry.header["payload"]
+        assert entry.header["payload"]["channels"] == {}
         history = entry.header["payload"]["history"]
         names = list(unit.result.service_names)
         assert history == {"n": spec.n_steps, "names": names}
@@ -372,11 +375,13 @@ class TestSweepStore:
 
     def test_entry_and_lease_bytes_match_streaming_encoder(self, tmp_path):
         """Entries and leases are encoded in one ``json.dumps`` call; the
-        bytes on disk must stay those of the streaming ``json.dump``."""
+        bytes on disk must stay those of the streaming ``json.dump``
+        (compact for a unit entry's header line, which the channels'
+        JSON text follows)."""
 
-        def streamed(obj):
+        def streamed(obj, **options):
             buf = io.StringIO()
-            json.dump(obj, buf, sort_keys=True, allow_nan=False)
+            json.dump(obj, buf, sort_keys=True, allow_nan=False, **options)
             return buf.getvalue().encode()
 
         def entry(key_obj, payload, entry_format=1):
@@ -385,10 +390,20 @@ class TestSweepStore:
             )
 
         def unit_entry(key_obj, unit):
-            payload, columns = unit.to_columns()
-            header = entry(key_obj, payload, 3)
+            payload, body = unit.to_columns()
+            names = sorted(unit.channels)
+            texts = [streamed(unit.channels[name]) for name in names]
+            assert payload["channels"] == {
+                name: [len(text), zlib.crc32(text)]
+                for name, text in zip(names, texts)
+            }
+            header = streamed(
+                {"format": 4, "key": key_obj, "payload": payload},
+                separators=(",", ":"),
+            )
             header += b" " * (-(len(header) + 1) % 8) + b"\n"
-            return header + b"".join(column.tobytes() for column in columns)
+            columns = b"".join(column.tobytes() for column in body[:3])
+            return header + columns + b"".join(texts)
 
         store = SweepStore(tmp_path / "store")
         spec = base_spec(
@@ -402,7 +417,8 @@ class TestSweepStore:
         unit = store.get_result(spec, 0)
         assert unit.channels["manager_state"] and unit.channels["decision_trace"]
         payload, _ = unit.to_columns()
-        assert set(payload) == {"history", "manager_state", "decision_trace"}
+        assert set(payload) == {"channels", "history"}
+        assert set(payload["channels"]) == {"manager_state", "decision_trace"}
         assert store.path_for(key).read_bytes() == unit_entry(key, unit)
         # Non-ASCII text in both the key and the payload: the header is
         # ASCII-escaped, so its padding counts bytes and characters alike.
@@ -477,7 +493,7 @@ MALFORMED_RECORDS = {
 }
 
 
-# -- the format-3 counterparts: mutate an entry's header or column bytes ----
+# -- the format-4 counterparts: mutate an entry's header or column bytes ----
 def _layout(entry):
     """Byte offsets of the step and violated columns in ``entry.tail``."""
     history = entry.header["payload"]["history"]
@@ -730,20 +746,74 @@ class TestMalformedEntries:
         assert store.entry_paths() == []
 
 
+_TRACED = {
+    "autoscaler": {"kind": "workload_aware_pema", "params": {
+        "workload_low": 150.0, "workload_high": 900.0,
+        "start_rps": 900.0, "min_range_width": 81.25}},
+    "capture": ["decision_trace", "manager_state"],
+}
+
+
+def _as_format_3(key, unit):
+    """``unit``'s entry as the format-3 store wrote it: the channels in
+    the header line's payload, the columns after it."""
+    payload, body = unit.to_columns()
+    header = {"history": payload["history"], **unit.channels}
+    data = json.dumps(
+        {"format": 3, "key": key, "payload": header}, sort_keys=True
+    ).encode()
+    data += b" " * (-(len(data) + 1) % 8) + b"\n"
+    return data + b"".join(column.tobytes() for column in body[:3])
+
+
+def _flip_channel_byte(entry):
+    """One byte inside the last channel's text, its CRC-32 unchanged."""
+    entry.tail[-2] ^= 0x01
+
+
+def _cut_channel(entry):
+    del entry.tail[-5:]
+
+
+def _trailing_bytes(entry):
+    entry.tail += b"  "
+
+
+def _longer_channel_in_table(entry):
+    entry.header["payload"]["channels"]["decision_trace"][0] += 1
+
+
+DAMAGED_CHANNELS = {
+    "flipped_byte": _flip_channel_byte,
+    "cut_inside_channel": _cut_channel,
+    "trailing_bytes": _trailing_bytes,
+    "table_length_mismatch": _longer_channel_in_table,
+}
+
+
 class TestStoreFormat:
-    """Format-3 unit entries: older-format upgrade, size, decode-once."""
+    """Format-4 unit entries: older-format upgrade, size, channel checks,
+    decode-once."""
 
     def test_v1_entry_is_a_miss_rewritten_as_v2(self, tmp_path):
-        specs = [base_spec(repeats=2), base_spec(seed=5)]
+        """Entries of an older format (here 1 and 3) are counted corrupt
+        misses, recomputed and rewritten as format 4."""
+        specs = [base_spec(repeats=2, **_TRACED), base_spec(seed=5)]
         expected = [a.to_json() for a in run_sweep_cached(specs)[0]]
         store = SweepStore(tmp_path)
-        # The format-1 entries an older store holds: records payloads.
         for spec in specs:
             for repeat in range(spec.repeats):
-                store.put_raw(
-                    store.unit_key(spec, repeat),
-                    _run_unit_worker(spec.to_dict(), repeat),
-                )
+                key = store.unit_key(spec, repeat)
+                payload = _run_unit_worker(spec.to_dict(), repeat)
+                if repeat:
+                    # A format-1 entry: the records payload.
+                    store.put_raw(key, payload)
+                else:
+                    path = store.path_for(key)
+                    path.parent.mkdir(parents=True, exist_ok=True)
+                    path.write_bytes(
+                        _as_format_3(key, UnitResult.from_payload(payload))
+                    )
         fresh = SweepStore(tmp_path)
         artifacts, report = run_sweep_cached(specs, store=fresh)
         assert [a.to_json() for a in artifacts] == expected
@@ -752,11 +822,75 @@ class TestStoreFormat:
         for path in fresh.entry_paths():
             header = _read_entry(path).header
             assert header["format"] == UNIT_FORMAT
-            assert "records" not in header["payload"]
+            assert set(header["payload"]) == {"channels", "history"}
         warm = SweepStore(tmp_path)
         artifacts, report = run_sweep_cached(specs, store=warm, batch=True)
         assert [a.to_json() for a in artifacts] == expected
         assert report.cache_hits == 3 and warm.stats.corrupt == 0
+
+    @pytest.mark.parametrize("case", sorted(DAMAGED_CHANNELS))
+    def test_damaged_channel_is_a_corrupt_miss(self, case, tmp_path):
+        """A damaged channel fails at read time, never later: a counted
+        corrupt miss, recomputed, with the entry's bytes restored."""
+        spec = base_spec(**_TRACED)
+        specs = [spec, base_spec(seed=3)]
+        store = SweepStore(tmp_path)
+        cold, _ = run_sweep_cached(specs, store=store)
+        path = store.path_for(store.unit_key(spec, 0))
+        good_bytes = path.read_bytes()
+        entry = _read_entry(path)
+        assert frame_entry(entry.header, entry.tail) == good_bytes
+        DAMAGED_CHANNELS[case](entry)
+        path.write_bytes(frame_entry(entry.header, entry.tail))
+        fresh = SweepStore(tmp_path)
+        artifacts, report = run_sweep_cached(specs, store=fresh)
+        assert fresh.stats.corrupt == 1
+        assert report.cache_hits == 1 and report.computed == 1
+        assert path.read_bytes() == good_bytes
+        assert [a.to_json() for a in artifacts] == [a.to_json() for a in cold]
+
+    @pytest.mark.parametrize("unit_entry", [False, True])
+    def test_key_differing_only_as_int_vs_float_is_a_miss(
+        self, tmp_path, unit_entry
+    ):
+        """``60`` and ``60.0`` are equal in Python but encode, and so
+        hash, differently: an intact entry of the one key placed under
+        the other's path is a corrupt miss."""
+        store = SweepStore(tmp_path)
+        spec = base_spec()
+        payload = _run_unit_worker(spec.to_dict(), 0)
+        if unit_entry:
+            payload = UnitResult.from_payload(payload)
+        fmt = UNIT_FORMAT if unit_entry else 1
+        as_int = {"kind": "label", "interval": 60}
+        as_float = {"kind": "label", "interval": 60.0}
+        assert as_int == as_float
+        for stored, requested in ((as_int, as_float), (as_float, as_int)):
+            store.put_raw(stored, payload)
+            assert store.get_raw(stored, entry_format=fmt) is not None
+            target = store.path_for(requested)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_bytes(store.path_for(stored).read_bytes())
+            corrupt = store.stats.corrupt
+            assert store.get_raw(requested, entry_format=fmt) is None
+            assert store.stats.corrupt == corrupt + 1
+            store.clear()
+
+    def test_stored_unit_pickles_and_equals_eager(self, tmp_path):
+        import pickle
+
+        spec = base_spec(**_TRACED)
+        store = SweepStore(tmp_path)
+        eager = UnitResult.from_payload(_run_unit_worker(spec.to_dict(), 0))
+        good_bytes = store.put_result(spec, 0, eager).read_bytes()
+        stored = store.get_result(spec, 0)
+        # Re-stored, undecoded or decoded, a unit writes the bytes it
+        # was read from.
+        assert store.put_result(spec, 0, stored).read_bytes() == good_bytes
+        copy = pickle.loads(pickle.dumps(stored))
+        assert copy == eager and stored == eager
+        assert dumps(copy.to_payload()) == dumps(eager.to_payload())
+        assert store.put_result(spec, 0, copy).read_bytes() == good_bytes
 
     def test_packed_entry_is_at_most_40_percent_of_records(self, tmp_path):
         spec = base_spec(
@@ -778,8 +912,12 @@ class TestStoreFormat:
     @pytest.mark.parametrize("batch", [False, True])
     def test_one_history_decode_per_unit(self, tmp_path, monkeypatch, batch):
         """A cold sweep never builds or decodes the records form; a warm
-        one decodes each unit's columns once."""
+        one decodes each unit's columns once and no channel: a channel
+        is decoded once, when its artifact field is first read, and
+        neither the report's count nor a worker's fast-forward over
+        persisted units decodes one."""
         import repro.metrics.export as export_mod
+        from repro.sweeps.distributed import run_worker
 
         calls = []
 
@@ -793,24 +931,40 @@ class TestStoreFormat:
             "loop_result_to_dict",
             "loop_result_from_dict",
             "_history_from_columns",
+            "_decode_channel",
         ):
             monkeypatch.setattr(
                 export_mod, name, counting(getattr(export_mod, name))
             )
-        specs = [base_spec(repeats=2), base_spec(seed=5)]
+        specs = [
+            base_spec(repeats=2, capture=["decision_trace", "manager_state"]),
+            base_spec(seed=5, **_TRACED),
+        ]
         store = SweepStore(tmp_path)
-        cold, report = run_sweep_cached(specs, store=store, batch=batch)
-        assert report.computed == 3
+        cold, cold_report = run_sweep_cached(specs, store=store, batch=batch)
+        assert cold_report.computed == 3
         assert calls == []
         warm, report = run_sweep_cached(specs, store=store, batch=batch)
         assert report.cache_hits == 3
         assert calls == ["_history_from_columns"] * 3
+        assert report.manager_states == cold_report.manager_states == 1
         assert [a.summary_json() for a in warm] == [
             a.summary_json() for a in cold
         ]
         calls.clear()
+        for artifact, expected in zip(warm, cold):
+            for _ in range(2):  # the second read decodes nothing
+                assert artifact.decision_traces == expected.decision_traces
+        assert calls == ["_decode_channel"] * 3
+        calls.clear()
         assert [a.to_json() for a in warm] == [a.to_json() for a in cold]
-        assert calls == ["loop_result_to_dict"] * 6
+        assert sorted(calls) == ["_decode_channel"] * 3 + [
+            "loop_result_to_dict"
+        ] * 6
+        calls.clear()
+        worker = run_worker(specs, store, worker_id="w0")
+        assert worker.units_computed == 0
+        assert "_decode_channel" not in calls
 
 
 class TestPausedGc:
