@@ -215,9 +215,10 @@ class WorkerReport:
 class _DoneSet:
     """Atomic per-task completion markers (the claim scan's fast path).
 
-    A marker asserts "every unit of this task is in the store" — the
-    writer verifies that before marking, so whoever writes it (finisher,
-    stealer, or a fast-forwarding scanner) the statement holds.
+    A marker asserts "every unit of this task is durably in the store" —
+    the writer verifies the entries and passes a durability barrier
+    before marking, so whoever writes it (finisher, stealer, or a
+    fast-forwarding scanner) the statement holds.
     """
 
     def __init__(self, root) -> None:
@@ -293,37 +294,50 @@ def run_worker(
         _DIST_HEARTBEATS.inc()
         return renewed
 
+    def sync_found(units: Sequence[tuple[int, int]]) -> None:
+        # Entries this worker found rather than wrote: a peer may have
+        # renamed them inside a write group whose barrier is still ahead.
+        store.sync(
+            [store.path_for(store.unit_key(specs[i], r)) for i, r in units]
+        )
+
     def run_task(task: DistTask, lease: Lease, persisted: int) -> None:
         # The claim check already found the first ``persisted`` units in
         # the store and the next one absent; only the rest are probed.
-        report.units_cached += persisted
+        found = list(task.units[:persisted])
         pending: list[tuple[int, ExperimentSpec, int]] = []
         for k, (spec_index, repeat) in enumerate(task.units):
             if k < persisted:
                 continue
             spec = specs[spec_index]
             if k > persisted and store.get_result(spec, repeat) is not None:
-                report.units_cached += 1
+                found.append((spec_index, repeat))
             else:
                 pending.append((spec_index, spec, repeat))
+        report.units_cached += len(found)
         try:
-            for batched, group in _partition_chunk(
-                pending, batch, 1, report.fallbacks
-            ):
-                lease = heartbeat(lease)
-                units = compute_units(
-                    batched, [(spec, repeat) for _, spec, repeat in group]
-                )
-                if batched:
-                    report.units_batched += len(group)
-                else:
-                    report.units_scalar += len(group)
-                for (_, spec, repeat), unit in zip(group, units):
-                    store.put_result(spec, repeat, unit)
-                    report.units_computed += 1
-                    if on_task is not None:
-                        on_task("unit", task)
+            # The task is the persistence point: one barrier covers the
+            # entries found and written here, and completes before the
+            # done marker names them.
+            with store.write_group():
+                sync_found(found)
+                for batched, group in _partition_chunk(
+                    pending, batch, 1, report.fallbacks
+                ):
                     lease = heartbeat(lease)
+                    units = compute_units(
+                        batched, [(spec, repeat) for _, spec, repeat in group]
+                    )
+                    if batched:
+                        report.units_batched += len(group)
+                    else:
+                        report.units_scalar += len(group)
+                    for (_, spec, repeat), unit in zip(group, units):
+                        store.put_result(spec, repeat, unit)
+                        report.units_computed += 1
+                        if on_task is not None:
+                            on_task("unit", task)
+                        lease = heartbeat(lease)
         except Exception:
             # Free the task at once (a signal still leaves the lease to
             # expire): a peer then fails the same way, not after the TTL.
@@ -355,6 +369,7 @@ def run_worker(
             if persisted == len(task.units):
                 # Every unit already persisted (by us, a peer, or a past
                 # run): fast-forward the marker, no claim needed.
+                sync_found(task.units)
                 done.mark(
                     task.task_id,
                     {
@@ -464,17 +479,18 @@ def _merge_specs(
     results: dict[tuple[int, int], UnitResult] = {}
     absent: list[str] = []
     repaired = 0
-    for spec_index, spec in enumerate(specs):
-        for repeat in range(spec.repeats):
-            unit, corrupt = _probe(store, spec, repeat)
-            if corrupt:
-                (unit,) = compute_units(False, [(spec, repeat)])
-                store.put_result(spec, repeat, unit)
-                repaired += 1
-            if unit is None:
-                absent.append(f"{spec.name or spec.app}#{repeat}")
-            else:
-                results[(spec_index, repeat)] = unit
+    with store.write_group():
+        for spec_index, spec in enumerate(specs):
+            for repeat in range(spec.repeats):
+                unit, corrupt = _probe(store, spec, repeat)
+                if corrupt:
+                    (unit,) = compute_units(False, [(spec, repeat)])
+                    store.put_result(spec, repeat, unit)
+                    repaired += 1
+                if unit is None:
+                    absent.append(f"{spec.name or spec.app}#{repeat}")
+                else:
+                    results[(spec_index, repeat)] = unit
     if absent:
         preview = ", ".join(absent[:5])
         raise LookupError(

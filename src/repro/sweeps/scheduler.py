@@ -401,6 +401,7 @@ def run_sweep_cached(
                     pool.submit(_run_sweep_task, *args) for args in task_args
                 ]
                 done = [future.result() for future in futures]
+            fresh: list[tuple[ExperimentSpec, int, UnitResult]] = []
             for (batched, units), (unit_results, task_seconds) in zip(
                 worker_tasks, done
             ):
@@ -412,11 +413,8 @@ def run_sweep_cached(
                 for (spec_index, spec, repeat), unit in zip(
                     units, unit_results
                 ):
-                    persist_started = perf_counter()
-                    if store is not None:
-                        store.put_result(spec, repeat, unit)
-                    phases["persist"] += perf_counter() - persist_started
                     results[(spec_index, repeat)] = unit
+                    fresh.append((spec, repeat, unit))
                     remaining[spec_index] -= 1
                     computed += 1
                     cell_hist.observe(per_cell)
@@ -425,6 +423,14 @@ def run_sweep_cached(
                         batched_units += 1
                     else:
                         scalar_units += 1
+            if store is not None:
+                # The chunk is the persistence point: its entries share
+                # one durability barrier, timed with the writes.
+                persist_started = perf_counter()
+                with store.write_group():
+                    for spec, repeat, unit in fresh:
+                        store.put_result(spec, repeat, unit)
+                phases["persist"] += perf_counter() - persist_started
             chunk_seconds = perf_counter() - chunk_started
             _SWEEP_CHUNK_SECONDS.observe(chunk_seconds)
             phases["run"] += chunk_seconds

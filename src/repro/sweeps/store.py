@@ -26,10 +26,20 @@ place by the recomputation.
 Robustness properties the scheduler relies on:
 
 * **atomic writes** — entries are written to a temp file in the target
-  directory, fsynced and ``os.replace``d into place, so a killed sweep
-  never leaves a half-written entry and concurrent writers of the same
-  key can only produce one complete file (last writer wins, both wrote
-  the same bytes);
+  directory and ``os.replace``d into place, so a killed sweep never
+  leaves a half-written entry and concurrent writers of the same key
+  can only produce one complete file (last writer wins, both wrote the
+  same bytes).  Outside a write group each file is fsynced before its
+  rename.  Inside :meth:`JsonDirectoryStore.write_group` the per-entry
+  fsync is skipped, and the group's entries become durable together
+  when the group closes, by one barrier (``syncfs`` of the store's
+  filesystem).  A SIGKILL loses nothing already renamed, since the
+  kernel holds the bytes.  An OS crash inside a group can lose entries
+  or leave them truncated; the exact-length, header and CRC-32 checks
+  read a truncated entry as a miss.  A crash that left a column block
+  zero-filled would pass the value checks, so there the store relies
+  on the filesystem's ordered-data guarantee (ext4 ``data=ordered``,
+  XFS, btrfs);
 * **corruption-tolerant loads** — a truncated/garbled/foreign file, an
   entry of the wrong format, or a unit entry whose history does not
   decode, whose length is not exactly what its header describes, or
@@ -43,6 +53,7 @@ Robustness properties the scheduler relies on:
 
 from __future__ import annotations
 
+import ctypes
 import gc
 import hashlib
 import json
@@ -139,6 +150,58 @@ def canonical_key(key_obj: Any) -> str:
     return hashlib.sha256(_canonical(key_obj)).hexdigest()
 
 
+def _load_syncfs() -> Any:
+    """libc's ``syncfs(2)`` (``os`` has no wrapper), or None where the
+    platform's C library lacks it."""
+    try:
+        syncfs = ctypes.CDLL(None, use_errno=True).syncfs
+    except (AttributeError, OSError, TypeError):
+        return None
+    syncfs.argtypes = [ctypes.c_int]
+    syncfs.restype = ctypes.c_int
+    return syncfs
+
+
+_SYNCFS = _load_syncfs()
+
+
+def _barrier(root: Path, paths: Sequence[Path]) -> None:
+    """Make the entries at ``paths``, written under ``root``, durable.
+
+    One ``syncfs`` of the filesystem holding ``root`` flushes every
+    entry and rename at once.  Without ``syncfs``, each entry is
+    fsynced (an entry another writer replaced meanwhile has the same
+    bytes; one already deleted needs nothing).
+    """
+    if _SYNCFS is not None:
+        fd = os.open(root, os.O_RDONLY)
+        try:
+            if _SYNCFS(fd) != 0:
+                errno = ctypes.get_errno()
+                raise OSError(errno, os.strerror(errno), str(root))
+        finally:
+            os.close(fd)
+        return
+    for path in paths:
+        try:
+            fd = os.open(path, os.O_RDONLY)
+        except FileNotFoundError:
+            continue
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+
+
+@dataclass
+class _WriteGroup:
+    """What one open write group has done: the shard directories it made
+    sure exist, and the entries its barrier must make durable."""
+
+    dirs: set[Path] = field(default_factory=set)
+    paths: list[Path] = field(default_factory=list)
+
+
 def _unit_header(key_text: bytes, payload: bytes = b"") -> bytes:
     """A unit entry's header line up to ``payload``: the compact
     ``{"format","key","payload"}`` object with ``key_text`` as its key."""
@@ -199,10 +262,49 @@ class JsonDirectoryStore:
 
     root: Path
     stats: StoreStats = field(default_factory=StoreStats)
+    _group: _WriteGroup | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.root = Path(self.root)
         self.root.mkdir(parents=True, exist_ok=True)
+
+    @contextmanager
+    def write_group(self) -> Iterator[None]:
+        """Share one durability barrier among the entries put in the body.
+
+        Each :meth:`put_raw` in the body still writes a temp file and
+        renames it into place before it returns, but skips its fsync,
+        and each shard directory is created once.  When the body ends,
+        also by an exception, one :func:`_barrier` makes every entry of
+        the group durable.  A group opened inside another joins it.
+        The group belongs to the handle, so a handle shared between
+        threads takes no group.  Lease and marker files are written
+        outside the store's entries and keep their own fsync.
+        """
+        if self._group is not None:
+            yield
+            return
+        group = self._group = _WriteGroup()
+        try:
+            yield
+        finally:
+            self._group = None
+            if group.paths:
+                _barrier(self.root, group.paths)
+
+    def sync(self, paths: Sequence[Path]) -> None:
+        """Make the entries at ``paths``, already in place, durable: when
+        the open write group closes, else at once.
+
+        For entries this handle did not write, which another process may
+        have renamed inside a group whose barrier is still ahead.
+        """
+        if self._group is not None:
+            self._group.paths.extend(paths)
+        elif paths:
+            _barrier(self.root, paths)
 
     def path_for(self, key_obj: Any) -> Path:
         return self._path(canonical_key(key_obj))
@@ -268,10 +370,12 @@ class JsonDirectoryStore:
             header, body = payload.to_columns()
             line = _unit_header(key_text, _canonical(header)) + b"}"
             pad = b" " * (-(len(line) + 1) % 8)
-            _write_replace(path, [line, pad, b"\n", *body])
+            _write_replace(path, [line, pad, b"\n", *body], self._group)
         else:
             _write_json_replace(
-                path, {"format": _FORMAT, "key": key_obj, "payload": payload}
+                path,
+                {"format": _FORMAT, "key": key_obj, "payload": payload},
+                self._group,
             )
         self.stats.writes += 1
         _STORE_WRITES.inc()
@@ -311,7 +415,9 @@ def _encode(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, allow_nan=False)
 
 
-def _write_replace(path: Path, buffers: Sequence[Any]) -> None:
+def _write_replace(
+    path: Path, buffers: Sequence[Any], group: _WriteGroup | None = None
+) -> None:
     """Atomically (re)write ``path`` with the joined ``buffers``.
 
     The one writer of cache entries and lease takeovers/renewals: the
@@ -319,18 +425,24 @@ def _write_replace(path: Path, buffers: Sequence[Any]) -> None:
     fsynced and ``os.replace``d into place, so a reader never observes a
     half-written file and concurrent writers leave exactly one winner's
     bytes.  Callers encode before calling, so an unencodable payload
-    (NaN) leaves nothing behind.
+    (NaN) leaves nothing behind.  Under an open write ``group`` the
+    fsync is left to the group's barrier, the directory is created once
+    per group, and ``path`` is staged for that barrier.
     """
     data = b"".join(buffers)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    if group is None or path.parent not in group.dirs:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if group is not None:
+            group.dirs.add(path.parent)
     fd, tmp_name = tempfile.mkstemp(
         dir=path.parent, prefix=f".{path.stem[:16]}.", suffix=".tmp"
     )
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
+            if group is None:
+                fh.flush()
+                os.fsync(fh.fileno())
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -338,12 +450,16 @@ def _write_replace(path: Path, buffers: Sequence[Any]) -> None:
         except OSError:
             pass
         raise
+    if group is not None:
+        group.paths.append(path)
 
 
-def _write_json_replace(path: Path, obj: Any) -> None:
+def _write_json_replace(
+    path: Path, obj: Any, group: _WriteGroup | None = None
+) -> None:
     """Atomically (re)write ``path`` with ``obj`` as JSON text (a
     format-1 entry, a lease)."""
-    _write_replace(path, [_encode(obj).encode()])
+    _write_replace(path, [_encode(obj).encode()], group)
 
 
 @dataclass(frozen=True)

@@ -298,6 +298,107 @@ class TestFailingUnit:
         assert sweep_store.entry_paths() == []
 
 
+class TestDurabilityOrder:
+    """A done marker asserts that its task's entries are durable: one
+    barrier over the entries the worker wrote or found completes before
+    the marker is written."""
+
+    @pytest.fixture
+    def events(self, monkeypatch):
+        import repro.sweeps.distributed as dist
+        import repro.sweeps.store as store_mod
+
+        log = []
+        real_barrier = store_mod._barrier
+        real_mark = dist._DoneSet.mark
+        real_put = store_mod.JsonDirectoryStore.put_raw
+
+        def barrier(root, paths):
+            real_barrier(root, paths)
+            log.append("barrier")
+
+        def mark(self, task_id, payload):
+            log.append("done")
+            real_mark(self, task_id, payload)
+
+        def put_raw(self, key_obj, payload):
+            log.append("put")
+            return real_put(self, key_obj, payload)
+
+        monkeypatch.setattr(store_mod, "_barrier", barrier)
+        monkeypatch.setattr(dist._DoneSet, "mark", mark)
+        monkeypatch.setattr(store_mod.JsonDirectoryStore, "put_raw", put_raw)
+        return log
+
+    @staticmethod
+    def before_each_marker(log):
+        """The events since the previous marker, for each marker."""
+        segments, current = [], []
+        for event in log:
+            if event == "done":
+                segments.append(current)
+                current = []
+            else:
+                current.append(event)
+        return segments
+
+    def test_barrier_lands_before_each_done_marker(self, sweep_store, events):
+        specs = grid_specs(make_small_grid())
+        report = run_worker(specs, sweep_store, worker_id="w0", chunk_size=2)
+        segments = self.before_each_marker(events)
+        assert len(segments) == report.tasks_done == 4
+        assert segments == [["put", "put", "barrier"]] * 4
+
+    def test_found_entries_get_a_barrier_before_the_marker(
+        self, sweep_store, events
+    ):
+        """Fast-forwarded tasks, and a claimed task whose other units a
+        peer wrote, name entries this worker did not write: a barrier
+        covers them too."""
+        grid = make_small_grid()
+        specs = grid_specs(grid)
+        run_grid(grid, store=sweep_store)
+        sweep_store.path_for(sweep_store.unit_key(specs[1], 1)).unlink()
+        events.clear()
+        report = run_worker(specs, sweep_store, worker_id="w0", chunk_size=2)
+        assert report.tasks_claimed == 1 and report.units_computed == 1
+        segments = self.before_each_marker(events)
+        assert sorted(segments) == sorted(
+            [["barrier"]] * 3 + [["put", "barrier"]]
+        )
+
+    def test_lease_renewal_inside_a_group_still_fsyncs(
+        self, sweep_store, monkeypatch
+    ):
+        fsyncs = []
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            fsyncs.append(fd)
+            real_fsync(fd)
+
+        renewals = []
+        real_renew = LeaseNamespace.renew
+
+        def renew(self, lease, ttl, *, now=None):
+            before = len(fsyncs)
+            renewed = real_renew(self, lease, ttl, now=now)
+            in_group = sweep_store._group is not None
+            renewals.append((in_group, len(fsyncs) - before))
+            return renewed
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(LeaseNamespace, "renew", renew)
+        # Each clock reading is a second later: every heartbeat renews.
+        ticks = iter(range(10**6))
+        run_worker(
+            grid_specs(make_small_grid()), sweep_store, worker_id="w0",
+            lease_ttl=1.0, clock=lambda: float(next(ticks)),
+        )
+        assert (True, 1) in renewals
+        assert all(count == 1 for _, count in renewals)
+
+
 class TestMergeAndWait:
     def test_merge_names_missing_units(self, sweep_store):
         grid = make_small_grid()

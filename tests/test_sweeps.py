@@ -331,6 +331,72 @@ class TestSweepStore:
             sizes.append(path.stat().st_size)
         assert sizes[1] > io.DEFAULT_BUFFER_SIZE > sizes[0]
 
+        # In a write group, N entries still cost N temp files, writes
+        # and renames, but no fsync of their own: one barrier when the
+        # group closes, and one mkdir per shard the group touches.
+        import repro.sweeps.store as store_mod
+
+        made = []
+        real_mkdir = Path.mkdir
+
+        def mkdir(self, *args, **kwargs):
+            made.append(self)
+            return real_mkdir(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", mkdir)
+        monkeypatch.setattr(
+            store_mod, "_barrier", counting("barrier", store_mod._barrier)
+        )
+        calls.clear()
+        n = 40
+        with store.write_group():
+            paths = [
+                store.put_raw({"kind": "grouped", "index": index}, payloads[0])
+                for index in range(n)
+            ]
+            assert all(path.exists() for path in paths)
+        shards = {path.parent for path in paths}
+        assert len(shards) < n  # some shard holds two of the entries
+        assert calls.count("mkstemp") == calls.count("write") == n
+        assert calls.count("replace") == n
+        assert calls.count("barrier") == 1
+        barrier = calls.index("barrier")
+        assert "fsync" not in calls[:barrier]
+        assert "replace" not in calls[barrier:]
+        assert sorted(made) == sorted(shards)
+
+    def test_barrier_without_syncfs_fsyncs_each_entry(
+        self, tmp_path, monkeypatch
+    ):
+        """Where the C library has no ``syncfs``, a group's barrier
+        fsyncs each entry it staged; one deleted meanwhile is skipped."""
+        import os
+
+        import repro.sweeps.store as store_mod
+
+        synced = []
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            synced.append(os.fstat(fd).st_ino)
+            real_fsync(fd)
+
+        monkeypatch.setattr(store_mod, "_SYNCFS", None)
+        monkeypatch.setattr(os, "fsync", fsync)
+        store = SweepStore(tmp_path)
+        with store.write_group():
+            paths = [store.put_raw({"index": i}, {"n": i}) for i in range(3)]
+            paths[1].unlink()
+            assert synced == []
+        assert synced == [paths[0].stat().st_ino, paths[2].stat().st_ino]
+        # A body that raises still closes with its barrier.
+        synced.clear()
+        with pytest.raises(RuntimeError):
+            with store.write_group():
+                path = store.put_raw({"index": 3}, {"n": 3})
+                raise RuntimeError("unit failed")
+        assert synced == [path.stat().st_ino]
+
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         store = SweepStore(tmp_path)
         store.put_result(base_spec(), 0, {"records": []})
@@ -699,6 +765,25 @@ class TestMalformedEntries:
         assert report.cache_hits == 1 and report.computed == 1
         assert path.read_bytes() == good_bytes
 
+    def test_every_8_byte_cut_is_a_miss_then_rewritten(self, clean, tmp_path):
+        """What an OS crash inside a write group can leave: the entry cut
+        to zero length or at any 8-byte boundary (inside the header line,
+        inside and between the columns).  Each cut is a counted corrupt
+        miss, and the sweep rewrites the entry."""
+        spec, expected = clean
+        store = SweepStore(tmp_path)
+        run_sweep_cached([spec], store=store)
+        path = store.path_for(store.unit_key(spec, 0))
+        good_bytes = path.read_bytes()
+        for cut in range(0, len(good_bytes), 8):
+            path.write_bytes(good_bytes[:cut])
+            fresh = SweepStore(tmp_path)
+            artifacts, report = run_sweep_cached([spec], store=fresh)
+            assert fresh.stats.corrupt == 1, cut
+            assert report.computed == 1, cut
+            assert artifacts[0].to_json() == expected
+            assert path.read_bytes() == good_bytes
+
     def test_malformed_fresh_payload_still_raises(self, monkeypatch):
         """Only cached entries are repaired; a producer whose history
         breaks the value rule is a bug and surfaces as the typed error."""
@@ -1053,6 +1138,31 @@ class TestScheduler:
         assert warm.report.computed == 0
         assert grid_summary_json(warm) == grid_summary_json(cold)
 
+    def test_persist_phase_includes_the_barrier(self, tmp_path, monkeypatch):
+        """Each chunk's entries share one barrier, which the report's
+        ``persist`` phase (and ``repro sweep --profile``) times."""
+        import time
+
+        import repro.sweeps.store as store_mod
+
+        real_barrier = store_mod._barrier
+        barriers = []
+
+        def slow_barrier(root, paths):
+            barriers.append(len(paths))
+            time.sleep(0.2)
+            real_barrier(root, paths)
+
+        monkeypatch.setattr(store_mod, "_barrier", slow_barrier)
+        specs = small_grid().specs()
+        _, report = run_sweep_cached(
+            specs, store=SweepStore(tmp_path), chunk_size=4
+        )
+        assert barriers == [4, 4]
+        phases = report.profile["phases"]
+        assert phases["persist"] >= 0.4
+        assert phases["run"] + phases["persist"] <= report.seconds
+
     def test_cold_and_warm_runs_never_scan_the_store(
         self, tmp_path, monkeypatch
     ):
@@ -1340,6 +1450,30 @@ class TestOptimumCache:
         assert not optimum_cache_info()["store_active"]
 
 
+SRC = Path(__file__).parents[1] / "src"
+
+# ``python -c _KILL_AT_RENAME K ARGV...``: run ``repro ARGV`` and SIGKILL
+# the process as it is about to rename its (K+1)-th store entry into
+# place, that entry's bytes already in a temp file beside it.
+_KILL_AT_RENAME = """
+import os, signal, sys
+from repro.cli import main
+
+limit, renames, replace = int(sys.argv[1]), 0, os.replace
+
+def killing_replace(src, dst):
+    global renames
+    if str(dst).endswith(".json"):
+        renames += 1
+        if renames > limit:
+            os.kill(os.getpid(), signal.SIGKILL)
+    replace(src, dst)
+
+os.replace = killing_replace
+sys.exit(main(sys.argv[2:]))
+"""
+
+
 class TestSweepCli:
     @pytest.fixture
     def grid_file(self, tmp_path):
@@ -1387,6 +1521,44 @@ class TestSweepCli:
         bad.write_text('{"name": "x"}')
         assert main(["sweep", "--grid", str(bad)]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.slow
+    def test_sigkill_inside_a_write_group(self, grid_file, tmp_path, capsys):
+        """A sweep SIGKILLed inside a write group, after its second
+        rename and with the third entry still a temp file: every entry
+        in place decodes, the temp file is never read as an entry, and
+        the resumed sweep writes the uninterrupted run's bytes."""
+        import os
+        import signal
+        import subprocess
+        import sys
+
+        from repro.cli import main
+
+        cache = tmp_path / "cache"
+        killed = subprocess.run(
+            [sys.executable, "-c", _KILL_AT_RENAME, "2", "sweep",
+             "--grid", str(grid_file), "--cache", str(cache)],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+        )
+        assert killed.returncode == -signal.SIGKILL, killed.stderr
+        store = SweepStore(cache)
+        specs = SweepGrid.read(grid_file).specs()
+        found = [store.get_result(spec, 0) for spec in specs]
+        assert sum(unit is not None for unit in found) == len(store) == 2
+        assert store.stats.corrupt == 0
+        (stray,) = cache.rglob("*.tmp")
+        assert stray not in store.entry_paths()
+
+        resumed, whole = tmp_path / "resumed.json", tmp_path / "whole.json"
+        argv = ["sweep", "--grid", str(grid_file)]
+        assert main(argv + ["--cache", str(cache), "--resume",
+                            "--out", str(resumed)]) == 0
+        assert "4 units: 2 cached, 2 computed" in capsys.readouterr().out
+        assert main(argv + ["--out", str(whole)]) == 0
+        assert resumed.read_bytes() == whole.read_bytes()
+        assert len(SweepStore(cache)) == 4
 
 
 class TestGridValidation:
