@@ -216,8 +216,9 @@ class _DoneSet:
     """Atomic per-task completion markers (the claim scan's fast path).
 
     A marker asserts "every unit of this task is durably in the store" —
-    the writer verifies the entries and passes a durability barrier
-    before marking, so whoever writes it (finisher, stealer, or a
+    the writer verifies the entries and makes them durable before
+    marking (its own puts fsync each entry; the entries it found get a
+    barrier), so whoever writes it (finisher, stealer, or a
     fast-forwarding scanner) the statement holds.
     """
 
@@ -295,8 +296,9 @@ def run_worker(
         return renewed
 
     def sync_found(units: Sequence[tuple[int, int]]) -> None:
-        # Entries this worker found rather than wrote: a peer may have
-        # renamed them inside a write group whose barrier is still ahead.
+        # Entries this worker found rather than wrote: another process
+        # (a local sweep, a merge's repairs) may have renamed them inside
+        # a write group whose barrier is still ahead.
         store.sync(
             [store.path_for(store.unit_key(specs[i], r)) for i, r in units]
         )
@@ -316,28 +318,27 @@ def run_worker(
                 pending.append((spec_index, spec, repeat))
         report.units_cached += len(found)
         try:
-            # The task is the persistence point: one barrier covers the
-            # entries found and written here, and completes before the
-            # done marker names them.
-            with store.write_group():
-                sync_found(found)
-                for batched, group in _partition_chunk(
-                    pending, batch, 1, report.fallbacks
-                ):
+            # Each entry written here is fsynced by its put; the entries
+            # found get one barrier, so the done marker names only
+            # durable entries.
+            sync_found(found)
+            for batched, group in _partition_chunk(
+                pending, batch, 1, report.fallbacks
+            ):
+                lease = heartbeat(lease)
+                units = compute_units(
+                    batched, [(spec, repeat) for _, spec, repeat in group]
+                )
+                if batched:
+                    report.units_batched += len(group)
+                else:
+                    report.units_scalar += len(group)
+                for (_, spec, repeat), unit in zip(group, units):
+                    store.put_result(spec, repeat, unit)
+                    report.units_computed += 1
+                    if on_task is not None:
+                        on_task("unit", task)
                     lease = heartbeat(lease)
-                    units = compute_units(
-                        batched, [(spec, repeat) for _, spec, repeat in group]
-                    )
-                    if batched:
-                        report.units_batched += len(group)
-                    else:
-                        report.units_scalar += len(group)
-                    for (_, spec, repeat), unit in zip(group, units):
-                        store.put_result(spec, repeat, unit)
-                        report.units_computed += 1
-                        if on_task is not None:
-                            on_task("unit", task)
-                        lease = heartbeat(lease)
         except Exception:
             # Free the task at once (a signal still leaves the lease to
             # expire): a peer then fails the same way, not after the TTL.

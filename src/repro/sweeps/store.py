@@ -33,10 +33,11 @@ Robustness properties the scheduler relies on:
   rename.  Inside :meth:`JsonDirectoryStore.write_group` the per-entry
   fsync is skipped, and the group's entries become durable together
   when the group closes, by one barrier (``syncfs`` of the store's
-  filesystem).  A SIGKILL loses nothing already renamed, since the
-  kernel holds the bytes.  An OS crash inside a group can lose entries
-  or leave them truncated; the exact-length, header and CRC-32 checks
-  read a truncated entry as a miss.  A crash that left a column block
+  filesystem on Linux 5.8 or later, else an fsync of each entry).  A
+  SIGKILL loses nothing already renamed, since the kernel holds the
+  bytes.  An OS crash inside a group can lose entries or leave them
+  truncated; the exact-length, header and CRC-32 checks read a
+  truncated entry as a miss.  A crash that left a column block
   zero-filled would pass the value checks, so there the store relies
   on the filesystem's ordered-data guarantee (ext4 ``data=ordered``,
   XFS, btrfs);
@@ -59,6 +60,8 @@ import hashlib
 import json
 import math
 import os
+import re
+import sys
 import tempfile
 import time
 import uuid
@@ -151,8 +154,14 @@ def canonical_key(key_obj: Any) -> str:
 
 
 def _load_syncfs() -> Any:
-    """libc's ``syncfs(2)`` (``os`` has no wrapper), or None where the
-    platform's C library lacks it."""
+    """libc's ``syncfs(2)`` (``os`` has no wrapper), or None off Linux,
+    where the C library lacks it, or before Linux 5.8, whose ``syncfs``
+    does not report write-back errors."""
+    if sys.platform != "linux":
+        return None
+    release = re.match(r"(\d+)\.(\d+)", os.uname().release)
+    if release is None or tuple(map(int, release.groups())) < (5, 8):
+        return None
     try:
         syncfs = ctypes.CDLL(None, use_errno=True).syncfs
     except (AttributeError, OSError, TypeError):
@@ -169,9 +178,11 @@ def _barrier(root: Path, paths: Sequence[Path]) -> None:
     """Make the entries at ``paths``, written under ``root``, durable.
 
     One ``syncfs`` of the filesystem holding ``root`` flushes every
-    entry and rename at once.  Without ``syncfs``, each entry is
-    fsynced (an entry another writer replaced meanwhile has the same
-    bytes; one already deleted needs nothing).
+    entry and rename at once, together with whatever other processes
+    left unwritten on that filesystem, so its time depends on their
+    load.  Without ``syncfs``, each entry is fsynced (an entry another
+    writer replaced meanwhile has the same bytes; one already deleted
+    needs nothing).
     """
     if _SYNCFS is not None:
         fd = os.open(root, os.O_RDONLY)
@@ -278,14 +289,13 @@ class JsonDirectoryStore:
         renames it into place before it returns, but skips its fsync,
         and each shard directory is created once.  When the body ends,
         also by an exception, one :func:`_barrier` makes every entry of
-        the group durable.  A group opened inside another joins it.
-        The group belongs to the handle, so a handle shared between
-        threads takes no group.  Lease and marker files are written
-        outside the store's entries and keep their own fsync.
+        the group durable.  Groups do not nest.  The group belongs to
+        the handle, so a handle shared between threads takes no group.
+        Lease and marker files are written outside the store's entries
+        and keep their own fsync.
         """
         if self._group is not None:
-            yield
-            return
+            raise RuntimeError("a write group is already open on this store")
         group = self._group = _WriteGroup()
         try:
             yield
@@ -295,15 +305,12 @@ class JsonDirectoryStore:
                 _barrier(self.root, group.paths)
 
     def sync(self, paths: Sequence[Path]) -> None:
-        """Make the entries at ``paths``, already in place, durable: when
-        the open write group closes, else at once.
+        """Make the entries at ``paths``, already in place, durable now.
 
         For entries this handle did not write, which another process may
         have renamed inside a group whose barrier is still ahead.
         """
-        if self._group is not None:
-            self._group.paths.extend(paths)
-        elif paths:
+        if paths:
             _barrier(self.root, paths)
 
     def path_for(self, key_obj: Any) -> Path:

@@ -299,9 +299,9 @@ class TestFailingUnit:
 
 
 class TestDurabilityOrder:
-    """A done marker asserts that its task's entries are durable: one
-    barrier over the entries the worker wrote or found completes before
-    the marker is written."""
+    """A done marker asserts that its task's entries are durable: the
+    worker's own puts fsync each entry, and one barrier over the entries
+    it found completes before the marker is written."""
 
     @pytest.fixture
     def events(self, monkeypatch):
@@ -322,7 +322,8 @@ class TestDurabilityOrder:
             real_mark(self, task_id, payload)
 
         def put_raw(self, key_obj, payload):
-            log.append("put")
+            # Outside a write group a put fsyncs its own entry.
+            log.append("put" if self._group is None else "grouped put")
             return real_put(self, key_obj, payload)
 
         monkeypatch.setattr(store_mod, "_barrier", barrier)
@@ -342,19 +343,21 @@ class TestDurabilityOrder:
                 current.append(event)
         return segments
 
-    def test_barrier_lands_before_each_done_marker(self, sweep_store, events):
+    def test_written_entries_are_fsynced_before_each_done_marker(
+        self, sweep_store, events
+    ):
         specs = grid_specs(make_small_grid())
         report = run_worker(specs, sweep_store, worker_id="w0", chunk_size=2)
         segments = self.before_each_marker(events)
         assert len(segments) == report.tasks_done == 4
-        assert segments == [["put", "put", "barrier"]] * 4
+        assert segments == [["put", "put"]] * 4
 
     def test_found_entries_get_a_barrier_before_the_marker(
         self, sweep_store, events
     ):
-        """Fast-forwarded tasks, and a claimed task whose other units a
-        peer wrote, name entries this worker did not write: a barrier
-        covers them too."""
+        """Fast-forwarded tasks, and a claimed task whose other units
+        another process wrote, name entries this worker did not write: a
+        barrier covers them."""
         grid = make_small_grid()
         specs = grid_specs(grid)
         run_grid(grid, store=sweep_store)
@@ -364,7 +367,7 @@ class TestDurabilityOrder:
         assert report.tasks_claimed == 1 and report.units_computed == 1
         segments = self.before_each_marker(events)
         assert sorted(segments) == sorted(
-            [["barrier"]] * 3 + [["put", "barrier"]]
+            [["barrier"]] * 3 + [["barrier", "put"]]
         )
 
     def test_lease_renewal_inside_a_group_still_fsyncs(
@@ -377,26 +380,16 @@ class TestDurabilityOrder:
             fsyncs.append(fd)
             real_fsync(fd)
 
-        renewals = []
-        real_renew = LeaseNamespace.renew
-
-        def renew(self, lease, ttl, *, now=None):
-            before = len(fsyncs)
-            renewed = real_renew(self, lease, ttl, now=now)
-            in_group = sweep_store._group is not None
-            renewals.append((in_group, len(fsyncs) - before))
-            return renewed
-
         monkeypatch.setattr(os, "fsync", fsync)
-        monkeypatch.setattr(LeaseNamespace, "renew", renew)
-        # Each clock reading is a second later: every heartbeat renews.
-        ticks = iter(range(10**6))
-        run_worker(
-            grid_specs(make_small_grid()), sweep_store, worker_id="w0",
-            lease_ttl=1.0, clock=lambda: float(next(ticks)),
-        )
-        assert (True, 1) in renewals
-        assert all(count == 1 for _, count in renewals)
+        leases = LeaseNamespace(sweep_store.root / "queue" / "leases")
+        lease = leases.acquire("t0", "w0", 60.0)
+        fsyncs.clear()
+        with sweep_store.write_group():
+            sweep_store.put_raw({"kind": "grouped"}, {"n": 1})
+            assert fsyncs == []
+            renewed = leases.renew(lease, 60.0)
+            assert renewed is not None and renewed.renewals == 1
+            assert len(fsyncs) == 1
 
 
 class TestMergeAndWait:

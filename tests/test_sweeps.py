@@ -4,6 +4,7 @@ import base64
 import gc
 import io
 import json
+import sys
 import threading
 import zlib
 from pathlib import Path
@@ -396,6 +397,41 @@ class TestSweepStore:
                 path = store.put_raw({"index": 3}, {"n": 3})
                 raise RuntimeError("unit failed")
         assert synced == [path.stat().st_ino]
+
+    def test_write_groups_do_not_nest(self, tmp_path, monkeypatch):
+        import repro.sweeps.store as store_mod
+
+        barriers = []
+        monkeypatch.setattr(
+            store_mod, "_barrier", lambda root, paths: barriers.append(paths)
+        )
+        store = SweepStore(tmp_path)
+        with store.write_group():
+            path = store.put_raw({"index": 0}, {"n": 0})
+            with pytest.raises(RuntimeError, match="already open"):
+                with store.write_group():
+                    pass
+        assert barriers == [[path]]
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="syncfs is Linux's")
+    @pytest.mark.parametrize(
+        "release, usable",
+        [("5.4.0-150-generic", False), ("5.8.0", True), ("6.1.0-rc1", True),
+         ("unknown", False)],
+    )
+    def test_syncfs_needs_a_kernel_that_reports_write_back_errors(
+        self, monkeypatch, release, usable
+    ):
+        """Before Linux 5.8 ``syncfs`` loses write-back errors, so the
+        barrier fsyncs each entry there instead."""
+        import os
+
+        import repro.sweeps.store as store_mod
+
+        monkeypatch.setattr(
+            os, "uname", lambda: SimpleNamespace(release=release)
+        )
+        assert (store_mod._load_syncfs() is not None) is usable
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         store = SweepStore(tmp_path)
